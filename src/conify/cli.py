@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage error, 2 domain error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -161,16 +162,8 @@ def _read_document(path: str) -> InputDocument:
 def _integer_weight_vector(doc: InputDocument) -> tuple[int, ...]:
     wd = doc.weight_data()
     fracs = [w.as_fraction() for w in wd.weights]
-    scale = 1
-    for f in fracs:
-        scale = scale * f.denominator // _gcd(scale, f.denominator)
+    scale = math.lcm(*(f.denominator for f in fracs))
     return tuple(int(f * scale) for f in fracs)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _family_payload(doc: InputDocument, N: int, cap: int):

@@ -17,6 +17,7 @@ initial ideal <y, x^4>, while the max-refined reduced basis only shows <y>.)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -233,9 +234,7 @@ def stable_initial_ideal(ideal: IdealPresentation, xi: tuple[ExactScalar, ...],
             raise ValueError("approximant weights must be positive")
         if not box.contains(fracs)[0]:
             raise ValueError("approximant falls outside the reference cone around the weights")
-        scale = 1
-        for a in fracs:
-            scale = scale * a.denominator // _gcd(scale, a.denominator)
+        scale = math.lcm(*(a.denominator for a in fracs))
         wvec = tuple(int(a * scale) for a in fracs)
         tc = build_test_configuration(ideal, wvec, max_steps)
         fibers.append(central_fiber(tc))
@@ -244,9 +243,3 @@ def stable_initial_ideal(ideal: IdealPresentation, xi: tuple[ExactScalar, ...],
             "approximants give different central fibers: "
             f"{fibers[0]} vs {fibers[1]}; refine the approximation")
     return fibers[0]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

@@ -9,6 +9,7 @@ resolved by eliminating one prime at a time via squaring.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
@@ -307,10 +308,7 @@ def affine_hull(v: ReebVector) -> AffineHull:
     coeffs = solve_rational(columns, rhs) if rhs else []
     if coeffs is None:
         raise ArithmeticError("affine hull solve failed")  # unreachable by construction
-    m = 1
-    for x in coeffs or []:
-        for c in x:
-            m = m * c.denominator // _gcd(m, c.denominator)
+    m = math.lcm(*(c.denominator for x in coeffs for c in x))
     a_rows = tuple(tuple(int(coeffs[j][1 + i] * m) for j in range(len(rest)))
                    for i in range(s))
     a0 = tuple(int(coeffs[j][0] * m) for j in range(len(rest)))
@@ -330,12 +328,6 @@ def _verify_hull(v: ReebVector, hull: AffineHull):
             acc = [u + hull.a[i][j] * w for u, w in zip(acc, rows[hull.reorder[i]])]
         if acc != target:
             raise ArithmeticError("affine hull relation failed verification")
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- approximants ---------------------------------------------------------------------

@@ -1,15 +1,22 @@
 """Buchberger's algorithm with reduced bases, elimination, saturation, quotients.
 
-Pair selection follows the normal strategy (smallest lcm in the term order)
-with the coprimality and chain criteria.  All results are returned as unique
-reduced bases sorted by leading monomial, so equal ideals compare equal.
+Pairs are taken smallest lcm first (the normal strategy) and filtered once,
+when an element is inserted, by the Gebauer-Moller update (Becker and
+Weispfenning, *Groebner Bases*, 5.5): criteria M, F and B, and retirement of
+the elements whose leading monomial the new one divides.  S-polynomials reduce
+on term dicts against the remaining active set, a minimal basis whose
+interreduction is the result.  All results are unique reduced bases sorted by
+leading monomial, so equal ideals compare equal.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import add, le, sub
 
 from .errors import ArityError, BudgetExceededError
 from .polyring import (
@@ -18,10 +25,7 @@ from .polyring import (
     TermOrder,
     WeightData,
     grevlex,
-    mono_div,
-    mono_divides,
     mono_lcm,
-    mono_mul,
 )
 
 
@@ -62,7 +66,11 @@ class GroebnerBasis:
         return len(self.elements)
 
     def leading_monomials(self) -> list[Monomial]:
-        return [g.leading_monomial(self.order) for g in self.elements]
+        return [lm for lm, _ in self.reducers]
+
+    @cached_property
+    def reducers(self) -> list[Reducer]:
+        return [_reducer(g.terms, self.order.key) for g in self.elements]
 
     def contains(self, f: Polynomial) -> bool:
         return normal_form(f, self).is_zero()
@@ -71,43 +79,77 @@ class GroebnerBasis:
         return "{" + ", ".join(str(g) for g in self.elements) + "}"
 
 
-# -- division ------------------------------------------------------------------
+# -- reduction on term dicts -----------------------------------------------------
+
+Reducer = tuple[Monomial, list[tuple[Monomial, Fraction]]]
+
+
+def _reducer(terms: dict[Monomial, Fraction], key) -> Reducer:
+    """A polynomial made monic, as (leading monomial, tail)."""
+    lm = max(terms, key=key)
+    lc = terms[lm]
+    if lc == 1:
+        return lm, [(m, c) for m, c in terms.items() if m != lm]
+    return lm, [(m, c / lc) for m, c in terms.items() if m != lm]
+
+
+def _reduce(work: dict[Monomial, Fraction], reducers: list[Reducer], key,
+            quotients: list[dict] | None = None) -> dict[Monomial, Fraction]:
+    """Fully reduce the terms in `work` (consumed) and return the remainder.
+
+    Terms are taken largest first from a key-sorted pending list; a term that
+    cancels stays in `work` with coefficient 0 until its turn.  The first
+    reducer whose leading monomial divides the term is used; if `quotients`
+    is given, quotients[i] records the multiples of reducer i subtracted."""
+    pending = sorted(work, key=key)
+    remainder = {}
+    while pending:
+        m = pending.pop()
+        c = work.pop(m)
+        if not c:
+            continue
+        for i, (lm, tail) in enumerate(reducers):
+            if all(map(le, lm, m)):
+                factor = tuple(map(sub, m, lm))
+                for m2, c2 in tail:
+                    target = tuple(map(add, m2, factor))
+                    value = work.get(target)
+                    if value is None:
+                        work[target] = -c * c2
+                        insort(pending, target, key=key)
+                    else:
+                        work[target] = value - c * c2
+                if quotients is not None:
+                    quotients[i][factor] = c
+                break
+        else:
+            remainder[m] = c
+    return remainder
+
+
+def _spair(f: Reducer, g: Reducer, lcm: Monomial) -> dict[Monomial, Fraction]:
+    """The S-polynomial of two reducers as a term dict; the leads cancel."""
+    (lf, tf), (lg, tg) = f, g
+    sf, sg = tuple(map(sub, lcm, lf)), tuple(map(sub, lcm, lg))
+    work = {tuple(map(add, m, sf)): c for m, c in tf}
+    for m, c in tg:
+        target = tuple(map(add, m, sg))
+        value = work.get(target)
+        work[target] = -c if value is None else value - c
+    return work
+
 
 def division(f: Polynomial, divisors: list[Polynomial], order: TermOrder):
     """Full multivariate division: f = sum(q_i d_i) + r with no term of r
     divisible by any leading term of the divisors.  Returns (quotients, r)."""
     key = order.key
-    leads = []
-    for i, d in enumerate(divisors):
-        if d.is_zero():
-            continue
-        lm = max(d.terms, key=key)
-        leads.append((lm, d.terms[lm], d.terms, i))
-    work = dict(f.terms)
-    remainder: dict = {}
-    raw_quotients: list[dict] = [{} for _ in divisors]
-    zero = Fraction(0)
-    while work:
-        lm = max(work, key=key)
-        lc = work.pop(lm)
-        for lead_m, lead_c, dterms, qi in leads:
-            if mono_divides(lead_m, lm):
-                factor = mono_div(lm, lead_m)
-                coeff = lc / lead_c
-                for m2, c2 in dterms.items():
-                    if m2 == lead_m:
-                        continue
-                    target = mono_mul(m2, factor)
-                    value = work.get(target, zero) - coeff * c2
-                    if value:
-                        work[target] = value
-                    else:
-                        work.pop(target, None)
-                raw_quotients[qi][factor] = raw_quotients[qi].get(factor, zero) + coeff
-                break
-        else:
-            remainder[lm] = lc
-    quotients = [Polynomial(f.ring, q) for q in raw_quotients]
+    live = [i for i, d in enumerate(divisors) if not d.is_zero()]
+    reducers = [_reducer(divisors[i].terms, key) for i in live]
+    found: list[dict] = [{} for _ in live]
+    remainder = _reduce(dict(f.terms), reducers, key, found)
+    quotients = [Polynomial.zero(f.ring) for _ in divisors]
+    for i, (lm, _), q in zip(live, reducers, found):
+        quotients[i] = Polynomial(f.ring, {m: c / divisors[i].terms[lm] for m, c in q.items()})
     return quotients, Polynomial(f.ring, remainder)
 
 
@@ -116,14 +158,13 @@ def normal_form(f: Polynomial, basis: GroebnerBasis | list[Polynomial], order: T
     if isinstance(basis, GroebnerBasis):
         if f.ring != basis.ring:
             raise ArityError(f"ring mismatch: {f.ring} vs {basis.ring}")
-        divisors, order = list(basis.elements), basis.order
+        reducers, order = basis.reducers, basis.order
     else:
-        divisors = list(basis)
         order = order or grevlex(len(f.ring))
-    if not divisors:
+        reducers = [_reducer(d.terms, order.key) for d in basis if not d.is_zero()]
+    if not reducers:
         return f
-    _, r = division(f, divisors, order)
-    return r
+    return Polynomial(f.ring, _reduce(dict(f.terms), reducers, order.key))
 
 
 def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
@@ -138,95 +179,101 @@ def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
 # -- Buchberger ----------------------------------------------------------------
 
 def spoly(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
-    lf, lg = f.leading_monomial(order), g.leading_monomial(order)
-    lcm = mono_lcm(lf, lg)
-    mf = f.mul_term(mono_div(lcm, lf), Fraction(1) / f.terms[lf])
-    mg = g.mul_term(mono_div(lcm, lg), Fraction(1) / g.terms[lg])
-    return mf - mg
+    rf, rg = _reducer(f.terms, order.key), _reducer(g.terms, order.key)
+    return Polynomial(f.ring, _spair(rf, rg, mono_lcm(rf[0], rg[0])))
 
 
-def _buchberger(gens: list[Polynomial], order: TermOrder, max_steps: int | None) -> list[Polynomial]:
+def _buchberger(gens: list[Polynomial], order: TermOrder, max_steps: int | None) -> list[Reducer]:
+    """A minimal Groebner basis of the generators: the final active set."""
     key = order.key
-    basis: list[Polynomial] = []
-    leads: list[Monomial] = []
+    elements: list[Reducer] = []   # every element ever inserted; pairs index it
+    active: list[int] = []         # the current minimal basis
+    reducers: list[Reducer] = []   # elements[k] for k in active
+    pairs: list = []               # heap of (key(lcm), i, j, lcm)
+    reduced = dropped = 0
+
+    def insert(terms):
+        """Add an element with the Gebauer-Moller update of pairs and active set."""
+        nonlocal pairs, reducers, dropped
+        h = len(elements)
+        lh, tail = _reducer(terms, key)
+        elements.append((lh, tail))
+        # criterion B: an old pair goes when lh divides its lcm properly
+        old = []
+        for pair in pairs:
+            lcm = pair[3]
+            if (all(map(le, lh, lcm)) and lcm != mono_lcm(elements[pair[1]][0], lh)
+                    and lcm != mono_lcm(elements[pair[2]][0], lh)):
+                dropped += 1
+            else:
+                old.append(pair)
+        if len(old) < len(pairs):
+            heapq.heapify(old)
+        pairs = old
+        # criteria M and F: one new pair per minimal lcm, coprime ones kept
+        # only to shadow the others
+        new = [(mono_lcm(elements[g][0], lh), g) for g in active]
+        kept = []
+        for n, (lcm, g) in enumerate(new):
+            coprime = lcm == tuple(map(add, elements[g][0], lh))
+            rivals = [p[0] for p in kept] + [p[0] for p in new[n + 1:]]
+            if coprime or not any(all(map(le, other, lcm)) for other in rivals):
+                kept.append((lcm, g, coprime))
+        dropped += len(new)
+        for lcm, g, coprime in kept:
+            if not coprime:
+                dropped -= 1
+                heapq.heappush(pairs, (key(lcm), g, h, lcm))
+        # retire the elements whose leading monomial lh divides
+        active[:] = [g for g in active if not all(map(le, lh, elements[g][0]))] + [h]
+        reducers = [elements[g] for g in active]
+        if not any(lh):
+            pairs.clear()   # the unit ideal
+
     for g in gens:
-        if not g.is_zero():
-            basis.append(g.monic(order))
-            leads.append(g.leading_monomial(order))
-    heap: list = []
-    done: set[tuple[int, int]] = set()
-
-    def push(i: int, j: int):
-        lcm = mono_lcm(leads[i], leads[j])
-        heapq.heappush(heap, (key(lcm), i, j, lcm))
-
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            push(i, j)
-    steps = 0
-    while heap:
-        _, i, j, lcm = heapq.heappop(heap)
-        done.add((i, j))
-        # coprimality criterion
-        if lcm == mono_mul(leads[i], leads[j]):
-            continue
-        # chain criterion
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or not mono_divides(leads[k], lcm):
-                continue
-            p1 = (min(i, k), max(i, k))
-            p2 = (min(j, k), max(j, k))
-            if p1 in done and p2 in done:
-                skip = True
-                break
-        if skip:
-            continue
-        steps += 1
-        if max_steps is not None and steps > max_steps:
-            raise BudgetExceededError(f"S-pair budget of {max_steps} exceeded")
-        r = normal_form(spoly(basis[i], basis[j], order), basis, order)
-        if not r.is_zero():
-            new = len(basis)
-            basis.append(r.monic(order))
-            leads.append(r.leading_monomial(order))
-            for k in range(new):
-                push(k, new)
-    return basis
+        r = _reduce(dict(g.terms), reducers, key)
+        if r:
+            insert(r)
+    while pairs:
+        _, i, j, lcm = heapq.heappop(pairs)
+        if reduced == max_steps:
+            raise BudgetExceededError(
+                f"S-pair budget of {max_steps} exceeded: {reduced} pairs reduced, "
+                f"{dropped} dropped by the criteria, active basis of {len(active)}")
+        reduced += 1
+        r = _reduce(_spair(elements[i], elements[j], lcm), reducers, key)
+        if r:
+            insert(r)
+    return reducers
 
 
-def _minimalize(basis: list[Polynomial], order: TermOrder) -> list[Polynomial]:
-    key = order.sort_key()
-    out: list[Polynomial] = []
-    for f in sorted(basis, key=lambda g: key(g.leading_monomial(order))):
-        lm = f.leading_monomial(order)
-        if not any(mono_divides(g.leading_monomial(order), lm) for g in out):
-            out.append(f)
-    return out
+def _interreduce(basis: list[Reducer], order: TermOrder, ring: tuple[str, ...]) -> list[Polynomial]:
+    """The reduced basis from a minimal one, sorted by leading monomial.
 
-
-def _interreduce(basis: list[Polynomial], order: TermOrder) -> list[Polynomial]:
+    A tail term lies below its own lead, so no element reduces its own tail."""
+    key = order.key
     out = []
-    for i, f in enumerate(basis):
-        rest = basis[:i] + basis[i + 1:]
-        r = normal_form(f, rest, order)
-        if not r.is_zero():
-            out.append(r.monic(order))
-    key = order.sort_key()
-    return sorted(out, key=lambda g: key(g.leading_monomial(order)))
+    for lm, tail in sorted(basis, key=lambda r: key(r[0])):
+        terms = {lm: Fraction(1)}
+        terms.update(_reduce(dict(tail), basis, key))
+        out.append(Polynomial(ring, terms))
+    return out
 
 
 def reduced_basis(ideal: IdealPresentation, order: TermOrder | None = None,
                   max_steps: int | None = None) -> GroebnerBasis:
-    """The unique reduced Groebner basis of the ideal for the order."""
+    """The unique reduced Groebner basis of the ideal for the order.
+
+    `max_steps` bounds the number of S-pairs reduced, counted after the
+    Gebauer-Moller criteria have dropped theirs; BudgetExceededError reports
+    the pairs reduced and dropped and the active basis size."""
     order = order or grevlex(len(ideal.ring))
     if order.nvars != len(ideal.ring):
         raise ArityError("order arity does not match ring")
     if not ideal.generators:
         return GroebnerBasis(ideal.ring, (), order)
     raw = _buchberger(list(ideal.generators), order, max_steps)
-    reduced = _interreduce(_minimalize(raw, order), order)
-    return GroebnerBasis(ideal.ring, tuple(reduced), order)
+    return GroebnerBasis(ideal.ring, tuple(_interreduce(raw, order, ideal.ring)), order)
 
 
 def ideals_equal(a: IdealPresentation, b: IdealPresentation) -> bool:

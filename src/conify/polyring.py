@@ -28,10 +28,6 @@ Monomial = tuple[int, ...]
 def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(a + b for a, b in zip(m1, m2))
 
-def mono_div(m1: Monomial, m2: Monomial) -> Monomial:
-    """m1 / m2; caller must know m2 divides m1."""
-    return tuple(a - b for a, b in zip(m1, m2))
-
 def mono_divides(m1: Monomial, m2: Monomial) -> bool:
     return all(a <= b for a, b in zip(m1, m2))
 
@@ -40,17 +36,6 @@ def mono_lcm(m1: Monomial, m2: Monomial) -> Monomial:
 
 def mono_degree(m: Monomial) -> int:
     return sum(m)
-
-
-def grevlex_cmp(m1: Monomial, m2: Monomial) -> int:
-    """Graded reverse lexicographic comparison; positive when m1 > m2."""
-    d1, d2 = sum(m1), sum(m2)
-    if d1 != d2:
-        return 1 if d1 > d2 else -1
-    for a, b in zip(reversed(m1), reversed(m2)):
-        if a != b:
-            return 1 if a < b else -1
-    return 0
 
 
 def _grevlex_key(m: Monomial):
@@ -210,10 +195,6 @@ class Polynomial:
         value = Fraction(value)
         return Polynomial(self.ring, {m: c * value for m, c in self.terms.items()})
 
-    def mul_term(self, mono: Monomial, coeff) -> "Polynomial":
-        coeff = Fraction(coeff)
-        return Polynomial(self.ring, {mono_mul(m, mono): c * coeff for m, c in self.terms.items()})
-
     def derivative(self, var_index: int) -> "Polynomial":
         out: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
@@ -237,12 +218,6 @@ class Polynomial:
 
     def leading_coeff(self, order: TermOrder) -> Fraction:
         return self.terms[self.leading_monomial(order)]
-
-    def monic(self, order: TermOrder) -> "Polynomial":
-        if not self.terms:
-            return self
-        lc = self.leading_coeff(order)
-        return self.scale(Fraction(1) / lc)
 
     def sorted_terms(self, order: TermOrder | None = None) -> list[tuple[Monomial, Fraction]]:
         order = order or grevlex(len(self.ring))

@@ -122,6 +122,13 @@ class TestReducedBasis:
             reduced_basis(ideal(XYZ, "x^4*y - z^2", "x*z^3 - y^3", "y^4 - x^2*z"),
                           max_steps=1)
 
+    def test_budget_message_carries_counters(self):
+        with pytest.raises(BudgetExceededError) as info:
+            reduced_basis(ideal(XYZ, "x^4*y - z^2", "x*z^3 - y^3", "y^4 - x^2*z"),
+                          max_steps=2)
+        assert str(info.value) == ("S-pair budget of 2 exceeded: 2 pairs reduced, "
+                                   "4 dropped by the criteria, active basis of 5")
+
 
 class TestSaturation:
     def test_strips_variable_factor(self):
