@@ -35,7 +35,7 @@ from .diophantine import (
     rational_rank,
 )
 from .errors import ConifyError, ParseError
-from .exactnum import parse_scalar
+from .exactnum import check_radicand, parse_scalars
 from .inputdoc import InputDocument, parse_input
 from .numerics import rotation_from_target
 from .poisson import (
@@ -73,7 +73,6 @@ def build_parser() -> _Parser:
 
     def add(name, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.add_argument("--json", action="store_true", default=True, help="compact JSON (default)")
         p.add_argument("--pretty", action="store_true", help="indented JSON")
         return p
 
@@ -138,7 +137,7 @@ def _parse_field(text: str) -> int:
         return 0
     if text.startswith("quad:"):
         try:
-            return int(text.split(":", 1)[1])
+            return check_radicand(int(text.split(":", 1)[1]))
         except ValueError:
             pass
     raise ConifyError(f"bad field {text!r} (use rational or quad:D)")
@@ -148,7 +147,7 @@ def _parse_weights_csv(text: str, d: int):
     entries = [part.strip() for part in text.split(",")]
     if not all(entries):
         raise ConifyError("empty entry in weight list")
-    return tuple(parse_scalar(entry, d) for entry in entries)
+    return parse_scalars(entries, d)
 
 
 def _read_document(path: str) -> InputDocument:

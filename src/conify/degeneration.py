@@ -37,7 +37,7 @@ from .polyring import (
     TermOrder,
     WeightData,
     initial_form,
-    term_weight,
+    is_homogeneous,
 )
 
 T_NAME = "t"
@@ -139,7 +139,7 @@ def hilbert_function(ideal: IdealPresentation, wd: WeightData, cap: int) -> dict
     if len(wvec) != len(ideal.ring):
         raise ArityError("weights do not match ring")
     for g in ideal.generators:
-        if homogeneous_defect(g, wd):
+        if not is_homogeneous(g, wd):
             raise InhomogeneousError(f"generator {g} is not homogeneous")
     basis = reduced_basis(ideal)
     leads = basis.leading_monomials()
@@ -153,20 +153,6 @@ def hilbert_function(ideal: IdealPresentation, wd: WeightData, cap: int) -> dict
             continue
         counts[weight] = counts.get(weight, 0) + 1
     return dict(sorted(counts.items()))
-
-
-def homogeneous_defect(g: Polynomial, wd: WeightData) -> bool:
-    """True when g mixes weights (zero polynomial counts as homogeneous)."""
-    if g.is_zero():
-        return False
-    seen = None
-    for mono in g.terms:
-        w = term_weight(mono, wd)
-        if seen is None:
-            seen = w
-        elif (w - seen).sign() != 0:
-            return True
-    return False
 
 
 # -- the independent initial-ideal oracle ------------------------------------------

@@ -1,10 +1,10 @@
 """Rational rank, affine hulls, Dirichlet approximants, corner-cube search,
 and exact rational cone membership for positive weight vectors.
 
-Everything here decides with exact arithmetic.  Scalars live in quadratic
-fields; linear algebra happens on their rational coordinates over the basis
-{1, sqrt(d_1), sqrt(d_2), ...}, and signs of mixed-radical quantities are
-resolved by eliminating one prime at a time via squaring.
+Everything here decides with exact arithmetic.  Weights are ExactScalar
+values, which may mix radicands; linear algebra happens on their rational
+coordinates over the basis {1, sqrt(k_1), sqrt(k_2), ...}, and every sign,
+floor and comparison is the scalar type's own exact one.
 """
 
 from __future__ import annotations
@@ -21,126 +21,7 @@ from .errors import (
     OutsideConeError,
     SearchExhaustedError,
 )
-from .exactnum import ExactScalar
-
-# -- exact sums of rational multiples of square roots ----------------------------
-
-Combo = dict[int, Fraction]  # squarefree radicand -> coefficient; key 1 = rational part
-
-
-def _squarefree_split(n: int) -> tuple[int, int]:
-    """n = g^2 * m with m squarefree; returns (g, m)."""
-    g, m = 1, 1
-    p = 2
-    while p * p <= n:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        g *= p ** (e // 2)
-        if e % 2:
-            m *= p
-        p += 1
-    return g, m * n
-
-
-def combo_of(x: ExactScalar | Fraction | int) -> Combo:
-    x = ExactScalar.of(x)
-    out: Combo = {}
-    if x.a:
-        out[1] = x.a
-    if x.b:
-        out[x.d] = x.b
-    return out
-
-
-def combo_add(p: Combo, q: Combo) -> Combo:
-    out = dict(p)
-    for k, c in q.items():
-        out[k] = out.get(k, Fraction(0)) + c
-    return {k: c for k, c in out.items() if c}
-
-
-def combo_neg(p: Combo) -> Combo:
-    return {k: -c for k, c in p.items()}
-
-def combo_sub(p: Combo, q: Combo) -> Combo:
-    return combo_add(p, combo_neg(q))
-
-
-def combo_scale(p: Combo, c: Fraction) -> Combo:
-    if c == 0:
-        return {}
-    return {k: v * c for k, v in p.items()}
-
-
-def combo_mul(p: Combo, q: Combo) -> Combo:
-    out: Combo = {}
-    for j, cj in p.items():
-        for k, ck in q.items():
-            g, m = _squarefree_split(j * k)
-            out[m] = out.get(m, Fraction(0)) + cj * ck * g
-    return {k: c for k, c in out.items() if c}
-
-
-def combo_sign(p: Combo) -> int:
-    """Exact sign of sum(c_k * sqrt(k)); eliminates one prime per squaring."""
-    terms = {k: c for k, c in p.items() if c}
-    if not terms:
-        return 0
-    signs = {(c > 0) - (c < 0) for c in terms.values()}
-    if len(signs) == 1:
-        return signs.pop()
-    # pick a prime dividing some radicand and split off its sqrt
-    prime = None
-    for k in terms:
-        if k > 1:
-            q = 2
-            while k % q:
-                q += 1
-            prime = q
-            break
-    assert prime is not None  # mixed signs with all-rational keys is impossible
-    a_part: Combo = {}
-    c_part: Combo = {}
-    for k, c in terms.items():
-        if k % prime == 0:
-            c_part[k // prime] = c
-        else:
-            a_part[k] = c
-    sa = combo_sign(a_part)
-    sc = combo_sign(c_part)
-    if sc == 0:
-        return sa
-    if sa == 0:
-        return sc
-    if sa == sc:
-        return sa
-    # sign(A + sqrt(p) C) = sign(A) * sign(A^2 - p C^2) when signs oppose
-    diff = combo_sub(combo_mul(a_part, a_part),
-                     combo_scale(combo_mul(c_part, c_part), Fraction(prime)))
-    return sa * combo_sign(diff)
-
-
-def combo_str(p: Combo) -> str:
-    if not p:
-        return "0"
-    parts = []
-    for k in sorted(p):
-        c = p[k]
-        mag = abs(c)
-        if k == 1:
-            body = str(mag)
-        elif mag == 1:
-            body = f"sqrt({k})"
-        else:
-            body = f"{mag}*sqrt({k})"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
-
+from .exactnum import ExactScalar, combo_sign  # noqa: F401  combo_sign stays public here
 
 # -- rational linear algebra -------------------------------------------------------
 
@@ -231,20 +112,12 @@ class ReebVector:
         return len(self.entries)
 
     def radicands(self) -> list[int]:
-        rads = sorted({e.d for e in self.entries if e.b != 0})
-        return [1] + rads
+        return [1] + sorted({k for e in self.entries for k, _ in e.terms})
 
     def coordinate_rows(self) -> list[list[Fraction]]:
-        """Coordinates of each entry over the basis {1} + {sqrt(d)}."""
+        """Coordinates of each entry over the basis {1} + {sqrt(k)}."""
         basis = self.radicands()
-        rows = []
-        for e in self.entries:
-            row = [Fraction(0)] * len(basis)
-            row[0] = e.a
-            if e.b != 0:
-                row[basis.index(e.d)] = e.b
-            rows.append(row)
-        return rows
+        return [[e.coordinates().get(k, Fraction(0)) for k in basis] for e in self.entries]
 
     def min_entry(self) -> ExactScalar:
         return min(self.entries)
@@ -471,16 +344,14 @@ class ConeDescription:
 
     def contains(self, v: Sequence) -> tuple[bool, list[tuple[int, str]] | None]:
         """Exact membership with a nonnegative-coefficient certificate."""
-        target = [combo_of(x) for x in v]
+        target = [ExactScalar.of(x).coordinates() for x in v]
         if self.homogenized:
-            target = [combo_of(1)] + target
+            target = [{1: Fraction(1)}] + target
         columns = self._matrix()
         if columns and len(columns[0]) != len(target):
             raise ArityError("dimension mismatch in cone membership")
-        radicands = sorted({k for combo in target for k in combo})
-        if not radicands:
-            radicands = [1]
-        rhs_list = [[combo.get(rad, Fraction(0)) for combo in target] for rad in radicands]
+        radicands = sorted({k for coords in target for k in coords}) or [1]
+        rhs_list = [[coords.get(k, Fraction(0)) for coords in target] for k in radicands]
         indices = range(len(columns))
         for size in range(1, len(columns) + 1):
             for subset in combinations(indices, size):
@@ -490,20 +361,10 @@ class ConeDescription:
                 sols = solve_rational(cols, rhs_list)
                 if sols is None:
                     continue
-                lambdas: list[Combo] = []
-                ok = True
-                for j in range(size):
-                    combo: Combo = {}
-                    for rad, sol in zip(radicands, sols):
-                        if sol[j]:
-                            combo[rad] = sol[j]
-                    if combo_sign(combo) < 0:
-                        ok = False
-                        break
-                    lambdas.append(combo)
-                if ok:
-                    certificate = [(subset[j], combo_str(lambdas[j])) for j in range(size)]
-                    return True, certificate
+                lambdas = [ExactScalar.from_coordinates(dict(zip(radicands, column)))
+                           for column in zip(*sols)]
+                if all(lam.sign() >= 0 for lam in lambdas):
+                    return True, [(i, lam.spaced()) for i, lam in zip(subset, lambdas)]
         return False, None
 
     def to_json_dict(self) -> dict:
@@ -521,18 +382,16 @@ class BoxCone:
     upper: tuple[Fraction, ...]
 
     def contains(self, v: Sequence) -> tuple[bool, list[tuple[int, str]] | None]:
-        u = [combo_of(x) for x in v]
+        u = [ExactScalar.of(x) for x in v]
         if len(u) != len(self.lower):
             raise ArityError("dimension mismatch in box-cone membership")
-        if any(combo_sign(x) <= 0 for x in u):
+        if any(x.sign() <= 0 for x in u):
             return False, None
         # exists lam > 0 with lower <= lam*u <= upper, iff for all i, j:
         # lower_i * u_j <= upper_j * u_i
         for i in range(len(u)):
             for j in range(len(u)):
-                lhs = combo_scale(u[j], Fraction(self.lower[i]))
-                rhs = combo_scale(u[i], Fraction(self.upper[j]))
-                if combo_sign(combo_sub(rhs, lhs)) < 0:
+                if u[j] * self.lower[i] > u[i] * self.upper[j]:
                     return False, None
         return True, None
 
@@ -602,30 +461,25 @@ def kronecker_corner_search(v: ReebVector, resolution: int, cap: int = 10**6,
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     leading = [v.entries[i] for i in hull.reorder[:hull.s]]
-    side = Fraction(1, resolution)
     corners = list(product((0, 1), repeat=hull.s))
     found: dict[tuple[int, ...], CornerHit] = {}
     for C in range(1, cap + 1):
-        floors = [(w * C).floor() for w in leading]
-        fracs = [w * C - f for w, f in zip(leading, floors)]
-        for corner in corners:
-            if corner in found:
-                continue
-            ok = True
-            for frac, bit in zip(fracs, corner):
-                if bit == 0:
-                    if not (frac < side or frac == side):
-                        ok = False
-                        break
-                else:
-                    if not (ExactScalar.of(1) - frac < side or ExactScalar.of(1) - frac == side):
-                        ok = False
-                        break
-            if ok:
-                v_tilde = tuple(f + bit for f, bit in zip(floors, corner))
-                found[corner] = CornerHit(corner, C, v_tilde)
-        if len(found) == len(corners):
-            break
+        # Cw is irrational, so with f = floor(Cw) and g = floor(res*Cw) - res*f:
+        # {Cw} < 1/res iff g == 0, and 1 - {Cw} < 1/res iff g == res - 1
+        corner, v_tilde = [], []
+        for w in leading:
+            f = (w * C).floor()
+            g = (w * (C * resolution)).floor() - resolution * f
+            if g != 0 and g != resolution - 1:
+                break
+            corner.append(int(g != 0))
+            v_tilde.append(f + corner[-1])
+        else:
+            corner = tuple(corner)
+            if corner not in found:
+                found[corner] = CornerHit(corner, C, tuple(v_tilde))
+                if len(found) == len(corners):
+                    break
     missing = [c for c in corners if c not in found]
     if missing:
         raise SearchExhaustedError(f"corners {missing} not reached within cap {cap}")

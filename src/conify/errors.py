@@ -15,10 +15,6 @@ class ArityError(ConifyError):
     """Vector/ring arity mismatch."""
 
 
-class FieldMismatchError(ConifyError):
-    """Arithmetic attempted between scalars of different quadratic fields."""
-
-
 class ParseError(ConifyError):
     """Syntax error in an input document, with position information."""
 

@@ -14,8 +14,9 @@ Grammar (one declaration per line, `#` starts a comment anywhere):
     form                      # same line shape as bracket
     u v : 1
 
-Parsing is strict: unknown keywords, arity mismatches, and non-positive
-weights are position-annotated errors.
+Parsing is strict: unknown keywords, arity mismatches, non-positive
+weights and weights over two different radicands are position-annotated
+errors.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
-from .exactnum import ExactScalar, parse_scalar
+from .exactnum import ExactScalar, check_radicand, parse_scalars
 from .groebner import IdealPresentation
 from .poisson import FormTable, PoissonTable
 from .polyring import Polynomial, WeightData, parse_polynomial
@@ -91,7 +92,10 @@ def parse_input(text: str) -> InputDocument:
                 if parts[:1] == ["rational"] and len(parts) == 1:
                     field_d = 0
                 elif parts[:1] == ["quad"] and len(parts) == 2 and parts[1].isdigit():
-                    field_d = int(parts[1])
+                    try:
+                        field_d = check_radicand(int(parts[1]))
+                    except ValueError as exc:
+                        raise ParseError(str(exc), lineno)
                 else:
                     raise ParseError(f"bad field declaration {rest!r}", lineno)
             elif head == "ring":
@@ -137,13 +141,13 @@ def parse_input(text: str) -> InputDocument:
     entries, wline = pending_weights
     if len(entries) != len(ring):
         raise ParseError(f"{len(entries)} weights for {len(ring)} variables", wline)
-    parsed = []
-    for entry in entries:
-        w = parse_scalar(entry, field_d)
+    try:
+        weights = parse_scalars(entries, field_d)
+    except (ParseError, ValueError) as exc:
+        raise ParseError(str(exc), wline)
+    for entry, w in zip(entries, weights):
         if w.sign() <= 0:
             raise ParseError(f"weight {entry!r} is not positive", wline)
-        parsed.append(w)
-    weights = tuple(parsed)
     return InputDocument(field_d, ring, weights, t_weight, form_weight,
                          tuple(ideal_polys), brackets, form_coeffs)
 

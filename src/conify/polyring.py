@@ -2,7 +2,7 @@
 
 A polynomial is a map from exponent tuples to nonzero Fraction coefficients,
 tagged with the tuple of variable names that fixes its ring.  Weights are
-ExactScalar (so gradings by elements of Q(sqrt(d)) compare exactly), while
+ExactScalar (so gradings by quadratic irrationals compare exactly), while
 coefficients stay rational throughout.
 
 Initial forms follow the minimal-weight convention: initial_form keeps the
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator
 
 from .errors import ArityError, ParseError
@@ -55,6 +56,7 @@ class TermOrder:
     nvars: int
     weights: tuple[ExactScalar, ...] | None = None
     elim: int = 0
+    _int_weights: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.weights is not None:
@@ -64,6 +66,10 @@ class TermOrder:
             if any(w.sign() <= 0 for w in ws):
                 raise ValueError("order weights must be strictly positive")
             object.__setattr__(self, "weights", ws)
+            if all(w.is_rational() for w in ws):
+                # a positive rescaling to integers keeps the order and skips ExactScalar
+                scale = lcm(*(w.a.denominator for w in ws))
+                object.__setattr__(self, "_int_weights", tuple(int(w.a * scale) for w in ws))
         object.__setattr__(self, "_cache", {})
 
     def key(self, m: Monomial):
@@ -74,7 +80,9 @@ class TermOrder:
         parts: list = []
         if self.elim:
             parts.append(_grevlex_key(m[: self.elim]))
-        if self.weights is not None:
+        if self._int_weights is not None:
+            parts.append(sum([w * e for w, e in zip(self._int_weights, m)]))
+        elif self.weights is not None:
             total = ExactScalar.of(0)
             for w, e in zip(self.weights, m):
                 if e:

@@ -60,6 +60,26 @@ class TestParseInput:
         with pytest.raises(ParseError, match="line 4"):
             parse_input("field rational\nring x\nweights 1\nx^^2\nideal\n")
 
+    def test_bad_radicand_is_positioned(self):
+        # rejected at the field line even though every weight is rational
+        with pytest.raises(ParseError, match=r"squarefree.*\(line 2\)"):
+            parse_input("# square radicand\nfield quad 4\nring x\nweights 1\n")
+        with pytest.raises(ParseError, match=r"line 1\)"):
+            parse_input("field quad 0\nring x\nweights 1\n")
+
+    def test_bad_weight_is_positioned(self):
+        with pytest.raises(ParseError, match=r"line 2\)"):
+            parse_input("ring x\nweights sqrt(8)\n")
+
+    def test_weights_share_one_radicand(self):
+        # with no field line the first sqrt(k) fixes the radicand of the list
+        doc = parse_input("ring x y\nweights sqrt(2) 1+sqrt(2)\n")
+        assert [str(w) for w in doc.weights] == ["sqrt(2)", "1+sqrt(2)"]
+        with pytest.raises(ParseError, match=r"sqrt\(3\).*\(line 2\)"):
+            parse_input("ring x y\nweights sqrt(2) sqrt(3)\n")
+        with pytest.raises(ParseError, match=r"line 2\)"):
+            parse_input("field quad 2\nweights 1 sqrt(3)\nring x y\n")
+
     def test_bracket_reversal_is_antisymmetric(self):
         doc = parse_input("ring x y\nweights 1 1\nbracket\ny x : x\n")
         assert str(doc.brackets[(0, 1)]) == "-x"
@@ -89,6 +109,16 @@ class TestExitCodes:
     def test_missing_file_is_two(self):
         code, _, err = run_cli("initial-ideal", "--input", "/nonexistent.txt")
         assert code == 2
+
+    def test_bad_field_is_two(self):
+        code, out, err = run_cli("rank", "--weights", "1, 2", "--field", "quad:4")
+        assert code == 2 and not out
+        assert "bad field 'quad:4'" in err
+
+    def test_mixed_radicand_weights_are_two(self):
+        code, out, err = run_cli("rank", "--weights", "sqrt(2), sqrt(3)")
+        assert code == 2 and not out
+        assert "sqrt(3)" in err
 
     def test_success_is_zero(self):
         code, out, _ = run_cli("rank", "--weights", "1, s, 1+s", "--field", "quad:2")

@@ -1,7 +1,9 @@
 """Rank, hulls, Dirichlet search, corner cubes, cone assembly, membership."""
 
+import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -11,7 +13,6 @@ from conify.diophantine import (
     ReebVector,
     affine_hull,
     approximant_cone,
-    combo_mul,
     combo_sign,
     cone_contains,
     default_box_cone,
@@ -35,32 +36,56 @@ def vec(*entries, n=None):
     return ReebVector(tuple(ExactScalar.of(e) for e in entries), n=n)
 
 
+def parse_spaced(text):
+    """Read a certificate string such as `1/2 - 3*sqrt(2) + sqrt(6)`."""
+    coords, sign = {}, 1
+    for token in text.split():
+        if token in ("+", "-"):
+            sign = 1 if token == "+" else -1
+            continue
+        if token.startswith("-"):
+            sign, token = -1, token[1:]
+        head, _, rad = token.partition("sqrt(")
+        k = int(rad.rstrip(")")) if rad else 1
+        coeff = Fraction(head.rstrip("*") or 1) if rad else Fraction(head)
+        coords[k] = coords.get(k, 0) + sign * coeff
+        sign = 1
+    return ExactScalar.from_coordinates(coords)
+
+
 class TestComboSign:
+    """Signs of scalars with several radicands, decided by prime-by-prime squaring."""
+
     def test_random_against_floats(self):
         rng = random.Random(47)
-        import math
         for _ in range(400):
-            combo = {}
+            coords = {}
             for rad in rng.sample([1, 2, 3, 5, 6, 7], rng.randint(1, 4)):
-                combo[rad] = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
-            value = sum(float(c) * math.sqrt(k) for k, c in combo.items())
-            got = combo_sign(combo)
+                coords[rad] = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+            value = sum(float(c) * math.sqrt(k) for k, c in coords.items())
+            got = ExactScalar.from_coordinates(coords).sign()
             if abs(value) > 1e-6:
                 assert got == (1 if value > 0 else -1)
 
     def test_exact_cancellation(self):
         # sqrt(2)*sqrt(3) = sqrt(6)
-        prod = combo_mul({2: Fraction(1)}, {3: Fraction(1)})
-        assert prod == {6: Fraction(1)}
-        assert combo_sign({6: Fraction(1), 1: Fraction(0)}) == 1
-        diff = {6: Fraction(1), 1: Fraction(-2)}          # sqrt(6) < 2 is false
-        assert combo_sign(diff) == 1                       # 2.449... - 2 > 0
+        assert R2 * R3 == ExactScalar.root(6)
+        assert (R2 * R3 + 0).sign() == 1
+        assert (R2 * R3 - 2).sign() == 1                    # 2.449... - 2 > 0
+        assert (R2 * R3 - R2 - R3 + 1).sign() == 1         # (sqrt2 - 1)(sqrt3 - 1) > 0
+        assert (R2 + R3 - R2 * R3 - 1).sign() == -1
 
     def test_product_identity_collapses(self):
         # (1 + sqrt2 + sqrt3)(1 + sqrt2 - sqrt3) = (1 + sqrt2)^2 - 3 = 2*sqrt2
-        left = {1: Fraction(1), 2: Fraction(1), 3: Fraction(1)}
-        right = {1: Fraction(1), 2: Fraction(1), 3: Fraction(-1)}
-        assert combo_mul(left, right) == {2: Fraction(2)}
+        assert (1 + R2 + R3) * (1 + R2 - R3) == 2 * R2
+
+    def test_any_number_of_radicands(self):
+        # the public routine also takes zero, rational and one-radicand scalars
+        assert combo_sign(ExactScalar(0)) == 0
+        assert combo_sign(ExactScalar(Fraction(-1, 3))) == -1
+        assert combo_sign(ExactScalar(-7, 5, 2)) == 1       # 5*sqrt(2) = 7.07...
+        assert combo_sign(ExactScalar(7, -5, 2)) == -1
+        assert combo_sign(R2 - R3) == -1
 
 
 class TestRankAndSpan:
@@ -222,6 +247,72 @@ class TestCornerSearch:
     def test_cap_exhaustion(self):
         with pytest.raises(SearchExhaustedError):
             kronecker_corner_search(vec(R2), 10**4, cap=50)
+
+    @staticmethod
+    def reference_hits(v, resolution, cap):
+        """The search by comparing exact fractional parts with the cube side."""
+        hull = affine_hull(v)
+        leading = [v.entries[i] for i in hull.reorder[:hull.s]]
+        side = Fraction(1, resolution)
+        corners = list(product((0, 1), repeat=hull.s))
+        found = {}
+        for C in range(1, cap + 1):
+            floors = [(w * C).floor() for w in leading]
+            fracs = [w * C - f for w, f in zip(leading, floors)]
+            for corner in corners:
+                if corner not in found and all(
+                        (frac if bit == 0 else 1 - frac) <= side
+                        for frac, bit in zip(fracs, corner)):
+                    found[corner] = (C, tuple(f + bit for f, bit in zip(floors, corner)))
+            if len(found) == len(corners):
+                return found
+        return None
+
+    def test_differential_against_fractional_parts(self):
+        rng = random.Random(59)
+        for trial in range(40):
+            length = 1 + trial % 3
+            entries = [Fraction(rng.randint(1, 20), rng.randint(1, 6))
+                       + ExactScalar.root(rng.choice([2, 3, 5, 7]), Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+                       for _ in range(length)]
+            v = ReebVector(tuple(entries))
+            resolution = rng.choice([2, 3, 5] if length == 3 else [2, 3, 5, 8, 13])
+            cap = 3000
+            want = self.reference_hits(v, resolution, cap)
+            if want is None:
+                with pytest.raises(SearchExhaustedError):
+                    kronecker_corner_search(v, resolution, cap)
+                continue
+            got = kronecker_corner_search(v, resolution, cap)
+            assert {hit.corner: (hit.C, hit.v_tilde) for hit in got.hits} == want
+
+
+class TestMixedRadicands:
+    """(sqrt 2, sqrt 3) with n set: every step compares entries of different fields."""
+
+    def test_pipeline(self):
+        v = ReebVector((R2, R3), n=2)
+        assert default_N(v) == 6               # ceil(8 / sqrt 2)
+        report = nice_approximant(v)
+        assert report.nice and report.N == 6
+        assert all(abs(w * report.D - wt) < Fraction(1, 6) for w, wt in zip(v.entries, report.w_tilde))
+        assert verify_perturbation_bound(report, 2, Fraction(2, 2))
+        assert not verify_perturbation_bound(report, 2, Fraction(1, 100))
+        cone = approximant_cone(v)
+        inside, certificate = cone_contains(cone, v)
+        assert inside and certificate
+        # the certificate reproduces (1, v) with nonnegative weights
+        lambdas = [(index, parse_spaced(text)) for index, text in certificate]
+        assert all(lam.sign() >= 0 for _, lam in lambdas)
+        assert sum((lam for _, lam in lambdas), ExactScalar.of(0)) == ExactScalar.of(1)
+        for i, w in enumerate(v.entries):
+            assert sum((lam * cone.generators[j][i] for j, lam in lambdas), ExactScalar.of(0)) == w
+
+    def test_box_cone_across_fields(self):
+        v = ReebVector((R2, R3))
+        box = default_box_cone(v)
+        assert box.contains(v.entries)[0]
+        assert not box.contains((R2, 3 * R3))[0]
 
 
 class TestApproximantCone:

@@ -1,20 +1,40 @@
-"""Exact quadratic-field arithmetic: signs, field axioms, floors, parsing."""
+"""Exact multi-quadratic arithmetic: signs, field axioms, floors, parsing."""
 
+import pickle
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
-from conify.errors import FieldMismatchError, ParseError
+from conify.errors import ParseError
 from conify.exactnum import ExactScalar, parse_scalar, sign
 
 R2 = ExactScalar.root(2)
+R3 = ExactScalar.root(3)
 
 
 def rand_scalar(rng, d=2, rational=False):
     a = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
     b = Fraction(0) if rational else Fraction(rng.randint(-30, 30), rng.randint(1, 12))
     return ExactScalar(a, b, d)
+
+
+def rand_multi(rng):
+    """A scalar over one to four of the radicands 2, 3, 5, 6, 7, 30."""
+    coords = {1: Fraction(rng.randint(-30, 30), rng.randint(1, 12))}
+    for k in rng.sample([2, 3, 5, 6, 7, 30], rng.randint(1, 4)):
+        coords[k] = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+    return ExactScalar.from_coordinates(coords)
+
+
+def decimal_value(x: ExactScalar) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = 60
+        total = Decimal(x.a.numerator) / x.a.denominator
+        for k, c in x.terms:
+            total += Decimal(c.numerator) / c.denominator * Decimal(k).sqrt()
+        return total
 
 
 class TestSign:
@@ -70,9 +90,29 @@ class TestFieldOps:
             if not p.is_zero():
                 assert p * (1 / p) == ExactScalar.of(1)
 
-    def test_mismatched_fields_rejected(self):
-        with pytest.raises(FieldMismatchError):
-            ExactScalar.root(2) + ExactScalar.root(3)
+    def test_mixed_radicands_combine(self):
+        assert str(R2 + R3) == "sqrt(2)+sqrt(3)"
+        assert R2 * R3 == ExactScalar.root(6)
+        assert (R2 + R3) - R3 == R2
+        assert (R2 + R3) * (R2 - R3) == ExactScalar.of(-1)
+        assert ExactScalar.root(6) * ExactScalar.root(10) == ExactScalar.root(15, 2)
+
+    def test_mixed_field_axioms_random(self):
+        rng = random.Random(29)
+        for _ in range(100):
+            p, q, r = (rand_multi(rng) for _ in range(3))
+            assert (p + q) + r == p + (q + r)
+            assert (p * q) * r == p * (q * r)
+            assert p * (q + r) == p * q + p * r
+            if not p.is_zero():
+                assert p * p.inverse() == ExactScalar.of(1)
+
+    def test_coordinates_round_trip(self):
+        x = 1 - 2 * R2 + ExactScalar.root(30, Fraction(1, 3))
+        assert x.coordinates() == {1: 1, 2: -2, 30: Fraction(1, 3)}
+        assert ExactScalar.from_coordinates(x.coordinates()) == x
+        assert ExactScalar.from_coordinates({}) == ExactScalar.of(0)
+        assert pickle.loads(pickle.dumps(x)) == x
 
     def test_rationals_mix_with_any_field(self):
         assert ExactScalar.of(2) * ExactScalar.root(3) == ExactScalar.root(3, 2)
@@ -98,6 +138,21 @@ class TestFloor:
         assert (8 + 4 * R2).ceil() == 14
         assert (-R2).floor() == -2
 
+    def test_multi_radicand_floor_against_decimal(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            p = rand_multi(rng)
+            scale = rng.choice([1, 7, 1000])
+            x = p * scale
+            assert Decimal(x.floor()) <= decimal_value(x) < x.floor() + 1
+            assert x.ceil() == -(-x).floor()
+        # integer coefficients: the per-term floors leave up to two units to fix up
+        r5 = ExactScalar.root(5)
+        for i in range(-6, 7):
+            for j in range(-6, 7):
+                x = i * R2 + j * R3 - 5 * r5
+                assert Decimal(x.floor()) <= decimal_value(x) < x.floor() + 1
+
     def test_nearest_rounds_ties_up(self):
         assert ExactScalar.of(Fraction(1, 2)).nearest_int() == 1
         assert ExactScalar.of(Fraction(-1, 2)).nearest_int() == 0
@@ -108,8 +163,17 @@ class TestParsePrint:
     def test_round_trip_random(self):
         rng = random.Random(23)
         for _ in range(200):
-            p = rand_scalar(rng, d=rng.choice([2, 5]))
-            assert parse_scalar(str(p), p.d) == p
+            d = rng.choice([2, 5])
+            p = rand_scalar(rng, d=d)
+            assert parse_scalar(str(p), d) == p
+
+    def test_printing(self):
+        x = Fraction(-3, 2) + R2 - ExactScalar.root(5, 2)
+        assert str(x) == "-3/2+sqrt(2)-2*sqrt(5)"
+        assert x.spaced() == "-3/2 + sqrt(2) - 2*sqrt(5)"
+        assert str(ExactScalar.of(0)) == ExactScalar.of(0).spaced() == "0"
+        assert (15 - 10 * R2).spaced() == "15 - 10*sqrt(2)"
+        assert str(-R2 + Fraction(1, 2)) == "1/2-sqrt(2)"
 
     def test_input_forms(self):
         assert parse_scalar("7/5") == ExactScalar.of(Fraction(7, 5))
