@@ -167,15 +167,17 @@ def _integer_weight_vector(doc: InputDocument) -> tuple[int, ...]:
 
 def _family_payload(doc: InputDocument, N: int, cap: int):
     """Build the degeneration family, routing irrational weights through
-    a pair of nearest-integer approximations."""
+    two distinct nearest-integer approximations.  The second threshold
+    doubles until its approximant differs: the first one's error is a fixed
+    nonzero value, so it stops qualifying once 1/N drops below it."""
     ideal = doc.ideal()
     if all(w.is_rational() for w in doc.weights):
         return build_test_configuration(ideal, _integer_weight_vector(doc)), None
     vector = ReebVector(doc.weights)
-    first = dirichlet_approximant(vector, N, cap)
-    second = dirichlet_approximant(vector, 2 * N, cap)
-    if second.approximation() == first.approximation():
-        second = dirichlet_approximant(vector, 4 * N, cap)
+    first = second = dirichlet_approximant(vector, N, cap)
+    while second.approximation() == first.approximation():
+        N *= 2
+        second = dirichlet_approximant(vector, N, cap)
     stable = stable_initial_ideal(ideal, doc.weights,
                                   (first.approximation(), second.approximation()))
     tc = build_test_configuration(ideal, first.w_tilde)

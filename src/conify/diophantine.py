@@ -25,66 +25,50 @@ from .exactnum import ExactScalar, combo_sign  # noqa: F401  combo_sign stays pu
 
 # -- rational linear algebra -------------------------------------------------------
 
-def rational_matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    mat = [list(map(Fraction, r)) for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
+def _gauss_jordan(mat: list[list[Fraction]], ncols: int) -> list[int]:
+    """Reduce mat in place over its first ncols columns; return the pivot columns.
+
+    The t-th pivot is a 1 in row t with zeros above and below it, so the
+    number of pivots is the rank of those columns.
+    """
+    pivots: list[int] = []
     for col in range(ncols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        row = len(pivots)
+        if row == len(mat):
+            break
+        pivot = next((r for r in range(row, len(mat)) if mat[r][col] != 0), None)
         if pivot is None:
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [x / pv for x in mat[rank]]
+        mat[row], mat[pivot] = mat[pivot], mat[row]
+        pv = mat[row][col]
+        mat[row] = [x / pv for x in mat[row]]
         for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
+            if r != row and mat[r][col] != 0:
                 factor = mat[r][col]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[row])]
+        pivots.append(col)
+    return pivots
+
+
+def rational_matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    mat = [list(map(Fraction, r)) for r in rows]
+    return len(_gauss_jordan(mat, len(mat[0]) if mat else 0))
 
 
 def solve_rational(columns: Sequence[Sequence[Fraction]],
                    rhs_list: Sequence[Sequence[Fraction]]) -> list[list[Fraction]] | None:
-    """Solve sum(x_j * columns[j]) = rhs for each rhs; None if any is inconsistent.
+    """The unique x with sum(x_j * columns[j]) = rhs, for each rhs.
 
-    Free variables are set to zero; when the columns are independent the
-    solution is unique.
+    None when the columns are linearly dependent (a zero column included) or
+    any rhs lies outside their span.
     """
     k = len(columns)
     dim = len(columns[0]) if k else (len(rhs_list[0]) if rhs_list else 0)
-    nrhs = len(rhs_list)
     aug = [[Fraction(columns[j][i]) for j in range(k)] +
            [Fraction(rhs[i]) for rhs in rhs_list] for i in range(dim)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(k):
-        pivot = next((r for r in range(row, dim) if aug[r][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(dim):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
-        pivots.append((row, col))
-        row += 1
-    for r in range(row, dim):
-        if any(aug[r][k + t] != 0 for t in range(nrhs)):
-            return None
-    solutions = []
-    for t in range(nrhs):
-        x = [Fraction(0)] * k
-        for prow, pcol in pivots:
-            x[pcol] = aug[prow][k + t]
-        solutions.append(x)
-    return solutions
+    if len(_gauss_jordan(aug, k)) < k or any(x != 0 for row in aug[k:] for x in row[k:]):
+        return None
+    return [[aug[j][k + t] for j in range(k)] for t in range(len(rhs_list))]
 
 
 # -- weight vectors ------------------------------------------------------------------
@@ -155,11 +139,11 @@ class AffineHull:
     a0: tuple[int, ...]              # constant row
 
     def max_abs_coeff(self) -> int:
-        best = 0
-        for row in self.a:
-            for x in row:
-                best = max(best, abs(x))
-        return best
+        return max((abs(x) for row in self.a for x in row), default=0)
+
+    def resolution_scale(self) -> int:
+        """Corner resolution per unit of the approximation threshold N."""
+        return max(1, self.max_abs_coeff()) * self.m * max(1, self.s)
 
 
 def affine_hull(v: ReebVector) -> AffineHull:
@@ -343,7 +327,12 @@ class ConeDescription:
         return cols
 
     def contains(self, v: Sequence) -> tuple[bool, list[tuple[int, str]] | None]:
-        """Exact membership with a nonnegative-coefficient certificate."""
+        """Exact membership with a nonnegative-coefficient certificate.
+
+        Subsets of generators are tried by size, then lexicographically; the
+        certificate is the first one with linearly independent columns and
+        nonnegative coefficients, listed as (generator index, coefficient).
+        """
         target = [ExactScalar.of(x).coordinates() for x in v]
         if self.homogenized:
             target = [{1: Fraction(1)}] + target
@@ -352,13 +341,9 @@ class ConeDescription:
             raise ArityError("dimension mismatch in cone membership")
         radicands = sorted({k for coords in target for k in coords}) or [1]
         rhs_list = [[coords.get(k, Fraction(0)) for coords in target] for k in radicands]
-        indices = range(len(columns))
         for size in range(1, len(columns) + 1):
-            for subset in combinations(indices, size):
-                cols = [columns[i] for i in subset]
-                if rational_matrix_rank([list(x) for x in zip(*cols)]) < size:
-                    continue
-                sols = solve_rational(cols, rhs_list)
+            for subset in combinations(range(len(columns)), size):
+                sols = solve_rational([columns[i] for i in subset], rhs_list)
                 if sols is None:
                     continue
                 lambdas = [ExactScalar.from_coordinates(dict(zip(radicands, column)))
@@ -443,8 +428,7 @@ class CornerSearchResult:
 
 def default_corner_resolution(hull: AffineHull, N: int) -> int:
     """Smallest cube resolution compatible with the approximation threshold."""
-    scale = max(1, hull.max_abs_coeff()) * hull.m * max(1, hull.s)
-    return scale * N + 1
+    return hull.resolution_scale() * N + 1
 
 
 def kronecker_corner_search(v: ReebVector, resolution: int, cap: int = 10**6,
@@ -495,9 +479,17 @@ def approximant_cone(v: ReebVector, corners: CornerSearchResult | None = None,
 
     For rational v this is the ray through v itself.  Otherwise each corner
     hit is lifted through the affine-hull relations to a full-length rational
-    vector; the returned cone is spanned by a minimal subset of those whose
-    convex hull provably contains v, and every generator is verified against
-    the 1/N approximation bound.
+    vector, and every one is verified against the 1/N approximation bound.
+    The returned cone is spanned by the smallest subset of them, first in
+    lexicographic order, whose convex hull contains v.
+
+    One membership certificate over all the lifted vectors finds that subset.
+    By Caratheodory's theorem a smallest subset S with v in its convex hull
+    is affinely independent, since otherwise v would lie in the hull of a
+    proper subset of S.  So its columns (1, g) are linearly independent, its
+    convex weights are unique and nonnegative, and S is exactly the first
+    subset that ConeDescription.contains accepts.  Independence also makes
+    the cone simplicial.
     """
     if v.is_rational():
         generators = (tuple(e.as_fraction() for e in v.entries),)
@@ -512,8 +504,7 @@ def approximant_cone(v: ReebVector, corners: CornerSearchResult | None = None,
         if v.n is not None:
             N = default_N(v)
         else:
-            scale = max(1, hull.max_abs_coeff()) * hull.m * max(1, hull.s)
-            N = max(2, (corners.resolution - 1) // scale)
+            N = max(2, (corners.resolution - 1) // hull.resolution_scale())
     l = len(v)
     generators = []
     for hit in corners.hits:
@@ -534,15 +525,10 @@ def approximant_cone(v: ReebVector, corners: CornerSearchResult | None = None,
                 raise ContainmentError(
                     f"corner approximant misses the 1/{N} bound; raise the resolution")
         generators.append(tuple(Fraction(x, D) for x in full))
-    indices = range(len(generators))
-    for size in range(1, len(generators) + 1):
-        for subset in combinations(indices, size):
-            gens = tuple(generators[i] for i in subset)
-            homog = [[Fraction(1)] + list(g) for g in gens]
-            simplicial = rational_matrix_rank(homog) == len(gens)
-            cone = ConeDescription(gens, simplicial=simplicial, homogenized=True)
-            inside, _ = cone.contains(v.entries)
-            if inside:
-                return cone
-    raise ContainmentError("no subset of corner approximants contains the vector; "
-                           "raise the resolution or the cap")
+    all_corners = ConeDescription(tuple(generators), simplicial=False, homogenized=True)
+    inside, certificate = all_corners.contains(v.entries)
+    if not inside:
+        raise ContainmentError("no subset of corner approximants contains the vector; "
+                               "raise the resolution or the cap")
+    return ConeDescription(tuple(generators[i] for i, _ in certificate),
+                           simplicial=True, homogenized=True)

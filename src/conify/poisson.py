@@ -9,7 +9,7 @@ decided on the quotient ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import ceil
@@ -32,6 +32,7 @@ class PoissonTable:
     ring: tuple[str, ...]
     table: dict[tuple[int, int], Polynomial]      # keys (i, j) with i < j
     ideal: IdealPresentation | None = None
+    _basis: GroebnerBasis | None = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "ring", tuple(self.ring))
@@ -40,6 +41,7 @@ class PoissonTable:
         basis = None
         if self.ideal is not None and self.ideal.generators:
             basis = reduced_basis(self.ideal)
+        object.__setattr__(self, "_basis", basis)
         clean = {}
         for (i, j), p in self.table.items():
             if not 0 <= i < j < len(self.ring):
@@ -76,9 +78,8 @@ class PoissonTable:
         return out
 
     def quotient_basis(self) -> GroebnerBasis | None:
-        if self.ideal is None or not self.ideal.generators:
-            return None
-        return reduced_basis(self.ideal)
+        """The grevlex reduced basis of the quotient ideal, computed once."""
+        return self._basis
 
 
 def jacobi_defect(table: PoissonTable) -> dict[tuple[int, int, int], Polynomial]:
@@ -107,7 +108,7 @@ def preserves_ideal(table: PoissonTable, ideal: IdealPresentation) -> bool:
         raise ArityError("ideal ring differs from bracket ring")
     if not ideal.generators:
         return True
-    basis = reduced_basis(ideal)
+    basis = table.quotient_basis() if ideal == table.ideal else reduced_basis(ideal)
     coords = [Polynomial.variable(table.ring, name) for name in table.ring]
     for z in coords:
         for g in ideal.generators:

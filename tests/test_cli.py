@@ -8,6 +8,7 @@ import pytest
 
 from conify import catalogue
 from conify.cli import main
+from conify.diophantine import ReebVector, dirichlet_approximant
 from conify.errors import ParseError
 from conify.inputdoc import parse_input
 
@@ -140,6 +141,21 @@ class TestSubcommands:
         code, out, _ = run_cli("initial-ideal", "--input", str(path))
         assert code == 0
         assert json.loads(out)["central_fiber"] == ["y^3 - x^2"]
+
+    def test_coinciding_approximants_double_the_threshold(self, tmp_path):
+        text = "field quad 5\nring x y\nweights 1/2*s s\nideal\n3*y^4 - 3*y^3 - 2*x^3\n"
+        # (sqrt5/2, sqrt5) has one Dirichlet approximant at N = 16, 32 and 64
+        vector = ReebVector(parse_input(text).weights)
+        assert len({dirichlet_approximant(vector, N, 10**6).approximation()
+                    for N in (16, 32, 64)}) == 1
+        path = tmp_path / "coincide.txt"
+        path.write_text(text)
+        code, out, err = run_cli("initial-ideal", "--input", str(path))
+        assert code == 0, err
+        assert json.loads(out)["central_fiber"] == ["x^3"]
+        code, out, err = run_cli("fiber", "--input", str(path), "--at", "0")
+        assert code == 0, err
+        assert json.loads(out)["fiber"] == ["x^3"]
 
     def test_testconfig_and_fiber_and_flatness(self, tmp_path):
         path = tmp_path / "a1d.txt"

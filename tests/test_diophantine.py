@@ -3,7 +3,8 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from functools import cache
+from itertools import combinations, product
 
 import pytest
 
@@ -23,9 +24,10 @@ from conify.diophantine import (
     nice_approximant,
     one_in_span,
     rational_rank,
+    solve_rational,
     verify_perturbation_bound,
 )
-from conify.errors import OutsideConeError, SearchExhaustedError
+from conify.errors import ContainmentError, OutsideConeError, SearchExhaustedError
 from conify.exactnum import ExactScalar
 
 R2 = ExactScalar.root(2)
@@ -104,6 +106,17 @@ class TestRankAndSpan:
     def test_two_radicands(self):
         assert rational_rank(ReebVector((R2, R3))) == 2
         assert not one_in_span(ReebVector((R2, R3)))
+
+
+    def test_solve_rejects_dependent_columns(self):
+        F = Fraction
+        assert solve_rational([[F(1), F(0)], [F(0), F(1)]], [[F(2), F(3)]]) == [[F(2), F(3)]]
+        # consistent right-hand sides, but no unique solution
+        assert solve_rational([[F(1), F(2)], [F(2), F(4)]], [[F(3), F(6)]]) is None
+        assert solve_rational([[F(1), F(0)], [F(0), F(0)]], [[F(1), F(0)]]) is None
+        assert solve_rational([[F(0), F(0)]], [[F(0), F(0)]]) is None
+        # independent columns, inconsistent right-hand side
+        assert solve_rational([[F(1), F(1)]], [[F(1), F(2)]]) is None
 
 
 class TestAffineHull:
@@ -352,6 +365,95 @@ class TestApproximantCone:
         cone = approximant_cone(v)
         inside, _ = cone_contains(cone, v)
         assert inside
+
+    # The nested search the cone assembly used to run, kept as a reference: the
+    # first subset of lifted corner approximants, by size and then
+    # lexicographically, with some sub-subset whose convex hull contains v.
+    # Linear algebra is by Cramer's rule on the Gram matrix, not elimination.
+
+    @staticmethod
+    def det(m):
+        if not m:
+            return Fraction(1)
+        return sum((-1) ** j * m[0][j] * TestApproximantCone.det([r[:j] + r[j + 1:] for r in m[1:]])
+                   for j in range(len(m)))
+
+    @staticmethod
+    def gram(points):
+        cols = [(1, *p) for p in points]
+        return cols, [[sum(a * b for a, b in zip(c, d)) for d in cols] for c in cols]
+
+    @classmethod
+    def convex_weights(cls, points, v):
+        """Weights of v over points when the (1, p) are independent, else None."""
+        cols, gram = cls.gram(points)
+        g = cls.det(gram)
+        if g == 0:
+            return None
+        target = (ExactScalar.of(1), *v.entries)
+        atb = [sum((t * a for a, t in zip(c, target)), ExactScalar.of(0)) for c in cols]
+        n = len(cols)
+        x = [sum((atb[i] * ((-1) ** (i + j) * cls.det(
+                  [r[:j] + r[j + 1:] for k, r in enumerate(gram) if k != i]) / g)
+                  for i in range(n)), ExactScalar.of(0)) for j in range(n)]
+        for row, t in enumerate(target):
+            if sum((xj * c[row] for xj, c in zip(x, cols)), ExactScalar.of(0)) != t:
+                return None
+        return x
+
+    @classmethod
+    def reference_cone(cls, v, corners):
+        hull = corners.hull
+        gens = []
+        for hit in corners.hits:
+            full = [None] * len(v)
+            for i in range(hull.s):
+                full[hull.reorder[i]] = Fraction(hit.v_tilde[i], hit.C)
+            for j in range(len(v) - hull.s):
+                value = sum(hull.a[i][j] * hit.v_tilde[i] for i in range(hull.s)) + hit.C * hull.a0[j]
+                full[hull.reorder[hull.s + j]] = Fraction(value, hull.m * hit.C)
+            gens.append(tuple(full))
+
+        @cache
+        def accepts(subset):
+            x = cls.convex_weights([gens[i] for i in subset], v)
+            return x is not None and all(lam.sign() >= 0 for lam in x)
+
+        for size in range(1, len(gens) + 1):
+            for subset in combinations(range(len(gens)), size):
+                if any(accepts(inner) for k in range(1, size + 1)
+                       for inner in combinations(subset, k)):
+                    points = [gens[i] for i in subset]
+                    simplicial = cls.det(cls.gram(points)[1]) != 0
+                    return ConeDescription(tuple(points), simplicial, homogenized=True)
+        return None
+
+    def test_differential_against_nested_search(self):
+        rng = random.Random(71)
+
+        def entry(d):
+            return Fraction(rng.randint(0, 3)) + ExactScalar.root(d, Fraction(rng.randint(1, 3), rng.randint(1, 2)))
+
+        vectors = []
+        for trial in range(12):
+            d = rng.choice([2, 3, 5, 7])
+            vectors.append(ReebVector(tuple(entry(d) for _ in range(1 + trial % 3))))
+        for _ in range(8):
+            p, q = rng.sample([2, 3, 5, 7], 2)
+            vectors.append(ReebVector((entry(p), entry(q))))
+        for _ in range(4):
+            vectors.append(ReebVector(tuple(entry(d) for d in (2, 3, 5))))
+        for v in vectors:
+            hull = affine_hull(v)
+            corners = kronecker_corner_search(v, hull.resolution_scale() * rng.randint(2, 4) + 1)
+            want = self.reference_cone(v, corners)
+            if want is None:
+                with pytest.raises(ContainmentError):
+                    approximant_cone(v, corners)
+                continue
+            got = approximant_cone(v, corners)
+            assert (got.generators, got.simplicial) == (want.generators, want.simplicial)
+            assert cone_contains(got, v) == cone_contains(want, v)
 
     def test_resolution_threshold_relation(self):
         hull = affine_hull(vec(R2, 2 - R2))

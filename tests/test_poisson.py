@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from conify.degeneration import build_test_configuration
 from conify.exactnum import ExactScalar
-from conify.groebner import IdealPresentation
+from conify.groebner import IdealPresentation, reduced_basis
 from conify.poisson import (
     FormTable,
     PoissonTable,
@@ -71,6 +71,15 @@ class TestPreservesIdeal:
     def test_zero_table(self):
         table = PoissonTable(XYZ, {})
         assert preserves_ideal(table, IdealPresentation(XYZ, (P("x*y - z^2"),)))
+
+    def test_quotient_basis_is_computed_once(self):
+        table, quadric = quadric_table()
+        assert table.quotient_basis() is table.quotient_basis()
+        assert table.quotient_basis() == reduced_basis(quadric)
+        assert table == PoissonTable(XYZ, table.table, ideal=quadric)
+        assert PoissonTable(XYZ, {}).quotient_basis() is None
+        # an ideal other than the table's own gets its own basis
+        assert not preserves_ideal(table, IdealPresentation(XYZ, (P("x*y - z^3"),)))
 
     def test_constant_bracket_fails_on_axis(self):
         table = PoissonTable(UV, {(0, 1): parse_polynomial("1", UV)})
