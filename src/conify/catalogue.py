@@ -127,6 +127,8 @@ ENTRIES: dict[str, CatalogueEntry] = {
         name="ogrady_weights", text=OGRADY_WEIGHTS_TEXT,
         bracket_weight=None, form_weight=Fraction(2),
         rank=1, one_in_span=True,
+        # coefficients of 1 / ((1 - t^2)^10 (1 - t)^4)
+        hilbert={0: 1, 1: 4, 2: 20, 3: 60, 4: 190, 5: 476, 6: 1204, 7: 2660, 8: 5845},
     ),
 }
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .diophantine import ReebVector, default_box_cone
 from .errors import ArityError, InhomogeneousError, UnstableError
@@ -33,11 +32,13 @@ from .groebner import (
     saturate_by_variable,
 )
 from .polyring import (
+    Monomial,
     Polynomial,
     TermOrder,
     WeightData,
     initial_form,
     is_homogeneous,
+    mono_divides,
 )
 
 T_NAME = "t"
@@ -132,27 +133,78 @@ def flatness_witness(tc: TestConfiguration, max_steps: int | None = None) -> boo
 def hilbert_function(ideal: IdealPresentation, wd: WeightData, cap: int) -> dict[int, int]:
     """Dimensions of the graded pieces of the quotient ring, weights <= cap.
 
-    Counts standard monomials of the reduced basis; requires a weighted-
-    homogeneous ideal with positive integer weights.
+    Requires a weighted-homogeneous ideal with positive integer weights w_i,
+    so the quotient has the graded dimensions of R / M, M the ideal of the
+    leading monomials of the reduced basis.  Its Hilbert-Poincare series is
+    K(t) / prod(1 - t^{w_i}); the numerator K comes from Bigatti's pivot
+    recursion (`_series_numerator`), and dividing by each 1 - t^{w_i} is one
+    exact integer prefix sum with stride w_i over the coefficients up to cap.
+    Only weights with a nonzero dimension appear, in increasing order.
     """
     wvec = wd.integer_weights()
     if len(wvec) != len(ideal.ring):
         raise ArityError("weights do not match ring")
+    if any(w <= 0 for w in wvec):
+        raise ValueError("weights must be positive integers")
     for g in ideal.generators:
         if not is_homogeneous(g, wd):
             raise InhomogeneousError(f"generator {g} is not homogeneous")
-    basis = reduced_basis(ideal)
-    leads = basis.leading_monomials()
-    counts: dict[int, int] = {}
-    ranges = [range(cap // w + 1) for w in wvec]
-    for mono in product(*ranges):
-        weight = sum(w * e for w, e in zip(wvec, mono))
-        if weight > cap:
+    if cap < 0:
+        return {}
+    leads = reduced_basis(ideal).leading_monomials()
+    coeffs = _series_numerator(leads, wvec, cap)
+    for w in wvec:
+        for d in range(w, cap + 1):
+            coeffs[d] += coeffs[d - w]
+    return {d: c for d, c in enumerate(coeffs) if c}
+
+
+def _series_numerator(gens: list[Monomial], wvec: tuple[int, ...], cap: int) -> list[int]:
+    """Coefficients of t^0..t^cap in the numerator K(t) of R / <gens>.
+
+    Bigatti's pivot recursion ("Computation of Hilbert-Poincare series",
+    JPAA 1997): K(M) = K(M + <p>) + t^{deg p} K(M : p) for a monomial p outside
+    M.  The pivot is x_i^e, x_i a variable in the most generators and e the
+    median exponent of x_i over the generators that are not powers of x_i, so
+    p lies outside M and both branches have a smaller sum of generator degrees.
+    The recursion ends at pairwise coprime generators, where
+    K = prod(1 - t^{deg m}); the unit ideal gives K = 0.  A branch weighted by
+    t^s needs its coefficients only up to t^(cap - s), and monomials of weight
+    above cap - s cannot divide one below it, so they are dropped; every pivot
+    then has weight below cap - s, and every shift stays at most cap.
+    """
+    def weight(m: Monomial) -> int:
+        return sum(w * e for w, e in zip(wvec, m))
+
+    coeffs = [0] * (cap + 1)
+    stack = [(gens, 0)]
+    while stack:
+        gens, shift = stack.pop()
+        gens = [m for m in gens if weight(m) <= cap - shift]
+        counts = [sum(1 for m in gens if m[i]) for i in range(len(wvec))]
+        top = max(counts, default=0)
+        if top < 2:
+            terms = {shift: 1}
+            for m in gens:
+                d = weight(m)
+                for k, c in list(terms.items()):
+                    if k + d <= cap:
+                        terms[k + d] = terms.get(k + d, 0) - c
+            for k, c in terms.items():
+                coeffs[k] += c
             continue
-        if any(all(le <= me for le, me in zip(lead, mono)) for lead in leads):
-            continue
-        counts[weight] = counts.get(weight, 0) + 1
-    return dict(sorted(counts.items()))
+        i = counts.index(top)
+        exps = sorted(m[i] for m in gens if 0 < m[i] < sum(m))
+        e = exps[len(exps) // 2]
+        pivot = tuple(e if j == i else 0 for j in range(len(wvec)))
+        stack.append(([m for m in gens if m[i] < e] + [pivot], shift))
+        quotient = {m[:i] + (max(m[i] - e, 0),) + m[i + 1:] for m in gens}
+        minimal: list[Monomial] = []
+        for m in sorted(quotient, key=sum):
+            if not any(mono_divides(d, m) for d in minimal):
+                minimal.append(m)
+        stack.append((minimal, shift + e * wvec[i]))
+    return coeffs
 
 
 # -- the independent initial-ideal oracle ------------------------------------------

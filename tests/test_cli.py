@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -174,6 +175,18 @@ class TestSubcommands:
         path.write_text(catalogue.A1_TEXT)
         code, out, _ = run_cli("hilbert", "--input", str(path), "--degree-cap", "8")
         assert json.loads(out)["dimensions"] == {"0": 1, "2": 3, "4": 5, "6": 7, "8": 9}
+
+    def test_hilbert_default_cap_on_fourteen_variables(self, tmp_path):
+        # the default cap 8 spans about 6e10 monomials of the weight box
+        path = tmp_path / "ogrady.txt"
+        path.write_text(catalogue.OGRADY_WEIGHTS_TEXT)
+        start = time.monotonic()
+        code, out, _ = run_cli("hilbert", "--input", str(path))
+        assert time.monotonic() - start < 10.0
+        assert code == 0
+        assert json.loads(out)["dimensions"] == {
+            "0": 1, "1": 4, "2": 20, "3": 60, "4": 190, "5": 476, "6": 1204,
+            "7": 2660, "8": 5845}
 
     def test_approximate(self):
         code, out, _ = run_cli("approximate", "--weights", "s, 2-s",

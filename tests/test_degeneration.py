@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -16,8 +17,9 @@ from conify.degeneration import (
 )
 from conify.errors import InhomogeneousError, UnstableError
 from conify.exactnum import ExactScalar
-from conify.groebner import IdealPresentation, ideals_equal
+from conify.groebner import IdealPresentation, ideals_equal, reduced_basis
 from conify.polyring import Polynomial, WeightData, parse_polynomial
+from test_acceptance import _degeneration_cases
 
 R2 = ExactScalar.root(2)
 XYZ = ("x", "y", "z")
@@ -146,7 +148,68 @@ class TestOracleAgreement:
         assert fiber.generators == again.generators
 
 
+def box_hilbert_function(ideal, wd, cap):
+    """Reference: count the standard monomials of the reduced basis one by one
+    over the box prod range(cap // w_i + 1)."""
+    wvec = wd.integer_weights()
+    leads = reduced_basis(ideal).leading_monomials()
+    counts = {}
+    for mono in product(*(range(cap // w + 1) for w in wvec)):
+        weight = sum(w * e for w, e in zip(wvec, mono))
+        if weight > cap:
+            continue
+        if any(all(le <= me for le, me in zip(lead, mono)) for lead in leads):
+            continue
+        counts[weight] = counts.get(weight, 0) + 1
+    return dict(sorted(counts.items()))
+
+
+def _random_monomial_ideal(rng):
+    """1-4 variables, weights 1-4, 0-5 monomial generators; two or more
+    generators always include a pair sharing a variable."""
+    nvars = rng.randint(1, 4)
+    ring = ("w", "x", "y", "z")[:nvars]
+    while True:
+        monos = [tuple(rng.randint(0, 3) for _ in range(nvars))
+                 for _ in range(rng.randint(0, 5))]
+        if len(monos) < 2 or any(any(a and b for a, b in zip(m1, m2))
+                                 for m1, m2 in combinations(monos, 2)):
+            break
+    gens = tuple(Polynomial(ring, {m: Fraction(1)}) for m in monos)
+    return IdealPresentation(ring, gens), wdata(*(rng.randint(1, 4) for _ in range(nvars)))
+
+
 class TestHilbert:
+    def test_agrees_with_box_enumeration(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            source, wd = _random_monomial_ideal(rng)
+            cap = rng.randint(0, 14)
+            assert hilbert_function(source, wd, cap) == box_hilbert_function(source, wd, cap)
+        for source, weights in _degeneration_cases():
+            fiber = central_fiber(build_test_configuration(source, weights))
+            wd = wdata(*weights)
+            assert hilbert_function(fiber, wd, 12) == box_hilbert_function(fiber, wd, 12)
+
+    def test_unit_ideal(self):
+        assert hilbert_function(ideal(XYZ, "1"), wdata(1, 2, 3), 6) == {}
+        assert hilbert_function(ideal(XYZ, "1"), wdata(1, 2, 3), 0) == {}
+
+    def test_zero_ideal(self):
+        values = hilbert_function(IdealPresentation(XYZ, ()), wdata(1, 2, 3), 6)
+        assert values == {0: 1, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 7}
+
+    def test_cap_zero(self):
+        assert hilbert_function(ideal(XYZ, "x*y - z^2"), wdata(2, 2, 2), 0) == {0: 1}
+
+    def test_negative_cap(self):
+        assert hilbert_function(ideal(XYZ, "x*y - z^2"), wdata(2, 2, 2), -1) == {}
+        assert hilbert_function(IdealPresentation(XYZ, ()), wdata(1, 1, 1), -3) == {}
+
+    def test_rejects_nonpositive_weights(self):
+        with pytest.raises(ValueError):
+            hilbert_function(IdealPresentation(XYZ, ()), wdata(1, 0, 1), 4)
+
     def test_quadric_dimensions(self):
         values = hilbert_function(ideal(XYZ, "x*y - z^2"), wdata(2, 2, 2), 8)
         assert values == {0: 1, 2: 3, 4: 5, 6: 7, 8: 9}
