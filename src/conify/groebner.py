@@ -1,5 +1,8 @@
 """Buchberger's algorithm with reduced bases, elimination, saturation, quotients.
 
+Saturation by a variable needs no tag variable: Bayer's revlex trick reads it
+off one grevlex basis with that variable last (`revlex_basis`).
+
 Pairs are taken smallest lcm first (the normal strategy) and filtered once,
 when an element is inserted, by the Gebauer-Moller update (Becker and
 Weispfenning, *Groebner Bases*, 5.5): criteria M, F and B, and retirement of
@@ -285,9 +288,6 @@ def ideals_equal(a: IdealPresentation, b: IdealPresentation) -> bool:
 
 # -- saturation and quotient -----------------------------------------------------
 
-_FRESH = "_u"
-
-
 def _fresh_name(ring: tuple[str, ...], base: str) -> str:
     name = base
     while name in ring:
@@ -295,20 +295,36 @@ def _fresh_name(ring: tuple[str, ...], base: str) -> str:
     return name
 
 
-def saturate_by_variable(ideal: IdealPresentation, var: str,
-                         max_steps: int | None = None) -> IdealPresentation:
-    """(I : var^infinity) via a Rees-style inverse variable and elimination."""
+def revlex_basis(ideal: IdealPresentation, var: str,
+                 max_steps: int | None = None) -> GroebnerBasis:
+    """Reduced grevlex basis of the generators homogenized by a fresh h, in the
+    ring (other variables..., h, var).  With var last, in(K : var) = in(K) : var
+    for homogeneous K (Bayer, thesis, Harvard 1982; Bayer and Stillman, Invent.
+    Math. 1987; Eisenbud, Prop. 15.12).  The order is built per call, so its
+    key memo is freed with the basis."""
     if var not in ideal.ring:
         raise ArityError(f"{var!r} is not a ring variable")
-    u = _fresh_name(ideal.ring, _FRESH)
-    big_ring = (u,) + ideal.ring
-    order = TermOrder(len(big_ring), elim=1)
-    gens = [g.extend_ring(big_ring) for g in ideal.generators]
-    inverse = (Polynomial.variable(big_ring, u) * Polynomial.variable(big_ring, var)
-               - Polynomial.constant(big_ring, 1))
-    basis = reduced_basis(IdealPresentation(big_ring, tuple(gens) + (inverse,)), order, max_steps)
-    kept = [g.drop_variable(0) for g in basis if g.leading_monomial(order)[0] == 0]
-    return IdealPresentation(ideal.ring, tuple(kept), ideal.weights)
+    k = ideal.ring.index(var)
+    ring = ideal.ring[:k] + ideal.ring[k + 1:] + (_fresh_name(ideal.ring, "_h"), var)
+    gens = []
+    for g in ideal.generators:
+        deg = g.total_degree()
+        gens.append(Polynomial(ring, {m[:k] + m[k + 1:] + (deg - sum(m), m[k]): c for m, c in g.terms.items()}))
+    return reduced_basis(IdealPresentation(ring, tuple(gens)), TermOrder(len(ring)), max_steps)
+
+
+def saturate_by_variable(ideal: IdealPresentation, var: str,
+                         max_steps: int | None = None) -> IdealPresentation:
+    """(I : var^infinity) as its reduced grevlex basis, by Bayer's trick: divide
+    each element of `revlex_basis` by its largest power of var, set h = 1, and
+    reduce in the ring of I (setting h = 1 commutes with saturating by var)."""
+    basis, k = revlex_basis(ideal, var, max_steps), ideal.ring.index(var)
+    flat = []
+    for g in basis:
+        low = min(m[-1] for m in g.terms)
+        flat.append(Polynomial(ideal.ring, {m[:k] + (m[-1] - low,) + m[k:-2]: c for m, c in g.terms.items()}))
+    result = reduced_basis(IdealPresentation(ideal.ring, tuple(flat)), TermOrder(len(ideal.ring)), max_steps)
+    return IdealPresentation(ideal.ring, result.elements, ideal.weights)
 
 
 def intersect(a: IdealPresentation, b: IdealPresentation,
@@ -316,7 +332,7 @@ def intersect(a: IdealPresentation, b: IdealPresentation,
     """Ideal intersection via the one-tag-variable elimination trick."""
     if a.ring != b.ring:
         raise ArityError("cannot intersect ideals in different rings")
-    u = _fresh_name(a.ring, _FRESH)
+    u = _fresh_name(a.ring, "_u")
     big_ring = (u,) + a.ring
     order = TermOrder(len(big_ring), elim=1)
     tag = Polynomial.variable(big_ring, u)

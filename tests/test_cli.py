@@ -261,6 +261,56 @@ class TestDeterminism:
         assert "\n" in pretty and "\n" not in compact.strip()
 
 
+# Three documents whose t-families need saturation: two with rational weights,
+# one with quadratic-irrational weights (routed through approximants).
+GOLDEN_DOCUMENTS = {
+    "r1": "field rational\nring x y\nweights 1 1\nideal\ny - x^2\ny^2\n",
+    "r2": "field rational\nring x y z\nweights 1 2 3\nideal\nx*y - z + x^3*z\ny^2 - x*z - y^3\n",
+    "q1": "field quad 2\nring x y\nweights s 1\nideal\ny^2 - x^3 - x*y^2\nx*y^2 - y^4\n",
+}
+GOLDEN_TESTCONFIG = {
+    "r1": (
+        '{"family":["y^2","x^2*t - y","x^2*y","x^4"],"ring":["x","y","t"],'
+        '"saturated":true,"schema":"conify/1","weights":["1","1"]}\n'
+    ),
+    "r2": (
+        '{"family":["y^3*t^2 - y^2 + x*z","x^3*z*t^3 + x*y - z","x^3*y^2*z*t - '
+        'x^4*z^2*t + x*y^4 - y^3*z","x^4*y*z^2*t^2 - x*y^5*t - x^3*y^2*z + x^4*z^2 + '
+        'y^4*z*t","x*y^7*t + x^3*y^4*z - 2*x^4*y^2*z^2 + x^5*z^3 - y^6*z*t",'
+        '"x^5*z^3*t^2 - x*y^6*t - x^2*y^4*z*t - x^3*y^3*z + x^4*y*z^2 + y^5*z*t + '
+        'x*y^3*z^2*t","x^6*y*z^4*t + x^5*y^4*z^2 - 2*x^6*y^2*z^3 + x^7*z^4 - '
+        'x^2*y^6*z^2*t - x*y^9 - x^2*y^7*z - x^3*y^5*z^2 + y^8*z + x*y^6*z^2 + '
+        'x^2*y^4*z^3","x^7*z^5*t + x^5*y^5*z^2 - 2*x^6*y^3*z^3 + x^7*y*z^4 - x*y^10 - '
+        'x^2*y^8*z - x^3*y^6*z^2 - 2*x^5*y^2*z^4 + x^6*z^5 - x*y^6*z^3*t + y^9*z + '
+        'x*y^7*z^2 + x^2*y^5*z^3 + x^3*y^3*z^4","x^5*y^6*z^2 - 3*x^6*y^4*z^3 + '
+        '3*x^7*y^2*z^4 - x^8*z^5 + x^6*z^6*t - x*y^11 + x^4*y^5*z^3 - 2*x^5*y^3*z^4 + '
+        'x^6*y*z^5 + y^10*z - x*y^8*z^2 - x^2*y^6*z^3 - 2*x^4*y^2*z^5 + x^5*z^6 - '
+        'y^6*z^4*t + y^7*z^3 + x*y^5*z^4 + x^2*y^3*z^5"],"ring":["x","y","z","t"],'
+        '"saturated":true,"schema":"conify/1","weights":["1","2","3"]}\n'
+    ),
+    "q1": (
+        '{"family":["y^4*t^7 - x*y^2","x^3*y^2*t^7 - x^4","x^6*t^6 + x^3*y^4*t^3 - '
+        'y^8","x^3*y^6*t^4 - y^10*t + x^7","y^10*t^4 - x^7*t^3 - x^4*y^4","y^14*t - '
+        'x^10*t^3 - 2*x^7*y^4","x^3*y^10*t^3 - 1/2*y^14 - 1/2*x^10*t^2","x^5*t^13 + '
+        'x^3*y^2*t^3 - y^6","y^18 - 2*x^13*t^5 - 3*x^10*y^4*t^2","x^4*t^20 + '
+        'x^2*y^2*t^10 - y^4","x^3*t^27 + x*y^2*t^17 - y^2"],"ring":["x","y","t"],'
+        '"saturated":true,"schema":"conify/1","weights":["17","12"]}\n'
+    ),
+}
+
+
+class TestGoldenFamilies:
+    """testconfig and flatness stdout, pinned byte for byte: family order,
+    normalization and printing must not move when the saturation route does."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_DOCUMENTS))
+    def test_testconfig_and_flatness_stdout(self, name, tmp_path):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(GOLDEN_DOCUMENTS[name])
+        assert run_cli("testconfig", "--input", str(path)) == (0, GOLDEN_TESTCONFIG[name], "")
+        assert run_cli("flatness", "--input", str(path)) == (0, '{"flat":true,"schema":"conify/1"}\n', "")
+
+
 class TestCatalogue:
     def test_every_entry_verifies(self):
         for name in catalogue.names():

@@ -1,0 +1,206 @@
+"""Bayer's revlex route for saturation and flatness against the elimination route.
+
+saturate_by_variable reads (I : t^infinity) off one grevlex basis of the
+h-homogenized ideal with t last, and flatness_witness reads t-torsion off the
+same kind of basis.  The route they replaced adjoins a tag variable u with
+u*t - 1 and eliminates it; it is kept here, as `elimination_saturation`, as
+the oracle.  Flatness is compared with (J : t) = J computed by
+`ideal_quotient`, itself a tag-variable elimination.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from conify import degeneration, groebner
+from conify.degeneration import T_NAME, _homogenize_by_t, build_test_configuration, flatness_witness
+from conify.errors import BudgetExceededError
+from conify.exactnum import ExactScalar
+from conify.groebner import (
+    IdealPresentation,
+    ideal_quotient,
+    ideals_equal,
+    reduced_basis,
+    saturate_by_variable,
+)
+from conify.polyring import Polynomial, TermOrder, WeightData, parse_polynomial
+from test_acceptance import _degeneration_cases
+
+CASES = _degeneration_cases()
+HARD = IdealPresentation(("x", "y", "z"), tuple(parse_polynomial(s, ("x", "y", "z")) for s in
+                                              ("x^4*y - z^2", "x*z^3 - y^3", "y^4 - x^2*z")))
+
+
+def elimination_saturation(ideal: IdealPresentation, var: str,
+                           max_steps: int | None = None) -> IdealPresentation:
+    """(I : var^infinity) via a Rees-style inverse variable and elimination."""
+    u = "_u"
+    while u in ideal.ring:
+        u += "_"
+    big_ring = (u,) + ideal.ring
+    order = TermOrder(len(big_ring), elim=1)
+    gens = [g.extend_ring(big_ring) for g in ideal.generators]
+    inverse = (Polynomial.variable(big_ring, u) * Polynomial.variable(big_ring, var)
+               - Polynomial.constant(big_ring, 1))
+    basis = reduced_basis(IdealPresentation(big_ring, tuple(gens) + (inverse,)), order, max_steps)
+    kept = [g.drop_variable(0) for g in basis if g.leading_monomial(order)[0] == 0]
+    return IdealPresentation(ideal.ring, tuple(kept), ideal.weights)
+
+
+def quotient_is_flat(family: IdealPresentation) -> bool:
+    """(J : t) = J through an intersection with <t>."""
+    if not family.generators:
+        return True
+    t = Polynomial.variable(family.ring, T_NAME)
+    return ideals_equal(ideal_quotient(family, t), family)
+
+
+def raw_family(ideal: IdealPresentation, wvec) -> IdealPresentation:
+    """The t-homogenized generators, before saturation."""
+    ring = ideal.ring + (T_NAME,)
+    return IdealPresentation(ring, tuple(_homogenize_by_t(g, ring, wvec) for g in ideal.generators))
+
+
+def family_config(family: IdealPresentation, wvec, saturated: bool):
+    wd = WeightData(tuple(ExactScalar.of(w) for w in wvec), t_weight=Fraction(1))
+    return degeneration.TestConfiguration(family, wd, saturated=saturated)
+
+
+def template_cases(count: int, seed: int):
+    """A seeded subset of the degen-families benchmark ideals.
+
+    The supports and weights follow that benchmark's recipe: the criterion-1
+    generator widened to 2-4 variables, 1-3 generators of 1-3 terms, total
+    degree <= 4 (<= 3 in four variables), weights 1-5, from the criterion-1
+    seed; `seed` picks the subset and draws coefficients in +-1, +-2, +-3.
+    Four draws that take seconds each are skipped, as in the benchmark.
+    """
+    names = ("x", "y", "z", "w")
+    rng = random.Random(20260808)
+    templates = []
+    for index in range(120):
+        nvars = rng.randint(2, 4)
+        deg = 4 if nvars < 4 else 3
+        supports = []
+        for _ in range(rng.randint(1, 3)):
+            support = set()
+            for _ in range(rng.randint(1, 3)):
+                mono = tuple(rng.randint(0, deg) for _ in range(nvars))
+                while sum(mono) > deg:
+                    mono = tuple(rng.randint(0, deg) for _ in range(nvars))
+                support.add(mono)
+            supports.append(sorted(support))
+        weights = tuple(rng.randint(1, 5) for _ in range(nvars))
+        if index not in (8, 29, 78, 87):
+            templates.append((names[:nvars], supports, weights))
+    pick = random.Random(seed)
+    cases = []
+    for ring, supports, weights in pick.sample(templates, count):
+        gens = tuple(Polynomial(ring, {m: Fraction(pick.choice((-3, -2, -1, 1, 2, 3))) for m in s})
+                     for s in supports)
+        cases.append((IdealPresentation(ring, gens), weights))
+    return cases
+
+
+TEMPLATES = template_cases(40, seed=6)
+
+
+class TestSaturationAgainstElimination:
+    @pytest.mark.parametrize("index", range(len(CASES)))
+    def test_criterion_1_ideals_by_last_variable(self, index):
+        ideal, _ = CASES[index]
+        var = ideal.ring[-1]
+        assert saturate_by_variable(ideal, var).generators == elimination_saturation(ideal, var).generators
+
+    @pytest.mark.parametrize("index", range(len(CASES)))
+    def test_criterion_1_t_families(self, index):
+        raw = raw_family(*CASES[index])
+        assert saturate_by_variable(raw, T_NAME).generators == elimination_saturation(raw, T_NAME).generators
+
+    def test_benchmark_template_t_families(self):
+        for ideal, weights in TEMPLATES:
+            raw = raw_family(ideal, weights)
+            expected = elimination_saturation(raw, T_NAME)
+            assert saturate_by_variable(raw, T_NAME).generators == expected.generators, str(ideal)
+
+    def test_variable_in_the_middle(self):
+        ring = ("x", "t", "y")
+        ideal = IdealPresentation(ring, tuple(parse_polynomial(s, ring) for s in
+                                              ("t*x^2 - y", "t^2*y^2 - x*t", "x*y*t + 1")))
+        assert saturate_by_variable(ideal, "t").generators == elimination_saturation(ideal, "t").generators
+
+    def test_empty_ideal(self):
+        empty = IdealPresentation(("x", "t"), ())
+        assert saturate_by_variable(empty, "t").generators == ()
+
+
+class TestFlatnessAgainstQuotient:
+    def test_criterion_1_families(self):
+        for ideal, weights in CASES:
+            tc = build_test_configuration(ideal, weights)
+            assert flatness_witness(tc) is True
+            assert quotient_is_flat(tc.family_ideal)
+            raw = family_config(raw_family(ideal, weights), weights, saturated=False)
+            assert flatness_witness(raw) == quotient_is_flat(raw.family_ideal), str(ideal)
+
+    def test_benchmark_template_families(self):
+        rejected = 0
+        for ideal, weights in TEMPLATES:
+            tc = build_test_configuration(ideal, weights)
+            assert flatness_witness(tc) is True
+            raw = family_config(raw_family(ideal, weights), weights, saturated=False)
+            verdict = flatness_witness(raw)
+            assert verdict == quotient_is_flat(raw.family_ideal), str(ideal)
+            rejected += not verdict
+        assert rejected == 9
+
+    def test_hidden_initial_element_is_rejected(self):
+        # <y - x^2, y^2> at weights (1, 1): x^4 lies in (J : t^2) but not in J
+        ring = ("x", "y", T_NAME)
+        raw = IdealPresentation(ring, tuple(parse_polynomial(s, ring) for s in ("y - x^2*t", "y^2")))
+        tc = family_config(raw, (1, 1), saturated=False)
+        assert not quotient_is_flat(raw)
+        assert not flatness_witness(tc)
+
+    def test_generators_that_are_no_basis(self):
+        # the unit ideal, hence flat; homogenizing these generators as given
+        # (not a Groebner basis) would leave t-torsion that J^h does not have
+        ring = ("x", "y", T_NAME)
+        raw = IdealPresentation(ring, tuple(parse_polynomial(s, ring) for s in
+                                            ("2*y", "x*t^2 - x*y*t^2", "2*y^2 + 1")))
+        assert quotient_is_flat(raw)
+        assert flatness_witness(family_config(raw, (1, 1), saturated=False))
+
+    def test_empty_family_is_flat(self):
+        empty = IdealPresentation(("x", T_NAME), ())
+        assert flatness_witness(family_config(empty, (1,), saturated=True))
+
+
+class TestBudgets:
+    def test_flatness_budget(self):
+        tc = build_test_configuration(HARD, (1, 2, 3))
+        assert flatness_witness(tc)
+        with pytest.raises(BudgetExceededError):
+            flatness_witness(tc, max_steps=1)
+
+    def test_saturation_budget(self):
+        raw = raw_family(HARD, (1, 2, 3))
+        with pytest.raises(BudgetExceededError):
+            saturate_by_variable(raw, T_NAME, max_steps=1)
+
+    def test_budget_reaches_every_basis(self, monkeypatch):
+        seen = []
+        inner = groebner.reduced_basis
+
+        def spy(ideal, order=None, max_steps=None):
+            seen.append(max_steps)
+            return inner(ideal, order, max_steps)
+
+        monkeypatch.setattr(groebner, "reduced_basis", spy)
+        monkeypatch.setattr(degeneration, "reduced_basis", spy)
+        tc = build_test_configuration(HARD, (1, 2, 3), max_steps=10**6)
+        assert seen == [10**6, 10**6]
+        seen.clear()
+        assert flatness_witness(tc, max_steps=10**6)
+        assert seen == [10**6, 10**6]
