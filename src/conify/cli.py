@@ -20,6 +20,7 @@ from .degeneration import (
     general_fiber,
     hilbert_function,
     stable_initial_ideal,
+    weighted_initial_ideal,
 )
 from .diophantine import (
     ReebVector,
@@ -28,7 +29,6 @@ from .diophantine import (
     cone_contains,
     default_corner_resolution,
     default_N,
-    dirichlet_approximant,
     kronecker_corner_search,
     nice_approximant,
     one_in_span,
@@ -76,7 +76,10 @@ def build_parser() -> _Parser:
         p.add_argument("--pretty", action="store_true", help="indented JSON")
         return p
 
-    for name in ("initial-ideal", "testconfig", "fiber", "flatness"):
+    p = add("initial-ideal")
+    p.add_argument("--input", required=True, help="input document file")
+
+    for name in ("testconfig", "fiber", "flatness"):
         p = add(name)
         p.add_argument("--input", required=True, help="input document file")
         p.add_argument("--N", type=int, default=16, help="approximation threshold for irrational weights")
@@ -166,22 +169,12 @@ def _integer_weight_vector(doc: InputDocument) -> tuple[int, ...]:
 
 
 def _family_payload(doc: InputDocument, N: int, cap: int):
-    """Build the degeneration family, routing irrational weights through
-    two distinct nearest-integer approximations.  The second threshold
-    doubles until its approximant differs: the first one's error is a fixed
-    nonzero value, so it stops qualifying once 1/N drops below it."""
+    """The degeneration family; irrational weights take the certified
+    approximant of `stable_initial_ideal`."""
     ideal = doc.ideal()
     if all(w.is_rational() for w in doc.weights):
-        return build_test_configuration(ideal, _integer_weight_vector(doc)), None
-    vector = ReebVector(doc.weights)
-    first = second = dirichlet_approximant(vector, N, cap)
-    while second.approximation() == first.approximation():
-        N *= 2
-        second = dirichlet_approximant(vector, N, cap)
-    stable = stable_initial_ideal(ideal, doc.weights,
-                                  (first.approximation(), second.approximation()))
-    tc = build_test_configuration(ideal, first.w_tilde)
-    return tc, stable
+        return build_test_configuration(ideal, _integer_weight_vector(doc))
+    return stable_initial_ideal(ideal, doc.weights, N, cap)
 
 
 # -- dispatch ---------------------------------------------------------------------
@@ -189,12 +182,14 @@ def _family_payload(doc: InputDocument, N: int, cap: int):
 def run(args) -> dict:
     command = args.command
 
-    if command in ("initial-ideal", "testconfig", "fiber", "flatness"):
+    if command == "initial-ideal":
         doc = _read_document(args.input)
-        tc, stable = _family_payload(doc, args.N, args.cap)
-        if command == "initial-ideal":
-            fiber = stable if stable is not None else central_fiber(tc)
-            return {"central_fiber": [str(g) for g in fiber.generators]}
+        fiber = weighted_initial_ideal(doc.ideal(), doc.weight_data())
+        return {"central_fiber": [str(g) for g in fiber.generators]}
+
+    if command in ("testconfig", "fiber", "flatness"):
+        doc = _read_document(args.input)
+        tc = _family_payload(doc, args.N, args.cap)
         if command == "testconfig":
             return {
                 "family": [str(g) for g in tc.family_ideal.generators],

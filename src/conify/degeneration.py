@@ -7,23 +7,29 @@ at t = 0 presents the coordinate ring of the degeneration (the quotient by the
 minimal-weight initial forms); the fiber at t = 1 is the original variety.
 flatness_witness reads t-torsion off one grevlex basis with t last.
 
-weighted_initial_ideal is the independent oracle for that central fiber.  It
-never touches the t-family: it homogenizes a degree-compatible Groebner basis
-with a fresh variable h, recomputes a reduced basis for the order refined by
-the positive vector (c - w_1, ..., c - w_l, c), and reads off minimal-weight
-forms after setting h = 1.  (Refining by the weight directly, max-first, is
-not sound for the minimal convention: <y - x^2, y^2> with weights (1, 1) has
-initial ideal <y, x^4>, while the max-refined reduced basis only shows <y>.)
+weighted_initial_ideal computes that central fiber without the t-family, for
+any positive weights, irrational ones included.  It homogenizes a
+degree-compatible Groebner basis with a fresh variable h, recomputes a reduced
+basis for the order refined by the positive vector (c - w_1, ..., c - w_l, c)
+with c = max floor(w_i) + 1, and reads off minimal-weight forms after setting
+h = 1.  (Refining by the weight directly, max-first, is not sound for the
+minimal convention: <y - x^2, y^2> with weights (1, 1) has initial ideal
+<y, x^4>, while the max-refined reduced basis only shows <y>.)
+
+stable_initial_ideal gives an irrational weight xi its family: the t-family
+along the first Dirichlet approximant, at thresholds 1/N, 1/2N, ..., whose
+central fiber has the same reduced basis as in_xi(I).  That equality of exact
+reduced bases is the certificate that the rational family degenerates to the
+cone of xi.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diophantine import ReebVector, default_box_cone
-from .errors import ArityError, InhomogeneousError, UnstableError
+from .diophantine import ReebVector, dirichlet_approximant
+from .errors import ArityError, InhomogeneousError, SearchExhaustedError
 from .exactnum import ExactScalar
 from .groebner import IdealPresentation, reduced_basis, revlex_basis, saturate_by_variable
 from .polyring import (
@@ -216,9 +222,11 @@ def weighted_initial_ideal(ideal: IdealPresentation, wd: WeightData,
 
     Route: reduced grevlex basis -> homogenize with h -> reduced basis for the
     order refined by the positive weights (c - w_i, c) -> set h = 1 and take
-    minimal-weight initial forms.  Valid for positive integer weights.
+    minimal-weight initial forms.  Valid for any positive weights: with
+    c = max floor(w_i) + 1 every refining weight is positive, so the order is
+    global, and the proof for the h-homogenized order holds for real weights.
     """
-    wvec = wd.integer_weights()
+    wvec = wd.weights
     if len(wvec) != len(ideal.ring):
         raise ArityError("weights do not match ring")
     if not ideal.generators:
@@ -232,9 +240,8 @@ def weighted_initial_ideal(ideal: IdealPresentation, wd: WeightData,
         deg = g.total_degree()
         terms = {mono + (deg - sum(mono),): c for mono, c in g.terms.items()}
         homogenized.append(Polynomial(big_ring, terms))
-    c = max(wvec) + 1
-    refined = TermOrder(len(big_ring),
-                        weights=tuple(ExactScalar.of(c - w) for w in wvec) + (ExactScalar.of(c),))
+    c = ExactScalar.of(max(w.floor() for w in wvec) + 1)
+    refined = TermOrder(len(big_ring), weights=tuple(c - w for w in wvec) + (c,))
     basis = reduced_basis(IdealPresentation(big_ring, tuple(homogenized)), refined, max_steps)
     h_index = len(big_ring) - 1
     forms = []
@@ -245,37 +252,30 @@ def weighted_initial_ideal(ideal: IdealPresentation, wd: WeightData,
     return IdealPresentation(ideal.ring, canonical.elements, wd)
 
 
-def stable_initial_ideal(ideal: IdealPresentation, xi: tuple[ExactScalar, ...],
-                         approximants: tuple[tuple[Fraction, ...], tuple[Fraction, ...]],
-                         max_steps: int | None = None) -> IdealPresentation:
-    """Initial ideal for an irrational weight vector via two rational stand-ins.
+def stable_initial_ideal(ideal: IdealPresentation, xi: tuple[ExactScalar, ...], N: int, cap: int,
+                         max_steps: int | None = None) -> TestConfiguration:
+    """The family of an irrational weight vector, certified exact.
 
-    Both approximants are scaled to integer vectors and degenerated; the
-    common central fiber is returned.  Disagreement means the approximants
-    straddle a wall, so the caller must refine them.
+    in_xi(I) comes once from weighted_initial_ideal.  The family is the
+    t-family along the first Dirichlet approximant (denominator <= cap) at the
+    thresholds 1/N, 1/2N, 1/4N, ..., whose central fiber has the same reduced
+    basis; that equality is the certificate.  SearchExhaustedError names the
+    last threshold tried when the cap runs out first.
     """
-    first, second = approximants
-    if first == second:
-        raise ValueError("the two approximants must be distinct")
-    vector = ReebVector(tuple(ExactScalar.of(x) for x in xi))
-    if vector.is_rational():
-        raise ValueError("weights are rational; degenerate along them directly")
-    box = default_box_cone(vector)
-    fibers = []
-    for approx in (first, second):
-        if len(approx) != len(ideal.ring):
-            raise ArityError("approximant arity does not match ring")
-        fracs = [Fraction(a) for a in approx]
-        if any(a <= 0 for a in fracs):
-            raise ValueError("approximant weights must be positive")
-        if not box.contains(fracs)[0]:
-            raise ValueError("approximant falls outside the reference cone around the weights")
-        scale = math.lcm(*(a.denominator for a in fracs))
-        wvec = tuple(int(a * scale) for a in fracs)
-        tc = build_test_configuration(ideal, wvec, max_steps)
-        fibers.append(central_fiber(tc))
-    if fibers[0].generators != fibers[1].generators:
-        raise UnstableError(
-            "approximants give different central fibers: "
-            f"{fibers[0]} vs {fibers[1]}; refine the approximation")
-    return fibers[0]
+    vector = ReebVector(tuple(xi))
+    target = weighted_initial_ideal(ideal, WeightData(vector.entries), max_steps).generators
+    last = None
+    while N <= cap:
+        last = N
+        try:
+            report = dirichlet_approximant(vector, N, cap)
+        except SearchExhaustedError:
+            break
+        tc = build_test_configuration(ideal, report.w_tilde, max_steps)
+        if central_fiber(tc).generators == target:
+            return tc
+        N *= 2
+    reach = f"last threshold tried 1/{last}" if last else f"N = {N} exceeds the cap"
+    raise SearchExhaustedError(
+        f"no Dirichlet approximant with denominator <= {cap} has the central fiber "
+        f"<{', '.join(map(str, target))}> ({reach})")

@@ -35,10 +35,6 @@ class OutsideConeError(ConifyError):
     """Every candidate approximant within the cap fell outside the reference cone."""
 
 
-class UnstableError(ConifyError):
-    """Two rational approximants produced different central fibers."""
-
-
 class ContainmentError(ConifyError):
     """No subset of the candidate generators yields a cone containing the target."""
 

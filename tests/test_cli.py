@@ -143,9 +143,11 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["central_fiber"] == ["y^3 - x^2"]
 
-    def test_coinciding_approximants_double_the_threshold(self, tmp_path):
+    def test_coinciding_approximants_need_no_second_one(self, tmp_path):
         text = "field quad 5\nring x y\nweights 1/2*s s\nideal\n3*y^4 - 3*y^3 - 2*x^3\n"
-        # (sqrt5/2, sqrt5) has one Dirichlet approximant at N = 16, 32 and 64
+        # (sqrt5/2, sqrt5) has one Dirichlet approximant at N = 16, 32 and 64;
+        # its central fiber is certified against in_xi(I), not against a
+        # second approximant
         vector = ReebVector(parse_input(text).weights)
         assert len({dirichlet_approximant(vector, N, 10**6).approximation()
                     for N in (16, 32, 64)}) == 1

@@ -15,7 +15,7 @@ from conify.degeneration import (
     stable_initial_ideal,
     weighted_initial_ideal,
 )
-from conify.errors import InhomogeneousError, UnstableError
+from conify.errors import InhomogeneousError, SearchExhaustedError
 from conify.exactnum import ExactScalar
 from conify.groebner import IdealPresentation, ideals_equal, reduced_basis
 from conify.polyring import Polynomial, WeightData, parse_polynomial
@@ -137,9 +137,10 @@ class TestOracleAgreement:
                 continue
             wvec = tuple(rng.randint(1, 4) for _ in range(nv))
             fiber = central_fiber(build_test_configuration(source, wvec))
-            oracle = weighted_initial_ideal(
-                source, WeightData(tuple(ExactScalar.of(w) for w in wvec)))
-            assert fiber.generators == oracle.generators
+            for scale in (1, 2):
+                oracle = weighted_initial_ideal(
+                    source, WeightData(tuple(ExactScalar.of(Fraction(w, scale)) for w in wvec)))
+                assert fiber.generators == oracle.generators
 
     def test_degeneration_idempotent(self):
         source = ideal(XYZ, "x*y - z^2 - x^3")
@@ -237,32 +238,26 @@ class TestHilbert:
 
 class TestStableInitialIdeal:
     def test_homogeneous_input_is_stable_for_any_scaling(self):
-        xi = (R2, R2, R2)
         source = ideal(XYZ, "x*y - z^2")
-        stable = stable_initial_ideal(
-            source, xi,
-            ((Fraction(7, 5), Fraction(7, 5), Fraction(7, 5)),
-             (Fraction(17, 12), Fraction(17, 12), Fraction(17, 12))))
-        assert [str(g) for g in stable.generators] == ["x*y - z^2"]
+        tc = stable_initial_ideal(source, (R2, R2, R2), 16, 10**6)
+        assert [str(g) for g in central_fiber(tc).generators] == ["x*y - z^2"]
 
     def test_proportional_approximants(self):
         # weights proportional to (3, 2) scaled by an irrational unit
         xi = (ExactScalar.root(2, 3), ExactScalar.root(2, 2))
         source = ideal(("x", "y"), "x^2 - y^3 - y^4")
-        stable = stable_initial_ideal(
-            source, xi,
-            ((Fraction(33, 10), Fraction(22, 10)), (Fraction(24, 7), Fraction(16, 7))))
-        assert [str(g) for g in stable.generators] == ["y^3 - x^2"]
+        tc = stable_initial_ideal(source, xi, 16, 10**6)
+        assert [str(g) for g in central_fiber(tc).generators] == ["y^3 - x^2"]
+        assert flatness_witness(tc)
 
-    def test_straddling_approximants_raise(self):
-        xi = (ExactScalar.root(2, 3), ExactScalar.root(2, 2))
-        source = ideal(("x", "y"), "x^2 - y^3")
-        with pytest.raises(UnstableError):
-            stable_initial_ideal(
-                source, xi,
-                ((Fraction(31, 10), Fraction(2)), (Fraction(29, 10), Fraction(2))))
-
-    def test_identical_approximants_rejected(self):
-        with pytest.raises(ValueError):
-            stable_initial_ideal(ideal(("x", "y"), "x"), (R2, R2),
-                                 ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1))))
+    def test_exhausted_cap_raises(self):
+        # x^3 and y^4 nearly tie: the approximant at N = 16, (4, 3) / 1, ties
+        # them; the certified one, at N = 32, has denominator 306
+        xi = (ExactScalar(Fraction(1, 2), 2, 3), ExactScalar(2, Fraction(3, 5), 3))
+        source = ideal(("x", "y"), "y^4 - x^3 - x*y^5")
+        with pytest.raises(SearchExhaustedError, match=r"<= 100 .*\(last threshold tried 1/32\)"):
+            stable_initial_ideal(source, xi, 16, 100)
+        with pytest.raises(SearchExhaustedError, match="N = 16 exceeds the cap"):
+            stable_initial_ideal(source, xi, 16, 10)
+        tc = stable_initial_ideal(source, xi, 16, 306)
+        assert tc.weights.integer_weights() == (1213, 930)

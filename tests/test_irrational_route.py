@@ -1,0 +1,157 @@
+"""The exact route for irrational weights, against the two-sample route it replaced.
+
+`initial-ideal` reads in_xi(I) off `weighted_initial_ideal`; `testconfig`,
+`fiber` and `flatness` take the family along the first Dirichlet approximant
+whose central fiber has that reduced basis (`stable_initial_ideal`).  The
+replaced route accepted any fiber two approximants agreed on; it is kept here
+as the oracle of a differential test.
+"""
+
+import io
+import json
+import math
+import random
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+
+from conify.cli import main, render
+from conify.degeneration import build_test_configuration, central_fiber, flatness_witness
+from conify.diophantine import ReebVector, default_box_cone, dirichlet_approximant
+from conify.inputdoc import parse_input
+
+# (1/2 + 2 sqrt3, 2 + 3/5 sqrt3) ~ (3.964, 3.039): x^3 and y^4 nearly tie, and
+# the N = 16 approximant (4, 3) ties them exactly.
+NEAR_TIE = "field quad 3\nring x y\nweights 1/2+2*s 2+3/5*s\nideal\ny^4 - x^3 - x*y^5\n"
+COMMANDS = ("initial-ideal", "testconfig", "fiber", "flatness")
+
+
+def run_cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+class TwoSamplesDisagree(Exception):
+    pass
+
+
+def two_sample_outputs(text, N=16, cap=10**6):
+    """stdout of the four family subcommands under the replaced route.
+
+    Degenerate along the Dirichlet approximant at N and along a second one,
+    doubling its threshold until the two differ; both must lie in the reference
+    box around the weights, and their central fibers must agree.  The family
+    printed is the first approximant's, built once more."""
+    doc = parse_input(text)
+    ideal = doc.ideal()
+    vector = ReebVector(doc.weights)
+    first = second = dirichlet_approximant(vector, N, cap)
+    while second.approximation() == first.approximation():
+        N *= 2
+        second = dirichlet_approximant(vector, N, cap)
+    box = default_box_cone(vector)
+    fibers = []
+    for report in (first, second):
+        fracs = report.approximation()
+        if not box.contains(fracs)[0]:
+            raise ValueError("approximant falls outside the reference cone around the weights")
+        scale = math.lcm(*(a.denominator for a in fracs))
+        tc = build_test_configuration(ideal, tuple(int(a * scale) for a in fracs))
+        fibers.append(central_fiber(tc))
+    if fibers[0].generators != fibers[1].generators:
+        raise TwoSamplesDisagree(f"{fibers[0]} vs {fibers[1]}")
+    tc = build_test_configuration(ideal, first.w_tilde)
+    payloads = {
+        "initial-ideal": {"central_fiber": [str(g) for g in fibers[0].generators]},
+        "testconfig": {
+            "family": [str(g) for g in tc.family_ideal.generators],
+            "ring": list(tc.ring),
+            "weights": [str(w) for w in tc.weights.weights],
+            "saturated": tc.saturated,
+        },
+        "fiber": {"at": "0", "fiber": [str(g) for g in central_fiber(tc).generators]},
+        "flatness": {"flat": flatness_witness(tc)},
+    }
+    return {command: render(payload, False) + "\n" for command, payload in payloads.items()}
+
+
+def near_tie_documents(seed, count):
+    """Principal ideals in x, y of three terms over Q(sqrt d), d in 2, 3, 5, 7:
+    two terms whose weights lie within 3% of each other, and a third at least
+    20% heavier than both."""
+    rng = random.Random(seed)
+    monos = [(i, j) for i in range(6) for j in range(6) if 1 <= i + j <= 6]
+    docs = []
+    while len(docs) < count:
+        d = rng.choice((2, 3, 5, 7))
+        entries = [(Fraction(rng.randint(0, 6), rng.randint(1, 3)),
+                    Fraction(rng.randint(1, 5), rng.randint(1, 5))) for _ in range(2)]
+        floats = [float(a) + float(b) * math.sqrt(d) for a, b in entries]
+
+        def weight(m):
+            return sum(e * w for e, w in zip(m, floats))
+
+        m1, m2 = rng.sample(monos, 2)
+        low, high = sorted((weight(m1), weight(m2)))
+        heavy = [m for m in monos if weight(m) > 1.2 * high]
+        if high - low > 0.03 * low or not heavy:
+            continue
+        terms = []
+        for m in (m1, m2, rng.choice(heavy)):
+            c = rng.choice((1, 2, 3, -1, -2))
+            factors = [v if e == 1 else f"{v}^{e}" for v, e in zip("xy", m) if e]
+            terms.append(("- " if c < 0 else "+ ") + "*".join([str(abs(c))] + factors))
+        weights = " ".join(f"{a}+{b}*s" if a else f"{b}*s" for a, b in entries)
+        docs.append(f"field quad {d}\nring x y\nweights {weights}\nideal\n"
+                    + " ".join(terms).removeprefix("+ ") + "\n")
+    return docs
+
+
+class TestNearTieDocument:
+    def test_every_subcommand_finds_the_certified_family(self, tmp_path):
+        path = tmp_path / "near_tie.txt"
+        path.write_text(NEAR_TIE)
+        code, out, err = run_cli("initial-ideal", "--input", str(path))
+        assert (code, json.loads(out)["central_fiber"]) == (0, ["x^3"]), err
+        code, out, err = run_cli("fiber", "--input", str(path), "--at", "0")
+        assert (code, json.loads(out)["fiber"]) == (0, ["x^3"]), err
+        code, out, err = run_cli("flatness", "--input", str(path))
+        assert (code, json.loads(out)["flat"]) == (0, True), err
+        code, out, err = run_cli("testconfig", "--input", str(path))
+        assert code == 0, err
+        assert json.loads(out)["weights"] == ["1213", "930"]
+
+    def test_cap_below_the_certified_approximant_exits_2(self, tmp_path):
+        # the N = 16 approximant, (4, 3) / 1, is tried and rejected; the one at
+        # N = 32 has denominator 306
+        path = tmp_path / "near_tie.txt"
+        path.write_text(NEAR_TIE)
+        for command in ("testconfig", "fiber", "flatness"):
+            code, out, err = run_cli(command, "--input", str(path), "--cap", "100")
+            assert (code, out) == (2, "")
+            assert err == ("error: no Dirichlet approximant with denominator <= 100 has the "
+                           "central fiber <x^3> (last threshold tried 1/32)\n")
+
+
+class TestTwoSampleDifferential:
+    def test_near_tie_documents(self, tmp_path):
+        docs = near_tie_documents(seed=7, count=120)
+        agreed = disagreed = 0
+        for i, text in enumerate(docs):
+            path = tmp_path / f"doc{i}.txt"
+            path.write_text(text)
+            outputs = {}
+            for command in COMMANDS:
+                code, out, err = run_cli(command, "--input", str(path))
+                assert code == 0, (text, command, err)
+                outputs[command] = out
+            try:
+                expected = two_sample_outputs(text)
+            except TwoSamplesDisagree:
+                disagreed += 1
+                continue
+            assert outputs == expected, text
+            agreed += 1
+        # the documents reach both sides of the old route
+        assert agreed >= 100 and disagreed >= 1, (agreed, disagreed)
