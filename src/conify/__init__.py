@@ -7,7 +7,6 @@ from .polyring import (
     Polynomial,
     TermOrder,
     WeightData,
-    grevlex,
     homogeneous_weight,
     initial_form,
     is_homogeneous,

@@ -2,8 +2,10 @@
 
 build_test_configuration realizes the zoom-in family: substitute
 z_i -> t^{w_i} z_i in each generator, strip the common t power, then saturate
-by t with Bayer's revlex trick (`groebner.saturate_by_variable`).  The fiber
-at t = 0 presents the coordinate ring of the degeneration (the quotient by the
+by t with Bayer's revlex trick (`groebner.saturate_by_variable`), whose result
+is the family's reduced grevlex basis; TestConfiguration keeps it as that
+basis, so the fibers and flatness_witness never recompute it.  The fiber at
+t = 0 presents the coordinate ring of the degeneration (the quotient by the
 minimal-weight initial forms); the fiber at t = 1 is the original variety.
 flatness_witness reads t-torsion off one grevlex basis with t last.
 
@@ -31,7 +33,7 @@ from fractions import Fraction
 from .diophantine import ReebVector, dirichlet_approximant
 from .errors import ArityError, InhomogeneousError, SearchExhaustedError
 from .exactnum import ExactScalar
-from .groebner import IdealPresentation, reduced_basis, revlex_basis, saturate_by_variable
+from .groebner import GroebnerBasis, IdealPresentation, reduced_basis, revlex_basis, saturate_by_variable
 from .polyring import (
     Monomial,
     Polynomial,
@@ -47,15 +49,19 @@ T_NAME = "t"
 
 @dataclass(frozen=True)
 class TestConfiguration:
-    """A flat family over the t-line degenerating the input at t = 0."""
+    """A flat family over the t-line degenerating the input at t = 0.
 
-    family_ideal: IdealPresentation
+    `family` is the reduced grevlex basis of the t-saturated family ideal in
+    the ring (z_1, ..., z_n, t), t last; `weights` grades the z-variables, and
+    t has weight -1.  A hand-built family must come from `reduced_basis` with
+    the grevlex order; flatness_witness checks the order."""
+
+    family: GroebnerBasis
     weights: WeightData
-    saturated: bool
 
     @property
     def ring(self) -> tuple[str, ...]:
-        return self.family_ideal.ring
+        return self.family.ring
 
     def z_ring(self) -> tuple[str, ...]:
         return self.ring[:-1]
@@ -84,51 +90,45 @@ def build_test_configuration(ideal: IdealPresentation, wvec: tuple[int, ...],
     wvec = tuple(int(w) for w in wvec)
     big_ring = ideal.ring + (T_NAME,)
     gens = tuple(_homogenize_by_t(g, big_ring, wvec) for g in ideal.generators)
-    family = IdealPresentation(big_ring, gens)
-    family = saturate_by_variable(family, T_NAME, max_steps)
+    family = saturate_by_variable(IdealPresentation(big_ring, gens), T_NAME, max_steps)
     wd = WeightData(tuple(ExactScalar.of(w) for w in wvec), t_weight=Fraction(1))
-    family = IdealPresentation(big_ring, family.generators, wd)
-    return TestConfiguration(family, wd, saturated=True)
+    return TestConfiguration(GroebnerBasis(big_ring, family.generators, TermOrder(len(big_ring))), wd)
+
+
+def _fiber(tc: TestConfiguration, t_value: int, weights: WeightData | None) -> IdealPresentation:
+    """The reduced basis of the family with t set to t_value, in the z-ring."""
+    t_index = len(tc.ring) - 1
+    gens = []
+    for g in tc.family:
+        h = g.set_variable(t_index, t_value)
+        if not h.is_zero():
+            gens.append(h.drop_variable(t_index))
+    basis = reduced_basis(IdealPresentation(tc.z_ring(), tuple(gens)))
+    return IdealPresentation(basis.ring, basis.elements, weights)
 
 
 def central_fiber(tc: TestConfiguration) -> IdealPresentation:
     """The ideal of the fiber at t = 0, presented in the z-ring."""
-    if not tc.saturated:
-        raise ValueError("central fiber requires a saturated family")
-    t_index = len(tc.ring) - 1
-    gens = []
-    for g in tc.family_ideal.generators:
-        h = g.set_variable(t_index, 0)
-        if not h.is_zero():
-            gens.append(h.drop_variable(t_index))
-    ideal = IdealPresentation(tc.z_ring(), tuple(gens), tc.weights)
-    basis = reduced_basis(ideal)
-    return IdealPresentation(ideal.ring, basis.elements, tc.weights)
+    return _fiber(tc, 0, tc.weights)
 
 
 def general_fiber(tc: TestConfiguration) -> IdealPresentation:
     """The fiber at t = 1; equals the input ideal of the family."""
-    t_index = len(tc.ring) - 1
-    gens = []
-    for g in tc.family_ideal.generators:
-        h = g.set_variable(t_index, 1)
-        if not h.is_zero():
-            gens.append(h.drop_variable(t_index))
-    ideal = IdealPresentation(tc.z_ring(), tuple(gens))
-    basis = reduced_basis(ideal)
-    return IdealPresentation(ideal.ring, basis.elements)
+    return _fiber(tc, 1, None)
 
 
 def flatness_witness(tc: TestConfiguration, max_steps: int | None = None) -> bool:
     """True iff t is a nonzerodivisor on the family ring: (J : t) = J.
 
-    J's reduced grevlex basis is degree-compatible, so its h-homogenization
-    generates J^h, and (J : t) = J iff (J^h : t) = J^h.  With t last in revlex,
-    in(J^h : t) = in(J^h) : t (`groebner.revlex_basis`), so J is flat iff no
-    leading monomial of the revlex basis of J^h is divisible by t."""
-    family = tc.family_ideal
-    basis = reduced_basis(family, TermOrder(len(family.ring)), max_steps)
-    leads = revlex_basis(IdealPresentation(family.ring, basis.elements), T_NAME, max_steps)
+    The family is J's reduced grevlex basis, which is degree-compatible, so its
+    h-homogenization generates J^h, and (J : t) = J iff (J^h : t) = J^h.  With
+    t last in revlex, in(J^h : t) = in(J^h) : t (`groebner.revlex_basis`), so J
+    is flat iff no leading monomial of the revlex basis of J^h is divisible by
+    t.  A family basis for any other order raises ValueError."""
+    family = tc.family
+    if family.order != TermOrder(len(family.ring)):
+        raise ValueError("flatness_witness needs the family's reduced grevlex basis")
+    leads = revlex_basis(IdealPresentation(family.ring, family.elements), T_NAME, max_steps)
     return not any(m[-1] for m in leads.leading_monomials())
 
 

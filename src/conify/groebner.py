@@ -27,7 +27,6 @@ from .polyring import (
     Polynomial,
     TermOrder,
     WeightData,
-    grevlex,
     mono_lcm,
 )
 
@@ -163,7 +162,7 @@ def normal_form(f: Polynomial, basis: GroebnerBasis | list[Polynomial], order: T
             raise ArityError(f"ring mismatch: {f.ring} vs {basis.ring}")
         reducers, order = basis.reducers, basis.order
     else:
-        order = order or grevlex(len(f.ring))
+        order = order or TermOrder(len(f.ring))
         reducers = [_reducer(d.terms, order.key) for d in basis if not d.is_zero()]
     if not reducers:
         return f
@@ -172,7 +171,7 @@ def normal_form(f: Polynomial, basis: GroebnerBasis | list[Polynomial], order: T
 
 def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
     """g / f for f dividing g exactly; raises otherwise."""
-    order = grevlex(len(g.ring))
+    order = TermOrder(len(g.ring))
     (q,), r = division(g, [f], order)
     if not r.is_zero():
         raise ValueError(f"{f} does not divide {g}")
@@ -270,7 +269,7 @@ def reduced_basis(ideal: IdealPresentation, order: TermOrder | None = None,
     `max_steps` bounds the number of S-pairs reduced, counted after the
     Gebauer-Moller criteria have dropped theirs; BudgetExceededError reports
     the pairs reduced and dropped and the active basis size."""
-    order = order or grevlex(len(ideal.ring))
+    order = order or TermOrder(len(ideal.ring))
     if order.nvars != len(ideal.ring):
         raise ArityError("order arity does not match ring")
     if not ideal.generators:
@@ -300,8 +299,7 @@ def revlex_basis(ideal: IdealPresentation, var: str,
     """Reduced grevlex basis of the generators homogenized by a fresh h, in the
     ring (other variables..., h, var).  With var last, in(K : var) = in(K) : var
     for homogeneous K (Bayer, thesis, Harvard 1982; Bayer and Stillman, Invent.
-    Math. 1987; Eisenbud, Prop. 15.12).  The order is built per call, so its
-    key memo is freed with the basis."""
+    Math. 1987; Eisenbud, Prop. 15.12)."""
     if var not in ideal.ring:
         raise ArityError(f"{var!r} is not a ring variable")
     k = ideal.ring.index(var)
@@ -310,7 +308,7 @@ def revlex_basis(ideal: IdealPresentation, var: str,
     for g in ideal.generators:
         deg = g.total_degree()
         gens.append(Polynomial(ring, {m[:k] + m[k + 1:] + (deg - sum(m), m[k]): c for m, c in g.terms.items()}))
-    return reduced_basis(IdealPresentation(ring, tuple(gens)), TermOrder(len(ring)), max_steps)
+    return reduced_basis(IdealPresentation(ring, tuple(gens)), max_steps=max_steps)
 
 
 def saturate_by_variable(ideal: IdealPresentation, var: str,
@@ -323,7 +321,7 @@ def saturate_by_variable(ideal: IdealPresentation, var: str,
     for g in basis:
         low = min(m[-1] for m in g.terms)
         flat.append(Polynomial(ideal.ring, {m[:k] + (m[-1] - low,) + m[k:-2]: c for m, c in g.terms.items()}))
-    result = reduced_basis(IdealPresentation(ideal.ring, tuple(flat)), TermOrder(len(ideal.ring)), max_steps)
+    result = reduced_basis(IdealPresentation(ideal.ring, tuple(flat)), max_steps=max_steps)
     return IdealPresentation(ideal.ring, result.elements, ideal.weights)
 
 

@@ -196,7 +196,7 @@ class ScaleUpReport:
         }
 
 
-def check_scaleup(tc, table: PoissonTable, wd: WeightData) -> ScaleUpReport:
+def check_scaleup(table: PoissonTable, wd: WeightData) -> ScaleUpReport:
     """The three scale-up conditions, each reported independently.
 
     (1) the base coordinate carries a negative weight (t_weight > 0);
@@ -204,8 +204,6 @@ def check_scaleup(tc, table: PoissonTable, wd: WeightData) -> ScaleUpReport:
     (3) sufficient form of the invariant-section condition: every fiber
         variable has strictly positive weight, so z = 0 is the section.
     """
-    if tc is not None and tc.z_ring() != table.ring:
-        raise ArityError("family fiber ring differs from bracket ring")
     cond1 = wd.t_weight is not None and wd.t_weight > 0
     value = bracket_weight(table, wd)
     cond2 = False

@@ -50,7 +50,9 @@ class TermOrder:
     Comparison: (1) total degree in the first `elim` variables, grevlex within
     the block as tie-break; (2) weight of the full monomial, larger first;
     (3) grevlex over all variables.  Weights must all be positive so the order
-    is global.  Keys are memoized per monomial; larger key = larger monomial.
+    is global.  Keys are memoized per monomial on the order itself, so the
+    memo lives as long as the order (and the basis holding it); larger key =
+    larger monomial.
     """
 
     nvars: int
@@ -101,14 +103,6 @@ class TermOrder:
 
     def sort_key(self):
         return self.key
-
-
-GREVLEX_CACHE: dict[int, TermOrder] = {}
-
-def grevlex(nvars: int) -> TermOrder:
-    if nvars not in GREVLEX_CACHE:
-        GREVLEX_CACHE[nvars] = TermOrder(nvars)
-    return GREVLEX_CACHE[nvars]
 
 
 # -- polynomials --------------------------------------------------------------
@@ -228,7 +222,7 @@ class Polynomial:
         return self.terms[self.leading_monomial(order)]
 
     def sorted_terms(self, order: TermOrder | None = None) -> list[tuple[Monomial, Fraction]]:
-        order = order or grevlex(len(self.ring))
+        order = order or TermOrder(len(self.ring))
         key = order.sort_key()
         return sorted(self.terms.items(), key=lambda item: key(item[0]), reverse=True)
 

@@ -112,6 +112,11 @@ class TestExitCodes:
         code, _, err = run_cli("initial-ideal", "--input", "/nonexistent.txt")
         assert code == 2
 
+    def test_value_error_is_two(self):
+        code, out, err = run_cli("invariants", "--weights", "1,1", "--tweight", "0")
+        assert code == 2 and not out
+        assert "t-weight must be positive" in err
+
     def test_bad_field_is_two(self):
         code, out, err = run_cli("rank", "--weights", "1, 2", "--field", "quad:4")
         assert code == 2 and not out
@@ -214,6 +219,15 @@ class TestSubcommands:
         assert payload["bracket_weight"] == "-2"
         assert payload["form_weight"] == "2"
         assert payload["scaleup"]["all_pass"] is True
+
+    def test_poisson_check_on_a_ring_with_a_t(self, tmp_path):
+        # poisson-check builds no family, so a ring variable named t is fine
+        path = tmp_path / "st.txt"
+        path.write_text("field rational\nring s t\nweights 1 1\ntweight 1\nsympweight 2\n"
+                        "ideal\nbracket\ns t : 1\nform\ns t : 1\n")
+        code, out, err = run_cli("poisson-check", "--input", str(path))
+        assert code == 0, err
+        assert json.loads(out)["scaleup"]["all_pass"] is True
 
     def test_decompose(self):
         code, out, _ = run_cli("decompose", "--weights", "1,1", "--tweight", "1",

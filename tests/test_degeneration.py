@@ -18,7 +18,7 @@ from conify.degeneration import (
 from conify.errors import InhomogeneousError, SearchExhaustedError
 from conify.exactnum import ExactScalar
 from conify.groebner import IdealPresentation, ideals_equal, reduced_basis
-from conify.polyring import Polynomial, WeightData, parse_polynomial
+from conify.polyring import Polynomial, TermOrder, WeightData, parse_polynomial
 from test_acceptance import _degeneration_cases
 
 R2 = ExactScalar.root(2)
@@ -40,23 +40,22 @@ def wdata(*ints):
 class TestBuild:
     def test_deformed_quadric(self):
         tc = build_test_configuration(ideal(XYZ, "x*y - z^2 - x^3"), (2, 2, 2))
-        assert [str(g) for g in tc.family_ideal.generators] == ["x^3*t^2 - x*y + z^2"]
-        assert tc.saturated
+        assert [str(g) for g in tc.family] == ["x^3*t^2 - x*y + z^2"]
 
     def test_homogeneous_input_gives_t_free_family(self):
         tc = build_test_configuration(ideal(XYZ, "x*y - z^2"), (2, 2, 2))
         t_index = len(tc.ring) - 1
         assert all(all(m[t_index] == 0 for m in g.terms)
-                   for g in tc.family_ideal.generators)
+                   for g in tc.family)
 
     def test_unit_weights(self):
         tc = build_test_configuration(ideal(XYZ, "x*y - z^2 - x^3"), (1, 1, 1))
-        assert [str(g) for g in tc.family_ideal.generators] == ["x^3*t - x*y + z^2"]
+        assert [str(g) for g in tc.family] == ["x^3*t - x*y + z^2"]
 
     def test_family_is_graded(self):
         tc = build_test_configuration(ideal(XYZ, "x*y - z^2 - x^3"), (2, 2, 2))
         wd = tc.weights
-        for g in tc.family_ideal.generators:
+        for g in tc.family:
             weights = {sum(int(w.as_fraction()) * e for w, e in
                            zip(wd.full_vector(len(m)), m)) for m in g.terms}
             assert len(weights) == 1
@@ -84,7 +83,7 @@ class TestFibers:
     def test_unequal_weights_keep_light_term(self):
         # x - y with weights (2, 1): substitution gives t(t*x - y), fiber <y>
         tc = build_test_configuration(ideal(("x", "y"), "x - y"), (2, 1))
-        assert [str(g) for g in tc.family_ideal.generators] == ["x*t - y"]
+        assert [str(g) for g in tc.family] == ["x*t - y"]
         assert [str(g) for g in central_fiber(tc).generators] == ["y"]
 
     def test_general_fiber_is_input(self):
@@ -101,8 +100,8 @@ class TestFlatness:
     def test_unsaturated_family_fails(self):
         from conify.degeneration import TestConfiguration
         raw = IdealPresentation(("x", "t"), (parse_polynomial("t*x", ("x", "t")),))
-        fake = TestConfiguration(raw, WeightData((ExactScalar.of(1),), t_weight=Fraction(1)),
-                                 saturated=False)
+        fake = TestConfiguration(reduced_basis(raw, TermOrder(2)),
+                                 WeightData((ExactScalar.of(1),), t_weight=Fraction(1)))
         assert not flatness_witness(fake)
 
     def test_t_free_family_flat(self):

@@ -5,7 +5,9 @@ normal forms vanish, every input generator reduces to zero, and random
 multiples of generators stay in the ideal.
 """
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
@@ -128,6 +130,14 @@ class TestReducedBasis:
                           max_steps=2)
         assert str(info.value) == ("S-pair budget of 2 exceeded: 2 pairs reduced, "
                                    "4 dropped by the criteria, active basis of 5")
+
+    def test_default_order_dies_with_its_basis(self):
+        # the default order and its key memo are freed with the basis
+        basis = reduced_basis(ideal(XYZ, "x^4*y - z^2", "x*z^3 - y^3"))
+        order = weakref.ref(basis.order)
+        del basis
+        gc.collect()
+        assert order() is None
 
 
 class TestSaturation:

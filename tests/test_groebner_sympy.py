@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from conify.groebner import IdealPresentation, intersect, reduced_basis, saturate_by_variable
-from conify.polyring import Polynomial, grevlex, parse_polynomial
+from conify.polyring import Polynomial, TermOrder, parse_polynomial
 from test_acceptance import _degeneration_cases
 
 sympy = pytest.importorskip("sympy")
@@ -31,7 +31,7 @@ def to_sympy(f: Polynomial, symbols):
 def from_sympy(expr, ring, symbols) -> Polynomial:
     terms = {m: Fraction(int(c.p), int(c.q))
              for m, c in sympy.Poly(expr, *symbols).terms()}
-    lc = terms[max(terms, key=grevlex(len(ring)).key)]
+    lc = terms[max(terms, key=TermOrder(len(ring)).key)]
     return Polynomial(ring, {m: c / lc for m, c in terms.items()})
 
 

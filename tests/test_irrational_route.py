@@ -65,10 +65,10 @@ def two_sample_outputs(text, N=16, cap=10**6):
     payloads = {
         "initial-ideal": {"central_fiber": [str(g) for g in fibers[0].generators]},
         "testconfig": {
-            "family": [str(g) for g in tc.family_ideal.generators],
+            "family": [str(g) for g in tc.family],
             "ring": list(tc.ring),
             "weights": [str(w) for w in tc.weights.weights],
-            "saturated": tc.saturated,
+            "saturated": True,
         },
         "fiber": {"at": "0", "fiber": [str(g) for g in central_fiber(tc).generators]},
         "flatness": {"flat": flatness_witness(tc)},

@@ -3,7 +3,6 @@
 import random
 from fractions import Fraction
 
-from conify.degeneration import build_test_configuration
 from conify.exactnum import ExactScalar
 from conify.groebner import IdealPresentation, reduced_basis
 from conify.poisson import (
@@ -131,18 +130,16 @@ class TestFormWeight:
 
 class TestScaleUp:
     def test_quadric_family_passes(self):
-        table, quadric = quadric_table()
-        tc = build_test_configuration(
-            IdealPresentation(XYZ, (P("x*y - z^2 - x^3"),)), (2, 2, 2))
+        table, _ = quadric_table()
         wd = WeightData((ExactScalar.of(2),) * 3, t_weight=Fraction(2),
                         form_weight=Fraction(2))
-        report = check_scaleup(tc, table, wd)
+        report = check_scaleup(table, wd)
         assert report.all_pass()
 
     def test_missing_t_weight_fails_condition_one(self):
         table, _ = quadric_table()
         wd = WeightData((ExactScalar.of(2),) * 3, form_weight=Fraction(2))
-        report = check_scaleup(None, table, wd)
+        report = check_scaleup(table, wd)
         assert not report.base_weight_negative
         assert report.bracket_weight_matches and report.section_condition
 
@@ -150,7 +147,7 @@ class TestScaleUp:
         table, _ = quadric_table()
         wd = WeightData((ExactScalar.of(2),) * 3, t_weight=Fraction(1),
                         form_weight=Fraction(4))
-        report = check_scaleup(None, table, wd)
+        report = check_scaleup(table, wd)
         assert not report.bracket_weight_matches
         assert not report.all_pass()
 

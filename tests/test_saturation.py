@@ -62,9 +62,10 @@ def raw_family(ideal: IdealPresentation, wvec) -> IdealPresentation:
     return IdealPresentation(ring, tuple(_homogenize_by_t(g, ring, wvec) for g in ideal.generators))
 
 
-def family_config(family: IdealPresentation, wvec, saturated: bool):
+def family_config(family: IdealPresentation, wvec):
+    """A hand-built configuration: the reduced grevlex basis of any family."""
     wd = WeightData(tuple(ExactScalar.of(w) for w in wvec), t_weight=Fraction(1))
-    return degeneration.TestConfiguration(family, wd, saturated=saturated)
+    return degeneration.TestConfiguration(reduced_basis(family, TermOrder(len(family.ring))), wd)
 
 
 def template_cases(count: int, seed: int):
@@ -140,18 +141,18 @@ class TestFlatnessAgainstQuotient:
         for ideal, weights in CASES:
             tc = build_test_configuration(ideal, weights)
             assert flatness_witness(tc) is True
-            assert quotient_is_flat(tc.family_ideal)
-            raw = family_config(raw_family(ideal, weights), weights, saturated=False)
-            assert flatness_witness(raw) == quotient_is_flat(raw.family_ideal), str(ideal)
+            assert quotient_is_flat(IdealPresentation(tc.ring, tc.family.elements))
+            raw = raw_family(ideal, weights)
+            assert flatness_witness(family_config(raw, weights)) == quotient_is_flat(raw), str(ideal)
 
     def test_benchmark_template_families(self):
         rejected = 0
         for ideal, weights in TEMPLATES:
             tc = build_test_configuration(ideal, weights)
             assert flatness_witness(tc) is True
-            raw = family_config(raw_family(ideal, weights), weights, saturated=False)
-            verdict = flatness_witness(raw)
-            assert verdict == quotient_is_flat(raw.family_ideal), str(ideal)
+            raw = raw_family(ideal, weights)
+            verdict = flatness_witness(family_config(raw, weights))
+            assert verdict == quotient_is_flat(raw), str(ideal)
             rejected += not verdict
         assert rejected == 9
 
@@ -159,22 +160,32 @@ class TestFlatnessAgainstQuotient:
         # <y - x^2, y^2> at weights (1, 1): x^4 lies in (J : t^2) but not in J
         ring = ("x", "y", T_NAME)
         raw = IdealPresentation(ring, tuple(parse_polynomial(s, ring) for s in ("y - x^2*t", "y^2")))
-        tc = family_config(raw, (1, 1), saturated=False)
+        tc = family_config(raw, (1, 1))
         assert not quotient_is_flat(raw)
         assert not flatness_witness(tc)
 
     def test_generators_that_are_no_basis(self):
         # the unit ideal, hence flat; homogenizing these generators as given
-        # (not a Groebner basis) would leave t-torsion that J^h does not have
+        # (not a Groebner basis) would leave t-torsion that J^h does not have,
+        # which is why a family must be its reduced basis
         ring = ("x", "y", T_NAME)
         raw = IdealPresentation(ring, tuple(parse_polynomial(s, ring) for s in
                                             ("2*y", "x*t^2 - x*y*t^2", "2*y^2 + 1")))
         assert quotient_is_flat(raw)
-        assert flatness_witness(family_config(raw, (1, 1), saturated=False))
+        assert flatness_witness(family_config(raw, (1, 1)))
 
     def test_empty_family_is_flat(self):
         empty = IdealPresentation(("x", T_NAME), ())
-        assert flatness_witness(family_config(empty, (1,), saturated=True))
+        assert flatness_witness(family_config(empty, (1,)))
+
+    def test_basis_for_another_order_is_refused(self):
+        ring = ("x", "y", T_NAME)
+        raw = IdealPresentation(ring, (parse_polynomial("y - x^2*t", ring),))
+        weighted = TermOrder(3, weights=(ExactScalar.of(1), ExactScalar.of(3), ExactScalar.of(1)))
+        wd = WeightData((ExactScalar.of(1), ExactScalar.of(1)), t_weight=Fraction(1))
+        tc = degeneration.TestConfiguration(reduced_basis(raw, weighted), wd)
+        with pytest.raises(ValueError, match="grevlex"):
+            flatness_witness(tc)
 
 
 class TestBudgets:
@@ -203,4 +214,4 @@ class TestBudgets:
         assert seen == [10**6, 10**6]
         seen.clear()
         assert flatness_witness(tc, max_steps=10**6)
-        assert seen == [10**6, 10**6]
+        assert seen == [10**6]
