@@ -95,7 +95,7 @@ def build_test_configuration(ideal: IdealPresentation, wvec: tuple[int, ...],
     return TestConfiguration(GroebnerBasis(big_ring, family.generators, TermOrder(len(big_ring))), wd)
 
 
-def _fiber(tc: TestConfiguration, t_value: int, weights: WeightData | None) -> IdealPresentation:
+def _fiber(tc: TestConfiguration, t_value: int) -> IdealPresentation:
     """The reduced basis of the family with t set to t_value, in the z-ring."""
     t_index = len(tc.ring) - 1
     gens = []
@@ -104,17 +104,17 @@ def _fiber(tc: TestConfiguration, t_value: int, weights: WeightData | None) -> I
         if not h.is_zero():
             gens.append(h.drop_variable(t_index))
     basis = reduced_basis(IdealPresentation(tc.z_ring(), tuple(gens)))
-    return IdealPresentation(basis.ring, basis.elements, weights)
+    return IdealPresentation(basis.ring, basis.elements)
 
 
 def central_fiber(tc: TestConfiguration) -> IdealPresentation:
     """The ideal of the fiber at t = 0, presented in the z-ring."""
-    return _fiber(tc, 0, tc.weights)
+    return _fiber(tc, 0)
 
 
 def general_fiber(tc: TestConfiguration) -> IdealPresentation:
     """The fiber at t = 1; equals the input ideal of the family."""
-    return _fiber(tc, 1, None)
+    return _fiber(tc, 1)
 
 
 def flatness_witness(tc: TestConfiguration, max_steps: int | None = None) -> bool:
@@ -230,10 +230,10 @@ def weighted_initial_ideal(ideal: IdealPresentation, wd: WeightData,
     if len(wvec) != len(ideal.ring):
         raise ArityError("weights do not match ring")
     if not ideal.generators:
-        return IdealPresentation(ideal.ring, (), wd)
+        return IdealPresentation(ideal.ring, ())
     base = reduced_basis(ideal, max_steps=max_steps)
     if any(g.total_degree() == 0 for g in base.elements):
-        return IdealPresentation(ideal.ring, (Polynomial.constant(ideal.ring, 1),), wd)
+        return IdealPresentation(ideal.ring, (Polynomial.constant(ideal.ring, 1),))
     big_ring = ideal.ring + (H_NAME,)
     homogenized = []
     for g in base.elements:
@@ -249,7 +249,7 @@ def weighted_initial_ideal(ideal: IdealPresentation, wd: WeightData,
         flat = b.set_variable(h_index, 1).drop_variable(h_index)
         forms.append(initial_form(flat, wd))
     canonical = reduced_basis(IdealPresentation(ideal.ring, tuple(forms)))
-    return IdealPresentation(ideal.ring, canonical.elements, wd)
+    return IdealPresentation(ideal.ring, canonical.elements)
 
 
 def stable_initial_ideal(ideal: IdealPresentation, xi: tuple[ExactScalar, ...], N: int, cap: int,

@@ -10,6 +10,7 @@ integer square roots.  No floating point enters any decision.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -294,90 +295,59 @@ def combo_sign(x: ExactScalar) -> int:
     return sa * (x * x._conjugate(p)).sign()
 
 
-def parse_scalar(text: str, d: int = 0) -> ExactScalar:
-    """Parse `a/b`, `c/e*s`, `a/b + c/e*s` (and sqrt(d) spelled out).
+_TERM_START = re.compile(r"(?<=[^-+*/(])(?=[-+])")
 
-    `s` denotes sqrt(d) for the d declared by the caller; a bare `s` or
-    `sqrt(d)` has implicit coefficient 1.  Raises ParseError on malformed
-    input or when a radical appears with no declared field.
-    """
-    src = text.strip()
-    if not src:
-        raise ParseError("empty scalar")
-    # split into one or two signed terms at top level
-    terms: list[str] = []
-    start = 0
-    for i, ch in enumerate(src):
-        if ch in "+-" and i > start and src[i - 1] not in "+-*/(":
-            terms.append(src[start:i])
-            start = i
-    terms.append(src[start:])
-    if len(terms) > 2:
-        raise ParseError(f"too many terms in scalar {text!r}")
 
-    a = Fraction(0)
-    b = Fraction(0)
-    seen_rad = False
-    for term in terms:
-        term = term.replace(" ", "")
-        sign = 1
-        while term and term[0] in "+-":
-            if term[0] == "-":
-                sign = -sign
-            term = term[1:]
-        if not term:
-            raise ParseError(f"dangling sign in scalar {text!r}")
-        coeff = Fraction(1)
-        radical = False
-        body = term
-        if "*" in body:
-            head, _, tail = body.partition("*")
-            try:
-                coeff = Fraction(head)
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(f"bad coefficient {head!r} in scalar {text!r}")
-            body = tail
-        if body in ("s",) or body.startswith("sqrt(") and body.endswith(")"):
-            radical = True
-            if body.startswith("sqrt("):
-                try:
-                    rad_val = int(body[5:-1])
-                except ValueError:
-                    raise ParseError(f"bad radical {body!r} in scalar {text!r}")
-                if d and rad_val != d:
-                    raise ParseError(f"radical sqrt({rad_val}) does not match field sqrt({d})")
-                if not d:
-                    d = rad_val
-        else:
-            try:
-                coeff = coeff * Fraction(body)
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(f"bad number {body!r} in scalar {text!r}")
-        if radical:
-            if seen_rad:
-                raise ParseError(f"two radical terms in scalar {text!r}")
-            if not d:
-                raise ParseError(f"radical used in {text!r} but no quadratic field declared")
-            seen_rad = True
-            b += sign * coeff
-        else:
-            a += sign * coeff
-    return ExactScalar(a, b, d if seen_rad else 0)
+def _rational(piece: str, text: str) -> Fraction:
+    try:
+        return Fraction(piece)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad number {piece!r} in scalar {text!r}") from None
 
 
 def parse_scalars(entries: list[str], d: int = 0) -> tuple[ExactScalar, ...]:
-    """Parse a list of scalars over one radicand: d, or else the first sqrt(k) written.
+    """Parse scalars, each a signed sum of terms q, q*s and q*sqrt(k) (q by Fraction).
 
-    A radical over any other radicand is a ParseError, so a weight list never
-    mixes radicands.
+    A bare `s` or `sqrt(k)` has coefficient 1, and radicands mix freely.  `s` is
+    sqrt(d) for a declared d, else the first sqrt(k) with a nonzero coefficient
+    written earlier in the list.  Raises ParseError on malformed input, a bad
+    radicand, or an `s` with no radicand to stand for.
     """
     out = []
-    for entry in entries:
-        x = parse_scalar(entry, d)
-        if x.terms:
-            d = x.terms[0][0]
-        out.append(x)
+    for text in entries:
+        src = "".join(text.split())
+        if not src:
+            raise ParseError("empty scalar")
+        total = ExactScalar.of(0)
+        for term in _TERM_START.split(src):
+            body = term.lstrip("+-")
+            if not body:
+                raise ParseError(f"dangling sign in scalar {text!r}")
+            head, star, atom = body.rpartition("*")
+            sign = -1 if term.count("-", 0, len(term) - len(body)) % 2 else 1
+            q = sign * _rational(head, text) if star else sign
+            if atom == "s":
+                if not d:
+                    raise ParseError(f"s used in {text!r} but no quadratic field declared")
+                total += ExactScalar.root(d, q)
+            elif atom.startswith("sqrt(") and atom.endswith(")"):
+                try:
+                    k = check_radicand(int(atom[5:-1]))
+                except ValueError:
+                    raise ParseError(f"bad radical {atom!r} in scalar {text!r}; "
+                                     "a radicand is a squarefree integer >= 2") from None
+                total += ExactScalar.root(k, q)
+                if not d and q:
+                    d = k
+            else:
+                total += q * _rational(atom, text)
+        out.append(total)
     return tuple(out)
+
+
+def parse_scalar(text: str, d: int = 0) -> ExactScalar:
+    """One scalar in the syntax of `parse_scalars`."""
+    return parse_scalars([text], d)[0]
 
 
 def sign(q: ExactScalar) -> int:

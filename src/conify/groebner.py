@@ -26,18 +26,16 @@ from .polyring import (
     Monomial,
     Polynomial,
     TermOrder,
-    WeightData,
     mono_lcm,
 )
 
 
 @dataclass(frozen=True)
 class IdealPresentation:
-    """An ideal given by generators, with optional weight metadata."""
+    """An ideal given by generators."""
 
     ring: tuple[str, ...]
     generators: tuple[Polynomial, ...]
-    weights: WeightData | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "ring", tuple(self.ring))
@@ -155,18 +153,13 @@ def division(f: Polynomial, divisors: list[Polynomial], order: TermOrder):
     return quotients, Polynomial(f.ring, remainder)
 
 
-def normal_form(f: Polynomial, basis: GroebnerBasis | list[Polynomial], order: TermOrder | None = None) -> Polynomial:
-    """Remainder of f on division by a basis (unique for a Groebner basis)."""
-    if isinstance(basis, GroebnerBasis):
-        if f.ring != basis.ring:
-            raise ArityError(f"ring mismatch: {f.ring} vs {basis.ring}")
-        reducers, order = basis.reducers, basis.order
-    else:
-        order = order or TermOrder(len(f.ring))
-        reducers = [_reducer(d.terms, order.key) for d in basis if not d.is_zero()]
-    if not reducers:
+def normal_form(f: Polynomial, basis: GroebnerBasis) -> Polynomial:
+    """The unique remainder of f on division by a Groebner basis."""
+    if f.ring != basis.ring:
+        raise ArityError(f"ring mismatch: {f.ring} vs {basis.ring}")
+    if not basis.reducers:
         return f
-    return Polynomial(f.ring, _reduce(dict(f.terms), reducers, order.key))
+    return Polynomial(f.ring, _reduce(dict(f.terms), basis.reducers, basis.order.key))
 
 
 def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
@@ -322,7 +315,7 @@ def saturate_by_variable(ideal: IdealPresentation, var: str,
         low = min(m[-1] for m in g.terms)
         flat.append(Polynomial(ideal.ring, {m[:k] + (m[-1] - low,) + m[k:-2]: c for m, c in g.terms.items()}))
     result = reduced_basis(IdealPresentation(ideal.ring, tuple(flat)), max_steps=max_steps)
-    return IdealPresentation(ideal.ring, result.elements, ideal.weights)
+    return IdealPresentation(ideal.ring, result.elements)
 
 
 def intersect(a: IdealPresentation, b: IdealPresentation,
@@ -339,7 +332,7 @@ def intersect(a: IdealPresentation, b: IdealPresentation,
     gens += [one_minus * g.extend_ring(big_ring) for g in b.generators]
     basis = reduced_basis(IdealPresentation(big_ring, tuple(gens)), order, max_steps)
     kept = [g.drop_variable(0) for g in basis if g.leading_monomial(order)[0] == 0]
-    return IdealPresentation(a.ring, tuple(kept), a.weights)
+    return IdealPresentation(a.ring, tuple(kept))
 
 
 def ideal_quotient(ideal: IdealPresentation, f: Polynomial,
@@ -353,4 +346,4 @@ def ideal_quotient(ideal: IdealPresentation, f: Polynomial,
         return ideal
     meet = intersect(ideal, IdealPresentation(ideal.ring, (f,)), max_steps)
     divided = tuple(exact_divide(g, f) for g in meet.generators)
-    return IdealPresentation(ideal.ring, divided, ideal.weights)
+    return IdealPresentation(ideal.ring, divided)

@@ -4,7 +4,7 @@ Grammar (one declaration per line, `#` starts a comment anywhere):
 
     field rational            | field quad 2
     ring x y z
-    weights 2 2 2             # scalar syntax from the exact-arithmetic layer
+    weights 2 2 2             # scalars: signed sums of q, q*s and q*sqrt(k)
     tweight 1                 # optional positive rational
     sympweight 2              # optional positive rational (2-form weight)
     ideal                     # opens a block of polynomial lines
@@ -14,9 +14,11 @@ Grammar (one declaration per line, `#` starts a comment anywhere):
     form                      # same line shape as bracket
     u v : 1
 
-Parsing is strict: unknown keywords, arity mismatches, non-positive
-weights and weights over two different radicands are position-annotated
-errors.
+Radicands mix freely within a weights line.  `s` is sqrt(d) for the declared
+field, else the first sqrt(k) with a nonzero coefficient written before it in
+the line.  Parsing is strict: unknown keywords, a second field, ring, weights,
+tweight or sympweight line, arity mismatches, bad scalars and non-positive
+weights are position-annotated errors.
 """
 
 from __future__ import annotations
@@ -30,12 +32,12 @@ from .groebner import IdealPresentation
 from .poisson import FormTable, PoissonTable
 from .polyring import Polynomial, WeightData, parse_polynomial
 
-_KEYWORDS = {"field", "ring", "weights", "tweight", "sympweight", "ideal", "bracket", "form"}
+_DECLARATIONS = {"field", "ring", "weights", "tweight", "sympweight"}
+_KEYWORDS = _DECLARATIONS | {"ideal", "bracket", "form"}
 
 
 @dataclass(frozen=True)
 class InputDocument:
-    field_d: int                      # 0 for rational, else the squarefree radicand
     ring: tuple[str, ...]
     weights: tuple[ExactScalar, ...]
     t_weight: Fraction | None
@@ -48,7 +50,7 @@ class InputDocument:
         return WeightData(self.weights, t_weight=self.t_weight, form_weight=self.form_weight)
 
     def ideal(self) -> IdealPresentation:
-        return IdealPresentation(self.ring, self.ideal_polys, self.weight_data())
+        return IdealPresentation(self.ring, self.ideal_polys)
 
     def poisson_table(self) -> PoissonTable | None:
         if not self.brackets:
@@ -68,9 +70,9 @@ def _strip(line: str) -> str:
 
 
 def parse_input(text: str) -> InputDocument:
-    field_d = 0
+    field_d = 0                       # 0 for rational, else the squarefree radicand
+    declared: set[str] = set()
     ring: tuple[str, ...] | None = None
-    weights: tuple[ExactScalar, ...] | None = None
     t_weight: Fraction | None = None
     form_weight: Fraction | None = None
     ideal_polys: list[Polynomial] = []
@@ -87,16 +89,18 @@ def parse_input(text: str) -> InputDocument:
         if head in _KEYWORDS:
             block = None
             rest = line[len(head):].strip()
+            if head in _DECLARATIONS:
+                if head in declared:
+                    raise ParseError(f"second {head!r} declaration", lineno)
+                declared.add(head)
             if head == "field":
                 parts = rest.split()
-                if parts[:1] == ["rational"] and len(parts) == 1:
-                    field_d = 0
-                elif parts[:1] == ["quad"] and len(parts) == 2 and parts[1].isdigit():
+                if parts[:1] == ["quad"] and len(parts) == 2 and parts[1].isdigit():
                     try:
                         field_d = check_radicand(int(parts[1]))
                     except ValueError as exc:
                         raise ParseError(str(exc), lineno)
-                else:
+                elif parts != ["rational"]:
                     raise ParseError(f"bad field declaration {rest!r}", lineno)
             elif head == "ring":
                 names = tuple(rest.split())
@@ -143,12 +147,12 @@ def parse_input(text: str) -> InputDocument:
         raise ParseError(f"{len(entries)} weights for {len(ring)} variables", wline)
     try:
         weights = parse_scalars(entries, field_d)
-    except (ParseError, ValueError) as exc:
+    except ParseError as exc:
         raise ParseError(str(exc), wline)
     for entry, w in zip(entries, weights):
         if w.sign() <= 0:
             raise ParseError(f"weight {entry!r} is not positive", wline)
-    return InputDocument(field_d, ring, weights, t_weight, form_weight,
+    return InputDocument(ring, weights, t_weight, form_weight,
                          tuple(ideal_polys), brackets, form_coeffs)
 
 

@@ -101,9 +101,6 @@ class TermOrder:
             return 0
         return 1 if k1 > k2 else -1
 
-    def sort_key(self):
-        return self.key
-
 
 # -- polynomials --------------------------------------------------------------
 
@@ -223,7 +220,7 @@ class Polynomial:
 
     def sorted_terms(self, order: TermOrder | None = None) -> list[tuple[Monomial, Fraction]]:
         order = order or TermOrder(len(self.ring))
-        key = order.sort_key()
+        key = order.key
         return sorted(self.terms.items(), key=lambda item: key(item[0]), reverse=True)
 
     def __iter__(self) -> Iterator[tuple[Monomial, Fraction]]:

@@ -73,14 +73,24 @@ class TestParseInput:
         with pytest.raises(ParseError, match=r"line 2\)"):
             parse_input("ring x\nweights sqrt(8)\n")
 
-    def test_weights_share_one_radicand(self):
-        # with no field line the first sqrt(k) fixes the radicand of the list
-        doc = parse_input("ring x y\nweights sqrt(2) 1+sqrt(2)\n")
+    def test_weights_mix_radicands(self):
+        # with no field line, s stands for the first sqrt(k) of the list
+        doc = parse_input("ring x y\nweights sqrt(2) 1+s\n")
         assert [str(w) for w in doc.weights] == ["sqrt(2)", "1+sqrt(2)"]
-        with pytest.raises(ParseError, match=r"sqrt\(3\).*\(line 2\)"):
-            parse_input("ring x y\nweights sqrt(2) sqrt(3)\n")
-        with pytest.raises(ParseError, match=r"line 2\)"):
-            parse_input("field quad 2\nweights 1 sqrt(3)\nring x y\n")
+        doc = parse_input("ring x y\nweights sqrt(2) sqrt(3)\n")
+        assert [str(w) for w in doc.weights] == ["sqrt(2)", "sqrt(3)"]
+        doc = parse_input("field quad 2\nweights 1 sqrt(3)+s\nring x y\n")
+        assert [str(w) for w in doc.weights] == ["1", "sqrt(2)+sqrt(3)"]
+        with pytest.raises(ParseError, match=r"no quadratic field.*\(line 2\)"):
+            parse_input("ring x y\nweights s+sqrt(2) 1\n")
+
+    @pytest.mark.parametrize("line", ["field quad 3", "ring u v", "weights 2 3", "tweight 2",
+                                      "sympweight 2"])
+    def test_second_declaration_is_positioned(self, line):
+        text = ("field rational\nring x y\nweights 1 1\ntweight 1\nsympweight 2\n"
+                f"ideal\nx^3 - y^2\n{line}\n")
+        with pytest.raises(ParseError, match=rf"second '{line.split()[0]}' declaration \(line 8\)"):
+            parse_input(text)
 
     def test_bracket_reversal_is_antisymmetric(self):
         doc = parse_input("ring x y\nweights 1 1\nbracket\ny x : x\n")
@@ -122,10 +132,22 @@ class TestExitCodes:
         assert code == 2 and not out
         assert "bad field 'quad:4'" in err
 
-    def test_mixed_radicand_weights_are_two(self):
-        code, out, err = run_cli("rank", "--weights", "sqrt(2), sqrt(3)")
-        assert code == 2 and not out
-        assert "sqrt(3)" in err
+    def test_repeated_weights_line_is_two(self, tmp_path):
+        path = tmp_path / "twice.txt"
+        path.write_text("ring x y\nweights 1 1\nweights 2 3\nideal\nx^3 - y^2\n")
+        code, out, err = run_cli("initial-ideal", "--input", str(path))
+        assert (code, out, err) == (2, "", "error: second 'weights' declaration (line 3)\n")
+
+    def test_mixed_radicand_weights_succeed(self):
+        weights = ("--weights", "sqrt(2), sqrt(3)")
+        assert run_cli("rank", *weights) == (
+            0, '{"one_in_span":false,"rank":2,"schema":"conify/1"}\n', "")
+        code, out, err = run_cli("approximate", "--n", "2", *weights)
+        assert code == 0, err
+        assert json.loads(out)["approximant"]["errors_as_strings"] == ["10-7*sqrt(2)", "-12+7*sqrt(3)"]
+        code, out, err = run_cli("cone", *weights)
+        assert code == 0, err
+        assert json.loads(out)["contains_input"] is True
 
     def test_success_is_zero(self):
         code, out, _ = run_cli("rank", "--weights", "1, s, 1+s", "--field", "quad:2")
@@ -325,6 +347,39 @@ class TestGoldenFamilies:
         path.write_text(GOLDEN_DOCUMENTS[name])
         assert run_cli("testconfig", "--input", str(path)) == (0, GOLDEN_TESTCONFIG[name], "")
         assert run_cli("flatness", "--input", str(path)) == (0, '{"flat":true,"schema":"conify/1"}\n', "")
+
+
+# Weight vectors over two and three radicands, with no field line: each
+# sqrt(k) stands for itself.
+MULTI_RADICAND_DOCUMENTS = {
+    "sqrt2_sqrt3": "ring x y\nweights sqrt(2) sqrt(3)\nideal\ny^3 - x^2 + x*y^2\n",
+    "sqrt2_1+sqrt3_sqrt5": "ring x y z\nweights sqrt(2) 1+sqrt(3) sqrt(5)\nideal\nx*y - z^2 + x^3\n",
+}
+MULTI_RADICAND_STDOUT = {
+    "sqrt2_sqrt3": {
+        "initial-ideal": '{"central_fiber":["x^2"],"schema":"conify/1"}\n',
+        "testconfig": ('{"family":["y^3*t^97 + x*y^2*t^84 - x^2"],"ring":["x","y","t"],'
+                       '"saturated":true,"schema":"conify/1","weights":["58","71"]}\n'),
+        "fiber": '{"at":"0","fiber":["x^2"],"schema":"conify/1"}\n',
+        "flatness": '{"flat":true,"schema":"conify/1"}\n',
+    },
+    "sqrt2_1+sqrt3_sqrt5": {
+        "initial-ideal": '{"central_fiber":["x*y"],"schema":"conify/1"}\n',
+        "testconfig": ('{"family":["z^2*t^40 - x^3*t^12 - x*y"],"ring":["x","y","z","t"],'
+                       '"saturated":true,"schema":"conify/1","weights":["174","336","275"]}\n'),
+        "fiber": '{"at":"0","fiber":["x*y"],"schema":"conify/1"}\n',
+        "flatness": '{"flat":true,"schema":"conify/1"}\n',
+    },
+}
+
+
+class TestMultiRadicandDocuments:
+    @pytest.mark.parametrize("name", sorted(MULTI_RADICAND_DOCUMENTS))
+    def test_family_subcommands_stdout(self, name, tmp_path):
+        path = tmp_path / "doc.txt"
+        path.write_text(MULTI_RADICAND_DOCUMENTS[name])
+        for command, expected in MULTI_RADICAND_STDOUT[name].items():
+            assert run_cli(command, "--input", str(path)) == (0, expected, ""), command
 
 
 class TestCatalogue:

@@ -184,12 +184,16 @@ class TestParsePrint:
         assert parse_scalar("1+1*sqrt(2)", 2) == 1 + R2
         assert parse_scalar("1+1*sqrt(2)") == 1 + R2  # radicand inferred
 
+    def test_terms_and_radicands_mix(self):
+        assert parse_scalar("1+s+s", 2) == 1 + 2 * R2
+        assert parse_scalar("1+1*sqrt(3)", 2) == 1 + R3  # sqrt(k) is never s
+        assert parse_scalar("sqrt(2)+s") == 2 * R2  # s is the first sqrt(k)
+        assert parse_scalar("1/2*sqrt(2) - sqrt(3) + 2*sqrt(5)") == (
+            ExactScalar.from_coordinates({2: Fraction(1, 2), 3: -1, 5: 2}))
+
     def test_errors(self):
-        with pytest.raises(ParseError):
-            parse_scalar("")
-        with pytest.raises(ParseError):
-            parse_scalar("s")  # no field declared
-        with pytest.raises(ParseError):
-            parse_scalar("1+s+s", 2)
-        with pytest.raises(ParseError):
-            parse_scalar("1+1*sqrt(3)", 2)  # wrong radicand
+        for text, d in [("", 0), ("s", 0), ("s+sqrt(2)", 0), ("0*sqrt(5)+s", 0),
+                        ("1+", 2), ("0*sqrt(4)", 0), ("sqrt(-2)", 0), ("1/0", 0),
+                        ("2*s*3", 2), ("sqrt(x)", 0)]:
+            with pytest.raises(ParseError):
+                parse_scalar(text, d)

@@ -76,18 +76,22 @@ def two_sample_outputs(text, N=16, cap=10**6):
     return {command: render(payload, False) + "\n" for command, payload in payloads.items()}
 
 
-def near_tie_documents(seed, count):
-    """Principal ideals in x, y of three terms over Q(sqrt d), d in 2, 3, 5, 7:
-    two terms whose weights lie within 3% of each other, and a third at least
-    20% heavier than both."""
+def near_tie_documents(seed, count, radicands=((2,), (3,), (5,), (7,))):
+    """Principal ideals in x, y of three terms: two terms whose weights lie
+    within 3% of each other, and a third at least 20% heavier than both.
+
+    Each document draws a tuple from `radicands`.  One radicand d gives both
+    weights as a + b*s under `field quad d`; two give x's weight over the first
+    and y's over the second, spelled a + b*sqrt(k), with no field line."""
     rng = random.Random(seed)
     monos = [(i, j) for i in range(6) for j in range(6) if 1 <= i + j <= 6]
     docs = []
     while len(docs) < count:
-        d = rng.choice((2, 3, 5, 7))
+        ds = rng.choice(radicands)
         entries = [(Fraction(rng.randint(0, 6), rng.randint(1, 3)),
                     Fraction(rng.randint(1, 5), rng.randint(1, 5))) for _ in range(2)]
-        floats = [float(a) + float(b) * math.sqrt(d) for a, b in entries]
+        ks = ds * 2 if len(ds) == 1 else ds
+        floats = [float(a) + float(b) * math.sqrt(k) for (a, b), k in zip(entries, ks)]
 
         def weight(m):
             return sum(e * w for e, w in zip(m, floats))
@@ -102,10 +106,36 @@ def near_tie_documents(seed, count):
             c = rng.choice((1, 2, 3, -1, -2))
             factors = [v if e == 1 else f"{v}^{e}" for v, e in zip("xy", m) if e]
             terms.append(("- " if c < 0 else "+ ") + "*".join([str(abs(c))] + factors))
-        weights = " ".join(f"{a}+{b}*s" if a else f"{b}*s" for a, b in entries)
-        docs.append(f"field quad {d}\nring x y\nweights {weights}\nideal\n"
+        header, atoms = ((f"field quad {ds[0]}\n", ("s", "s")) if len(ds) == 1
+                         else ("", tuple(f"sqrt({k})" for k in ds)))
+        weights = " ".join(f"{a}+{b}*{atom}" if a else f"{b}*{atom}"
+                           for (a, b), atom in zip(entries, atoms))
+        docs.append(f"{header}ring x y\nweights {weights}\nideal\n"
                     + " ".join(terms).removeprefix("+ ") + "\n")
     return docs
+
+
+def differential(docs, tmp_path):
+    """Run the four family subcommands on each document and compare them, byte
+    for byte, with the two-sample route wherever its two samples agree.
+    Returns the counts of documents where they agreed and disagreed."""
+    agreed = disagreed = 0
+    for i, text in enumerate(docs):
+        path = tmp_path / f"doc{i}.txt"
+        path.write_text(text)
+        outputs = {}
+        for command in COMMANDS:
+            code, out, err = run_cli(command, "--input", str(path))
+            assert code == 0, (text, command, err)
+            outputs[command] = out
+        try:
+            expected = two_sample_outputs(text)
+        except TwoSamplesDisagree:
+            disagreed += 1
+            continue
+        assert outputs == expected, text
+        agreed += 1
+    return agreed, disagreed
 
 
 class TestNearTieDocument:
@@ -136,22 +166,12 @@ class TestNearTieDocument:
 
 class TestTwoSampleDifferential:
     def test_near_tie_documents(self, tmp_path):
-        docs = near_tie_documents(seed=7, count=120)
-        agreed = disagreed = 0
-        for i, text in enumerate(docs):
-            path = tmp_path / f"doc{i}.txt"
-            path.write_text(text)
-            outputs = {}
-            for command in COMMANDS:
-                code, out, err = run_cli(command, "--input", str(path))
-                assert code == 0, (text, command, err)
-                outputs[command] = out
-            try:
-                expected = two_sample_outputs(text)
-            except TwoSamplesDisagree:
-                disagreed += 1
-                continue
-            assert outputs == expected, text
-            agreed += 1
+        agreed, disagreed = differential(near_tie_documents(seed=7, count=120), tmp_path)
         # the documents reach both sides of the old route
         assert agreed >= 100 and disagreed >= 1, (agreed, disagreed)
+
+    def test_two_radicand_documents(self, tmp_path):
+        docs = near_tie_documents(seed=11, count=40, radicands=((2, 3), (3, 5)))
+        assert all(len({w.terms[0][0] for w in parse_input(text).weights}) == 2 for text in docs)
+        agreed, disagreed = differential(docs, tmp_path)
+        assert agreed >= 30, (agreed, disagreed)

@@ -45,7 +45,7 @@ def elimination_saturation(ideal: IdealPresentation, var: str,
                - Polynomial.constant(big_ring, 1))
     basis = reduced_basis(IdealPresentation(big_ring, tuple(gens) + (inverse,)), order, max_steps)
     kept = [g.drop_variable(0) for g in basis if g.leading_monomial(order)[0] == 0]
-    return IdealPresentation(ideal.ring, tuple(kept), ideal.weights)
+    return IdealPresentation(ideal.ring, tuple(kept))
 
 
 def quotient_is_flat(family: IdealPresentation) -> bool:
