@@ -4,55 +4,62 @@ and exact rational cone membership for positive weight vectors.
 Everything here decides with exact arithmetic.  Weights are ExactScalar
 values, which may mix radicands; linear algebra happens on their rational
 coordinates over the basis {1, sqrt(k_1), sqrt(k_2), ...}, and every sign,
-floor and comparison is the scalar type's own exact one.
+floor and comparison is the scalar type's own exact one.  Elimination is
+fraction-free: rows are scaled to integers and reduced by Bareiss's method.
+Cone membership tries no subset smaller than the rank of the target's
+coordinates, and the corner test takes one integer floor, floor(C*res*w),
+per multiplier and entry.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 from typing import Sequence
 
-from .errors import (
-    ArityError,
-    ContainmentError,
-    OutsideConeError,
-    SearchExhaustedError,
-)
+from .errors import ArityError, ContainmentError, OutsideConeError, SearchExhaustedError
 from .exactnum import ExactScalar, combo_sign  # noqa: F401  combo_sign stays public here
 
 # -- rational linear algebra -------------------------------------------------------
 
-def _gauss_jordan(mat: list[list[Fraction]], ncols: int) -> list[int]:
-    """Reduce mat in place over its first ncols columns; return the pivot columns.
+def _gauss_jordan(mat: list[list], ncols: int) -> tuple[list[int], int]:
+    """Reduce mat in place over its first ncols columns; return (pivot columns, d).
 
-    The t-th pivot is a 1 in row t with zeros above and below it, so the
-    number of pivots is the rank of those columns.
+    Rows are scaled to integers, then Bareiss's fraction-free Gauss-Jordan
+    (Math. Comp. 1968) divides each updated row exactly by the previous pivot.
+    The t-th pivot row ends with the common diagonal d in its pivot column and
+    zeros in the other pivot columns, so rows over d are the reduced echelon
+    form and the number of pivots is the rank of those columns.
     """
+    for r, row in enumerate(mat):
+        m = lcm(*(x.denominator for x in row))
+        mat[r] = [x.numerator * (m // x.denominator) for x in row]
     pivots: list[int] = []
+    d = 1
     for col in range(ncols):
         row = len(pivots)
         if row == len(mat):
             break
-        pivot = next((r for r in range(row, len(mat)) if mat[r][col] != 0), None)
+        pivot = next((r for r in range(row, len(mat)) if mat[r][col]), None)
         if pivot is None:
             continue
         mat[row], mat[pivot] = mat[pivot], mat[row]
-        pv = mat[row][col]
-        mat[row] = [x / pv for x in mat[row]]
+        top = mat[row]
+        p = top[col]
         for r in range(len(mat)):
-            if r != row and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[row])]
+            if r != row:
+                f = mat[r][col]
+                mat[r] = [(p * x - f * y) // d for x, y in zip(mat[r], top)]
+        d = p
         pivots.append(col)
-    return pivots
+    return pivots, d
 
 
 def rational_matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    mat = [list(map(Fraction, r)) for r in rows]
-    return len(_gauss_jordan(mat, len(mat[0]) if mat else 0))
+    mat = [list(r) for r in rows]
+    return len(_gauss_jordan(mat, len(mat[0]) if mat else 0)[0])
 
 
 def solve_rational(columns: Sequence[Sequence[Fraction]],
@@ -64,11 +71,12 @@ def solve_rational(columns: Sequence[Sequence[Fraction]],
     """
     k = len(columns)
     dim = len(columns[0]) if k else (len(rhs_list[0]) if rhs_list else 0)
-    aug = [[Fraction(columns[j][i]) for j in range(k)] +
-           [Fraction(rhs[i]) for rhs in rhs_list] for i in range(dim)]
-    if len(_gauss_jordan(aug, k)) < k or any(x != 0 for row in aug[k:] for x in row[k:]):
+    aug = [[columns[j][i] for j in range(k)] + [rhs[i] for rhs in rhs_list]
+           for i in range(dim)]
+    pivots, d = _gauss_jordan(aug, k)
+    if len(pivots) < k or any(x for row in aug[k:] for x in row[k:]):
         return None
-    return [[aug[j][k + t] for j in range(k)] for t in range(len(rhs_list))]
+    return [[Fraction(aug[j][k + t], d) for j in range(k)] for t in range(len(rhs_list))]
 
 
 # -- weight vectors ------------------------------------------------------------------
@@ -118,8 +126,7 @@ def rational_rank(v: ReebVector) -> int:
 def one_in_span(v: ReebVector) -> bool:
     """Whether 1 is a rational combination of the entries."""
     rows = v.coordinate_rows()
-    one = [Fraction(0)] * len(rows[0])
-    one[0] = Fraction(1)
+    one = [int(i == 0) for i in range(len(rows[0]))]
     return rational_matrix_rank(rows) == rational_matrix_rank(rows + [one])
 
 
@@ -147,40 +154,30 @@ class AffineHull:
 
 
 def affine_hull(v: ReebVector) -> AffineHull:
+    """The affine hull from one elimination on the columns (1, w_1, ..., w_l).
+
+    The pivot columns after the first pick the leading weights, greedily in
+    order; every other column, over the common diagonal d, gives its relation.
+    """
     rows = v.coordinate_rows()
-    dim = len(rows[0])
-    one = [Fraction(0)] * dim
-    one[0] = Fraction(1)
-    picked: list[int] = []
-    span: list[list[Fraction]] = [one]
-    for i, row in enumerate(rows):
-        if rational_matrix_rank(span + [row]) > len(span):
-            span.append(row)
-            picked.append(i)
-    s = len(picked)
-    rest = [i for i in range(len(rows)) if i not in picked]
-    reorder = tuple(picked + rest)
-    columns = [one] + [rows[i] for i in picked]
-    rhs = [rows[j] for j in rest]
-    coeffs = solve_rational(columns, rhs) if rhs else []
-    if coeffs is None:
-        raise ArithmeticError("affine hull solve failed")  # unreachable by construction
-    m = math.lcm(*(c.denominator for x in coeffs for c in x))
-    a_rows = tuple(tuple(int(coeffs[j][1 + i] * m) for j in range(len(rest)))
-                   for i in range(s))
-    a0 = tuple(int(coeffs[j][0] * m) for j in range(len(rest)))
-    hull = AffineHull(reorder, s, m, a_rows, a0)
+    mat = [[int(i == 0)] + [row[i] for row in rows] for i in range(len(rows[0]))]
+    pivots, d = _gauss_jordan(mat, len(rows) + 1)
+    picked = [c - 1 for c in pivots[1:]]
+    rest = [j for j in range(len(rows)) if j not in picked]
+    coeffs = [[Fraction(mat[t][1 + j], d) for t in range(len(pivots))] for j in rest]
+    m = lcm(*(c.denominator for x in coeffs for c in x))
+    a_rows = tuple(tuple(int(x[1 + i] * m) for x in coeffs) for i in range(len(picked)))
+    a0 = tuple(int(x[0] * m) for x in coeffs)
+    hull = AffineHull(tuple(picked + rest), len(picked), m, a_rows, a0)
     _verify_hull(v, hull)
     return hull
 
 
 def _verify_hull(v: ReebVector, hull: AffineHull):
     rows = v.coordinate_rows()
-    dim = len(rows[0])
     for j in range(len(v) - hull.s):
         target = [hull.m * x for x in rows[hull.reorder[hull.s + j]]]
-        acc = [Fraction(0)] * dim
-        acc[0] = Fraction(hull.a0[j])
+        acc = [hull.a0[j]] + [0] * (len(rows[0]) - 1)
         for i in range(hull.s):
             acc = [u + hull.a[i][j] * w for u, w in zip(acc, rows[hull.reorder[i]])]
         if acc != target:
@@ -318,13 +315,8 @@ class ConeDescription:
     homogenized: bool = False
 
     def _matrix(self) -> list[list[Fraction]]:
-        cols = []
-        for g in self.generators:
-            col = list(map(Fraction, g))
-            if self.homogenized:
-                col = [Fraction(1)] + col
-            cols.append(col)
-        return cols
+        head = [Fraction(1)] if self.homogenized else []
+        return [head + list(map(Fraction, g)) for g in self.generators]
 
     def contains(self, v: Sequence) -> tuple[bool, list[tuple[int, str]] | None]:
         """Exact membership with a nonnegative-coefficient certificate.
@@ -332,6 +324,9 @@ class ConeDescription:
         Subsets of generators are tried by size, then lexicographically; the
         certificate is the first one with linearly independent columns and
         nonnegative coefficients, listed as (generator index, coefficient).
+
+        Sizes start at the rank of the target's coordinate matrix T, one column
+        per radicand: independent columns G with G*X = T number at least rank T.
         """
         target = [ExactScalar.of(x).coordinates() for x in v]
         if self.homogenized:
@@ -341,7 +336,7 @@ class ConeDescription:
             raise ArityError("dimension mismatch in cone membership")
         radicands = sorted({k for coords in target for k in coords}) or [1]
         rhs_list = [[coords.get(k, Fraction(0)) for coords in target] for k in radicands]
-        for size in range(1, len(columns) + 1):
+        for size in range(max(1, rational_matrix_rank(rhs_list)), len(columns) + 1):
             for subset in combinations(range(len(columns)), size):
                 sols = solve_rational([columns[i] for i in subset], rhs_list)
                 if sols is None:
@@ -448,12 +443,12 @@ def kronecker_corner_search(v: ReebVector, resolution: int, cap: int = 10**6,
     corners = list(product((0, 1), repeat=hull.s))
     found: dict[tuple[int, ...], CornerHit] = {}
     for C in range(1, cap + 1):
-        # Cw is irrational, so with f = floor(Cw) and g = floor(res*Cw) - res*f:
+        # Cw is irrational, so with F = floor(res*Cw) and (f, g) = divmod(F, res),
+        # f = floor(Cw) since floor(floor(x)/res) = floor(x/res), and
         # {Cw} < 1/res iff g == 0, and 1 - {Cw} < 1/res iff g == res - 1
         corner, v_tilde = [], []
         for w in leading:
-            f = (w * C).floor()
-            g = (w * (C * resolution)).floor() - resolution * f
+            f, g = divmod(w.floor(C * resolution), resolution)
             if g != 0 and g != resolution - 1:
                 break
             corner.append(int(g != 0))
@@ -498,13 +493,11 @@ def approximant_cone(v: ReebVector, corners: CornerSearchResult | None = None,
         hull = affine_hull(v)
         if N is None:
             N = default_N(v)
-        corners = kronecker_corner_search(v, default_corner_resolution(hull, N))
+        corners = kronecker_corner_search(v, default_corner_resolution(hull, N), hull=hull)
     hull = corners.hull
     if N is None:
-        if v.n is not None:
-            N = default_N(v)
-        else:
-            N = max(2, (corners.resolution - 1) // hull.resolution_scale())
+        N = default_N(v) if v.n is not None else max(
+            2, (corners.resolution - 1) // hull.resolution_scale())
     l = len(v)
     generators = []
     for hit in corners.hits:

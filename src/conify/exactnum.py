@@ -218,22 +218,24 @@ class ExactScalar:
 
     # -- integer bracketing (no floats) -------------------------------------
 
-    def floor(self) -> int:
-        """floor((P + sum(Q_k*sqrt(k))) / R) over the common denominator R."""
+    def floor(self, times: int = 1) -> int:
+        """floor(times * self) for every integer times, without forming the product:
+        floor((times*P + sum(times*Q_k*sqrt(k))) / R) over the common denominator R."""
         a, terms = self.a, self.terms
-        if not terms:
-            return a.numerator // a.denominator
+        if not terms or not times:
+            return a.numerator * times // a.denominator
         R = lcm(a.denominator, *(c.denominator for _, c in terms))
         s = 0
         for k, c in terms:
-            Q = c.numerator * (R // c.denominator)
+            Q = c.numerator * (R // c.denominator) * times
             root = isqrt(Q * Q * k)    # Q*sqrt(k) is irrational: floor is root or -root-1
             s += root if Q > 0 else -root - 1
-        P = a.numerator * (R // a.denominator)
+        P = a.numerator * (R // a.denominator) * times
         n = (P + s) // R
         # the t fractional parts sum to less than t, so floor(sum Q_k*sqrt(k)) <= s + t - 1
         top = (P + s + len(terms) - 1) // R
-        while top > n and (self - top).sign() < 0:
+        # times*x - top has the sign of times * sign(x - top/times)
+        while top > n and (self - Fraction(top, times)).sign() * times < 0:
             top -= 1
         return top
 

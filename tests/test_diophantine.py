@@ -12,6 +12,7 @@ from conify.diophantine import (
     BoxCone,
     ConeDescription,
     ReebVector,
+    _gauss_jordan,
     affine_hull,
     approximant_cone,
     combo_sign,
@@ -23,6 +24,7 @@ from conify.diophantine import (
     kronecker_corner_search,
     nice_approximant,
     one_in_span,
+    rational_matrix_rank,
     rational_rank,
     solve_rational,
     verify_perturbation_bound,
@@ -117,6 +119,112 @@ class TestRankAndSpan:
         assert solve_rational([[F(0), F(0)]], [[F(0), F(0)]]) is None
         # independent columns, inconsistent right-hand side
         assert solve_rational([[F(1), F(1)]], [[F(1), F(2)]]) is None
+
+
+# The Fraction elimination that solve_rational and rational_matrix_rank used
+# before the fraction-free kernel, kept as its oracle.
+
+def fraction_gauss_jordan(mat, ncols):
+    pivots = []
+    for col in range(ncols):
+        row = len(pivots)
+        if row == len(mat):
+            break
+        pivot = next((r for r in range(row, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[row], mat[pivot] = mat[pivot], mat[row]
+        pv = mat[row][col]
+        mat[row] = [x / pv for x in mat[row]]
+        for r in range(len(mat)):
+            if r != row and mat[r][col] != 0:
+                factor = mat[r][col]
+                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[row])]
+        pivots.append(col)
+    return pivots
+
+
+def fraction_solve(columns, rhs_list):
+    k = len(columns)
+    dim = len(columns[0]) if k else (len(rhs_list[0]) if rhs_list else 0)
+    aug = [[Fraction(columns[j][i]) for j in range(k)] +
+           [Fraction(rhs[i]) for rhs in rhs_list] for i in range(dim)]
+    if len(fraction_gauss_jordan(aug, k)) < k or any(x != 0 for row in aug[k:] for x in row[k:]):
+        return None
+    return [[aug[j][k + t] for j in range(k)] for t in range(len(rhs_list))]
+
+
+def random_columns(rng, dim, k):
+    """k columns of length dim with zero, repeated and dependent columns mixed in."""
+    def entry():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    cols = []
+    for _ in range(k):
+        kind = rng.random()
+        if cols and kind < 0.15:
+            cols.append([Fraction(0)] * dim)
+        elif len(cols) >= 2 and kind < 0.35:
+            a, b = rng.sample(cols, 2)
+            p, q = Fraction(rng.randint(-4, 4), rng.randint(1, 3)), Fraction(rng.randint(-4, 4))
+            cols.append([p * x + q * y for x, y in zip(a, b)])
+        else:
+            cols.append([entry() for _ in range(dim)])
+    return cols
+
+
+class TestFractionFreeElimination:
+    """The integer Bareiss kernel against the Fraction elimination it replaced."""
+
+    def test_reduced_rows_rank_and_pivots(self):
+        rng = random.Random(83)
+        for _ in range(400):
+            dim, k = rng.randint(1, 6), rng.randint(1, 6)
+            cols = random_columns(rng, dim, k)
+            rows = [[c[i] for c in cols] for i in range(dim)]
+            if rows[0][0] > 0:
+                rows[0] = [-x for x in rows[0]]   # a negative leading entry; column relations stay
+            ncols = rng.randint(0, k)
+            want = [list(r) for r in rows]
+            want_pivots = fraction_gauss_jordan(want, ncols)
+            got = [list(r) for r in rows]
+            pivots, d = _gauss_jordan(got, ncols)
+            assert pivots == want_pivots
+            assert all(isinstance(x, int) for row in got for x in row)
+            for t in range(len(pivots)):
+                assert [Fraction(x, d) for x in got[t]] == want[t]
+            for t in range(len(pivots), dim):
+                assert [x != 0 for x in got[t]] == [x != 0 for x in want[t]]
+            assert rational_matrix_rank(rows) == len(fraction_gauss_jordan([list(r) for r in rows], k))
+
+    def test_solutions_match(self):
+        rng = random.Random(89)
+        outcomes = set()
+        for _ in range(400):
+            dim, k = rng.randint(1, 6), rng.randint(0, 5)
+            cols = random_columns(rng, dim, k)
+            rhs_list = []
+            for _ in range(rng.randint(1, 3)):
+                if cols and rng.random() < 0.6:
+                    coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in cols]
+                    rhs_list.append([sum((c * col[i] for c, col in zip(coeffs, cols)), Fraction(0))
+                                     for i in range(dim)])
+                else:
+                    rhs_list.append([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(dim)])
+            want = fraction_solve(cols, rhs_list)
+            assert solve_rational(cols, rhs_list) == want
+            outcomes.add(want is None)
+        assert outcomes == {True, False}
+
+    def test_zero_column_and_wide_systems(self):
+        F = Fraction
+        # more columns than rows, a zero leading entry, and an all-zero matrix
+        assert solve_rational([[F(0), F(1)], [F(1), F(0)], [F(1), F(1)]], [[F(1), F(1)]]) is None
+        assert solve_rational([[F(0), F(2)], [F(-3), F(0)]], [[F(1), F(1)]]) == [[F(1, 2), F(-1, 3)]]
+        assert rational_matrix_rank([[F(0), F(0)], [F(0), F(0)]]) == 0
+        assert rational_matrix_rank([]) == 0
 
 
 class TestAffineHull:
@@ -480,6 +588,82 @@ class TestConeMembership:
         cone = ConeDescription(((Fraction(3), Fraction(1)),), simplicial=True)
         inside, certificate = cone.contains((ExactScalar.of(3), ExactScalar.of(1)))
         assert inside and certificate == [(0, "1")]
+
+
+def contains_from_size_one(cone, v):
+    """ConeDescription.contains as it was: sizes from 1, Fraction elimination."""
+    target = [ExactScalar.of(x).coordinates() for x in v]
+    if cone.homogenized:
+        target = [{1: Fraction(1)}] + target
+    columns = cone._matrix()
+    radicands = sorted({k for coords in target for k in coords}) or [1]
+    rhs_list = [[coords.get(k, Fraction(0)) for coords in target] for k in radicands]
+    for size in range(1, len(columns) + 1):
+        for subset in combinations(range(len(columns)), size):
+            sols = fraction_solve([columns[i] for i in subset], rhs_list)
+            if sols is None:
+                continue
+            lambdas = [ExactScalar.from_coordinates(dict(zip(radicands, column)))
+                       for column in zip(*sols)]
+            if all(lam.sign() >= 0 for lam in lambdas):
+                return True, [(i, lam.spaced()) for i, lam in zip(subset, lambdas)]
+    return False, None
+
+
+class TestRankBoundedMembership:
+    """Starting at the target's rank keeps every certificate of the size-from-1 search."""
+
+    @staticmethod
+    def weight(rng, radicands):
+        lam = ExactScalar.of(Fraction(rng.randint(0, 6), rng.randint(1, 4)))
+        for k in radicands:
+            if rng.random() < 0.7:
+                lam += ExactScalar.root(k, Fraction(rng.randint(1, 3), rng.randint(1, 3)))
+        return lam
+
+    def test_certificates_match_size_from_one(self):
+        rng = random.Random(97)
+        verdicts = set()
+        for trial in range(300):
+            dim = rng.randint(1, 3)
+            homogenized = trial % 2 == 1
+            gens = tuple(tuple(Fraction(rng.randint(0, 9), rng.randint(1, 5)) for _ in range(dim))
+                         for _ in range(rng.randint(1, 6)))
+            cone = ConeDescription(gens, simplicial=False, homogenized=homogenized)
+            kind = rng.choice(["rational", "irrational", "zero", "outside"])
+            if kind == "zero":
+                v = [ExactScalar.of(0)] * dim
+            elif kind == "outside":
+                v = [ExactScalar.of(Fraction(rng.randint(-9, 9), rng.randint(1, 5))) for _ in range(dim)]
+            else:
+                radicands = [] if kind == "rational" else rng.sample([2, 3, 5], rng.randint(1, 3))
+                used = rng.sample(range(len(gens)), rng.randint(1, len(gens)))
+                lams = [self.weight(rng, radicands) for _ in used]
+                if lams and all(lam.is_zero() for lam in lams):
+                    lams[0] = ExactScalar.of(1)
+                if homogenized:
+                    total = sum(lams, ExactScalar.of(0))
+                    lams = [lam / total for lam in lams]
+                v = [sum((lam * gens[i][c] for lam, i in zip(lams, used)), ExactScalar.of(0))
+                     for c in range(dim)]
+            want = contains_from_size_one(cone, v)
+            assert cone.contains(v) == want
+            verdicts.add((kind, want[0]))
+        assert {("rational", True), ("irrational", True), ("outside", False)} <= verdicts
+
+    def test_simplicial_cone_needs_one_solve(self, monkeypatch):
+        v = ReebVector((R2, R3, ExactScalar.root(5)), n=3)
+        cone = approximant_cone(v, N=2)
+        calls = []
+
+        def counted(columns, rhs_list):
+            calls.append(len(columns))
+            return solve_rational(columns, rhs_list)
+
+        monkeypatch.setattr("conify.diophantine.solve_rational", counted)
+        inside, certificate = cone.contains(v.entries)
+        assert inside and calls == [4]
+        assert certificate[0] == (0, "6524 - 2330*sqrt(2) - 1864*sqrt(3)")
 
 
 class TestBoxCone:

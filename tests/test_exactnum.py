@@ -1,5 +1,6 @@
 """Exact multi-quadratic arithmetic: signs, field axioms, floors, parsing."""
 
+import math
 import pickle
 import random
 from decimal import Decimal, localcontext
@@ -152,6 +153,27 @@ class TestFloor:
             for j in range(-6, 7):
                 x = i * R2 + j * R3 - 5 * r5
                 assert Decimal(x.floor()) <= decimal_value(x) < x.floor() + 1
+
+    def test_floor_times_is_floor_of_product(self):
+        rng = random.Random(37)
+        scalars = [R2, -R2]
+        for _ in range(120):
+            coords = {1: Fraction(rng.randint(-30, 30), rng.randint(1, 12))}
+            for k in rng.sample([2, 3, 5, 6, 7], rng.randint(1, 3)):
+                coords[k] = Fraction(rng.randint(-30, 30) or 1, rng.randint(1, 12))
+            scalars.append(ExactScalar.from_coordinates(coords))
+        # integer coefficients leave the most units for the fix-up loop
+        scalars += [i * R2 + j * R3 - 5 * ExactScalar.root(5) for i in (-3, 2) for j in (-4, 1)]
+        for x in scalars:
+            for t in list(range(-7, 8)) + [10**6]:
+                n = x.floor(t)
+                assert n == (x * t).floor()
+                with localcontext() as ctx:
+                    ctx.prec = 60
+                    assert Decimal(n) <= t * decimal_value(x) < n + 1
+        assert R2.floor(0) == 0 and (-R2).floor(0) == 0
+        for t in range(-7, 8):
+            assert ExactScalar.of(Fraction(-7, 3)).floor(t) == math.floor(Fraction(-7, 3) * t)
 
     def test_nearest_rounds_ties_up(self):
         assert ExactScalar.of(Fraction(1, 2)).nearest_int() == 1
