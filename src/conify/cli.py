@@ -2,12 +2,14 @@
 
 Every successful run prints one JSON object with a top-level
 `"schema": "conify/1"` key, keys sorted, exact scalars rendered as strings.
-Exit codes: 0 success, 1 usage error, 2 domain error.
+Exit codes: 0 success, 1 usage error, 2 domain error. The argument parser is
+built once per process, on the first `main` call, and reused after that.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -67,6 +69,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="conify", description=__doc__)
     sub = parser.add_subparsers(dest="command")

@@ -8,7 +8,8 @@ exposed as constants so tests and callers share them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan2, cos, pi, sin, sqrt
+from math import atan2, cos, inf, pi, sin, sqrt
+from sys import float_info
 
 RESULT_TOL = 1e-9
 ORTHO_TOL = 1e-12
@@ -98,9 +99,11 @@ def rotation_from_target(d: float, e: float, f: float) -> RotationSolution:
     feasibility condition for a rotation about an axis in that plane); the
     angle follows from the components perpendicular to the axis.
     """
-    c = sqrt(d * d + e * e + f * f)
-    if c == 0:
-        raise ValueError("target vector must be nonzero")
+    norm2 = d * d + e * e + f * f
+    if not float_info.min <= norm2 < inf:
+        raise ValueError("target vector must be nonzero" if d == e == f == 0 else
+                         f"target ({d}, {e}, {f}) is not finite or its norm over- or underflows")
+    c = sqrt(norm2)
     dp, ep, fp = d / c, e / c, f / c
     den = sqrt((1.0 - dp) ** 2 + ep**2)
     if den == 0.0:

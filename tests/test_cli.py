@@ -2,13 +2,14 @@
 
 import io
 import json
+import re
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from conify import catalogue
-from conify.cli import main
+from conify.cli import SUBCOMMANDS, build_parser, main
 from conify.diophantine import ReebVector, dirichlet_approximant
 from conify.errors import ParseError
 from conify.inputdoc import parse_input
@@ -153,6 +154,78 @@ class TestExitCodes:
         code, out, _ = run_cli("rank", "--weights", "1, s, 1+s", "--field", "quad:2")
         assert code == 0
         assert json.loads(out) == {"schema": "conify/1", "rank": 2, "one_in_span": True}
+
+    @pytest.mark.parametrize("target", ["nan,1,1", "inf,1,1", "1e200,0,1", "1e-200,0,0"])
+    def test_unrepresentable_rotate_target_is_two(self, target):
+        code, out, err = run_cli("rotate", "--target", target)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: target (") and "over- or underflows" in err
+
+    def test_subcommand_list_matches_the_parser(self):
+        # the hand-kept SUBCOMMANDS line must list what argparse accepts, in order
+        code, _, err = run_cli("nosuch")
+        assert code == 1
+        usage, listing = err.splitlines()
+        choices = re.search(r"invalid choice: .*\(choose from (.*)\)$", usage).group(1)
+        assert tuple(name.strip("'") for name in choices.split(", ")) == SUBCOMMANDS
+        assert listing == "subcommands: " + ", ".join(SUBCOMMANDS)
+
+
+def _reuse_sequence(tmp_path):
+    """(argv, exit code) pairs: a success for every subcommand, usage errors
+    and domain errors, with repeated subcommands so that parser state left
+    behind by one call would show in a later one."""
+    a1d = tmp_path / "a1d.txt"
+    a1d.write_text(A1_DEFORMED)
+    a1 = tmp_path / "a1.txt"
+    a1.write_text(catalogue.A1_TEXT)
+    c2 = tmp_path / "c2.txt"
+    c2.write_text(catalogue.C2_TEXT)
+    return [
+        (("rank", "--weights", "1, s, 1+s", "--field", "quad:2", "--pretty"), 0),
+        (("rank", "--weights", "sqrt(2), 1"), 0),
+        (("initial-ideal", "--input", str(a1d)), 0),
+        (("testconfig", "--input", str(a1d), "--pretty"), 0),
+        (("fiber", "--input", str(a1d), "--at", "1"), 0),
+        (("fiber", "--input", str(a1d)), 0),
+        (("flatness", "--input", str(a1d)), 0),
+        (("hilbert", "--input", str(a1), "--degree-cap", "4"), 0),
+        (("approximate", "--weights", "s, 2-s", "--field", "quad:2", "--N", "14"), 0),
+        (("cone", "--weights", "s", "--field", "quad:2", "--resolution", "20"), 0),
+        (("poisson-check", "--input", str(c2)), 0),
+        (("decompose", "--weights", "1,1", "--tweight", "1", "--exponents", "2,0,1"), 0),
+        (("invariants", "--weights", "1,1", "--tweight", "1", "--cap", "3"), 0),
+        (("rotate", "--target", "0,1,0", "--pretty"), 0),
+        (("rotate", "--target", "1,2,3"), 0),
+        (("demo", "a1"), 0),
+        (("demo", "c2", "--pretty"), 0),
+        (("nosuch",), 1),
+        (("initial-ideal",), 1),
+        (("fiber", "--input", str(a1d), "--at", "2"), 1),
+        (("demo", "nosuch"), 1),
+        (("hilbert", "--input", str(a1), "--degree-cap", "x"), 1),
+        ((), 1),
+        (("rotate", "--target", "nan,1,1"), 2),
+        (("invariants", "--weights", "1,1", "--tweight", "0"), 2),
+        (("rank", "--weights", "1, 2", "--field", "quad:4"), 2),
+        (("initial-ideal", "--input", str(tmp_path / "missing.txt")), 2),
+        (("rank", "--weights", "2,2"), 0),
+        (("demo", "a1"), 0),
+    ]
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_reused_parser_answers_like_a_fresh_one(self, tmp_path):
+        sequence = _reuse_sequence(tmp_path)
+        build_parser.cache_clear()
+        reused = [run_cli(*argv) for argv, _ in sequence]
+        assert [code for code, _, _ in reused] == [code for _, code in sequence]
+        for (argv, _), result in zip(sequence, reused):
+            build_parser.cache_clear()
+            assert run_cli(*argv) == result, argv
 
 
 class TestSubcommands:

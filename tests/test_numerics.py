@@ -89,6 +89,16 @@ class TestRotation:
         with pytest.raises(ValueError):
             rotation_from_target(0, 0, 0)
 
+    @pytest.mark.parametrize("target", [(float("nan"), 1.0, 1.0), (float("inf"), 1.0, 1.0),
+                                        (1e200, 0.0, 1.0), (1e-200, 0.0, 0.0)],
+                             ids=["nan", "inf", "overflow", "underflow"])
+    def test_non_finite_or_unrepresentable_norm_rejected(self, target):
+        # NaN and inf would reach the output as non-JSON literals; 1e200 squared
+        # overflows to an identity rotation with c = inf, and 1e-200 squared
+        # underflows to a false "zero vector".
+        with pytest.raises(ValueError, match="not finite or its norm over- or underflows"):
+            rotation_from_target(*target)
+
     def test_random_reconstruction(self):
         rng = random.Random(71)
         for _ in range(1000):

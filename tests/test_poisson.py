@@ -1,7 +1,11 @@
-"""Bracket tables, homogeneity weights, scale-up conditions, decompositions."""
+"""Bracket tables, homogeneity weights, scale-up conditions, decompositions,
+and a sympy oracle for brackets and Jacobi defects."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
+
+import pytest
 
 from conify.exactnum import ExactScalar
 from conify.groebner import IdealPresentation, reduced_basis
@@ -18,7 +22,7 @@ from conify.poisson import (
     jacobi_holds,
     preserves_ideal,
 )
-from conify.polyring import WeightData, parse_polynomial, term_weight
+from conify.polyring import Polynomial, WeightData, parse_polynomial, term_weight
 
 XYZ = ("x", "y", "z")
 UV = ("u", "v")
@@ -218,3 +222,139 @@ class TestDecomposition:
             assert prefix[-1] < bounds.D
             for f in factors:
                 assert term_weight(f, wd) == ExactScalar.of(0)
+
+
+# -- differential test against sympy ---------------------------------------------------
+# sympy recomputes {f, g} = sum over all i, j of P_ij d_i f d_j g, with P_ji = -P_ij
+# filled in from the stored table, and the Jacobi cyclic sum of every coordinate
+# triple, reduced by sympy's own grevlex basis of the quotient ideal.  The tables
+# have the shapes of the poisson-check documents of the cli-mix benchmark:
+# Jacobian brackets of one f in three variables, and the two-Casimir brackets
+# of f1, f2 in four.  sympy is a test-only dependency.
+
+XYZW = ("x", "y", "z", "w")
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _coefficient(rng) -> Fraction:
+    return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3)))
+
+
+def _random_poly(rng, ring, terms, max_exponent) -> Polynomial:
+    return Polynomial(ring, {tuple(rng.randint(0, max_exponent) for _ in ring): _coefficient(rng)
+                             for _ in range(terms)})
+
+
+def _jacobian_table(seed, quotient=False) -> PoissonTable:
+    f = _random_poly(random.Random(seed), XYZ, 4, 3)
+    d = [f.derivative(k) for k in range(3)]
+    ideal = IdealPresentation(XYZ, (f,)) if quotient else None
+    return PoissonTable(XYZ, {(0, 1): d[2], (0, 2): -d[1], (1, 2): d[0]}, ideal=ideal)
+
+
+def _casimir_table(seed, quotient=False) -> PoissonTable:
+    # f1 lives in two variables and f2 in the other two, each with a pure power
+    # of both and one mixed term; {x_i, x_j} = sum over k, l of eps_ijkl d_k f1 d_l f2
+    rng = random.Random(seed)
+    order = rng.sample(range(4), 4)
+    polys = []
+    for a, b in (order[:2], order[2:]):
+        terms = {}
+        for k, e in ((a, rng.randint(2, 3)), (b, rng.randint(2, 3)), (None, 0)):
+            m = [0] * 4
+            if k is None:
+                m[a], m[b] = rng.randint(1, 2), 1
+            else:
+                m[k] = e
+            terms[tuple(m)] = _coefficient(rng)
+        polys.append(Polynomial(XYZW, terms))
+    f1, f2 = polys
+    table = {}
+    for i, j in combinations(range(4), 2):
+        k, l = (x for x in range(4) if x not in (i, j))
+        sign = -1 if sum(p > q for p, q in combinations((i, j, k, l), 2)) % 2 else 1
+        entry = f1.derivative(k) * f2.derivative(l) - f1.derivative(l) * f2.derivative(k)
+        table[(i, j)] = entry.scale(sign)
+    ideal = IdealPresentation(XYZW, (f1, f2)) if quotient else None
+    return PoissonTable(XYZW, table, ideal=ideal)
+
+
+def _broken_table(quotient=False) -> PoissonTable:
+    # no Jacobi identity on the ring nor modulo the quadric, which rewrites x*y
+    ideal = IdealPresentation(XYZ, (P("x*y - z^2"),)) if quotient else None
+    return PoissonTable(XYZ, {(0, 1): P("1/2*z + x*y"), (1, 2): P("x*z + 2/3*y^2"),
+                              (0, 2): P("y")}, ideal=ideal)
+
+
+def _to_sympy(sympy, p: Polynomial, gens):
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*(g**e for g, e in zip(gens, m)))
+                       for m, c in p.terms.items()))
+
+
+def _sympy_matrix(sympy, table: PoissonTable, gens):
+    n = len(gens)
+    matrix = sympy.zeros(n, n)
+    for (i, j), p in table.table.items():
+        matrix[i, j] = _to_sympy(sympy, p, gens)
+        matrix[j, i] = -matrix[i, j]
+    return matrix
+
+
+def _same(sympy, conify_poly: Polynomial, expr, gens) -> bool:
+    return sympy.expand(_to_sympy(sympy, conify_poly, gens) - expr) == 0
+
+
+ORACLE_TABLES = (
+    [("jacobian", seed, seed % 3 == 0) for seed in range(6)]
+    + [("casimir", seed, seed % 2 == 0) for seed in range(4)]
+    + [("broken", 0, False), ("broken", 0, True)]
+)
+
+
+def _oracle_table(kind, seed, quotient) -> PoissonTable:
+    if kind == "broken":
+        return _broken_table(quotient)
+    return (_jacobian_table if kind == "jacobian" else _casimir_table)(seed, quotient)
+
+
+@pytest.mark.parametrize("kind, seed, quotient", ORACLE_TABLES)
+def test_bracket_matches_sympy(sympy, kind, seed, quotient):
+    table = _oracle_table(kind, seed, quotient)
+    gens = sympy.symbols(table.ring)
+    matrix = _sympy_matrix(sympy, table, gens)
+    rng = random.Random(100 + seed)
+    for _ in range(3):
+        f, g = (_random_poly(rng, table.ring, 3, 2) for _ in range(2))
+        sf, sg = _to_sympy(sympy, f, gens), _to_sympy(sympy, g, gens)
+        expected = sum(matrix[i, j] * sympy.diff(sf, gens[i]) * sympy.diff(sg, gens[j])
+                       for i in range(len(gens)) for j in range(len(gens)))
+        assert _same(sympy, table.bracket(f, g), expected, gens)
+
+
+@pytest.mark.parametrize("kind, seed, quotient", ORACLE_TABLES)
+def test_jacobi_defect_matches_sympy(sympy, kind, seed, quotient):
+    table = _oracle_table(kind, seed, quotient)
+    gens = sympy.symbols(table.ring)
+    matrix = _sympy_matrix(sympy, table, gens)
+    basis = None
+    if table.ideal is not None:
+        basis = sympy.groebner([_to_sympy(sympy, g, gens) for g in table.ideal.generators],
+                               *gens, order="grevlex", domain="QQ")
+
+    def coordinate_bracket(i, h):
+        return sum(matrix[i, b] * sympy.diff(h, gens[b]) for b in range(len(gens)))
+
+    defects = jacobi_defect(table)
+    assert sorted(defects) == list(combinations(range(len(gens)), 3))
+    for i, j, k in defects:
+        total = sympy.expand(coordinate_bracket(i, matrix[j, k]) + coordinate_bracket(j, matrix[k, i])
+                             + coordinate_bracket(k, matrix[i, j]))
+        if basis is not None:
+            total = basis.reduce(total)[1]
+        assert _same(sympy, defects[(i, j, k)], total, gens), (i, j, k)
+    assert jacobi_holds(table) is (kind != "broken")
