@@ -85,8 +85,6 @@ def build_parser() -> _Parser:
     for name in ("testconfig", "fiber", "flatness"):
         p = add(name)
         p.add_argument("--input", required=True, help="input document file")
-        p.add_argument("--N", type=int, default=16, help="approximation threshold for irrational weights")
-        p.add_argument("--cap", type=int, default=10**6)
         if name == "fiber":
             p.add_argument("--at", choices=("0", "1"), default="0")
 
@@ -156,6 +154,17 @@ def _parse_weights_csv(text: str, d: int):
     return parse_scalars(entries, d)
 
 
+def _integers(args, name: str) -> tuple[int, ...]:
+    """The comma-separated integers of option --name; a bad entry is named."""
+    values = []
+    for entry in getattr(args, name).split(","):
+        try:
+            values.append(int(entry))
+        except ValueError:
+            raise ConifyError(f"--{name} entry {entry.strip()!r} is not an integer") from None
+    return tuple(values)
+
+
 def _read_document(path: str) -> InputDocument:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -171,13 +180,13 @@ def _integer_weight_vector(doc: InputDocument) -> tuple[int, ...]:
     return tuple(int(f * scale) for f in fracs)
 
 
-def _family_payload(doc: InputDocument, N: int, cap: int):
+def _family_payload(doc: InputDocument):
     """The degeneration family; irrational weights take the certified
-    approximant of `stable_initial_ideal`."""
+    weight vector of `stable_initial_ideal`."""
     ideal = doc.ideal()
     if all(w.is_rational() for w in doc.weights):
         return build_test_configuration(ideal, _integer_weight_vector(doc))
-    return stable_initial_ideal(ideal, doc.weights, N, cap)
+    return stable_initial_ideal(ideal, doc.weights)
 
 
 # -- dispatch ---------------------------------------------------------------------
@@ -192,7 +201,7 @@ def run(args) -> dict:
 
     if command in ("testconfig", "fiber", "flatness"):
         doc = _read_document(args.input)
-        tc = _family_payload(doc, args.N, args.cap)
+        tc = _family_payload(doc)
         if command == "testconfig":
             return {
                 "family": [str(g) for g in tc.family],
@@ -240,7 +249,7 @@ def run(args) -> dict:
             N = args.N
             if N is None:
                 N = default_N(vector) if args.n is not None else 16
-            resolution = args.resolution or default_corner_resolution(hull, N)
+            resolution = default_corner_resolution(hull, N) if args.resolution is None else args.resolution
             corners = kronecker_corner_search(vector, resolution, args.cap, hull)
             cone = approximant_cone(vector, corners, N)
         inside, certificate = cone_contains(cone, vector)
@@ -269,22 +278,16 @@ def run(args) -> dict:
             payload["scaleup"] = check_scaleup(table, wd).to_json_dict()
         return payload
 
-    if command == "decompose":
-        wvec = tuple(int(x) for x in args.weights.split(","))
-        exponents = tuple(int(x) for x in args.exponents.split(","))
-        wd = WeightData(tuple(Fraction(w) for w in wvec), t_weight=Fraction(args.tweight))
-        prefix, factors, bounds = decompose_semiinvariant(exponents, wd)
+    if command in ("decompose", "invariants"):
+        wd = WeightData(tuple(map(Fraction, _integers(args, "weights"))), t_weight=Fraction(args.tweight))
+        if command == "invariants":
+            return {"generators": [list(g) for g in invariant_generators(wd, args.cap)]}
+        prefix, factors, bounds = decompose_semiinvariant(_integers(args, "exponents"), wd)
         return {
             "prefix": list(prefix),
             "factors": [list(f) for f in factors],
             "bounds": {"C": list(bounds.C), "D": bounds.D, "m": bounds.m, "w": bounds.w},
         }
-
-    if command == "invariants":
-        wvec = tuple(int(x) for x in args.weights.split(","))
-        wd = WeightData(tuple(Fraction(w) for w in wvec), t_weight=Fraction(args.tweight))
-        gens = invariant_generators(wd, args.cap)
-        return {"generators": [list(g) for g in gens]}
 
     if command == "rotate":
         parts = [float(x) for x in args.target.split(",")]

@@ -10,27 +10,25 @@ minimal-weight initial forms); the fiber at t = 1 is the original variety.
 flatness_witness reads t-torsion off one grevlex basis with t last.
 
 weighted_initial_ideal computes that central fiber without the t-family, for
-any positive weights, irrational ones included.  It homogenizes a
-degree-compatible Groebner basis with a fresh variable h, recomputes a reduced
-basis for the order refined by the positive vector (c - w_1, ..., c - w_l, c)
-with c = max floor(w_i) + 1, and reads off minimal-weight forms after setting
-h = 1.  (Refining by the weight directly, max-first, is not sound for the
-minimal convention: <y - x^2, y^2> with weights (1, 1) has initial ideal
-<y, x^4>, while the max-refined reduced basis only shows <y>.)
+any positive weights, irrational ones included: it homogenizes a grevlex basis
+with a fresh variable h, computes the reduced basis for the global order
+refined by (c - w_1, ..., c - w_l, c), c = max floor(w_i) + 1, and reads off
+minimal-weight forms at h = 1.  (Refining by the weight directly, max-first, is
+not sound for the minimal convention: <y - x^2, y^2> with weights (1, 1) has
+initial ideal <y, x^4>, while the max-refined reduced basis only shows <y>.)
 
-stable_initial_ideal gives an irrational weight xi its family: the t-family
-along the first Dirichlet approximant, at thresholds 1/N, 1/2N, ..., whose
-central fiber has the same reduced basis as in_xi(I).  That equality of exact
-reduced bases is the certificate that the rational family degenerates to the
-cone of xi.
+stable_initial_ideal gives an irrational xi its family along the first positive
+integer vector of xi's Groebner cone (read off the same refined basis) in its
+rational span, certified by a central fiber with the reduced basis of in_xi(I).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, count, islice
 
-from .diophantine import ReebVector, dirichlet_approximant
+from .diophantine import ReebVector, rational_matrix_rank
 from .errors import ArityError, InhomogeneousError, SearchExhaustedError
 from .exactnum import ExactScalar
 from .groebner import GroebnerBasis, IdealPresentation, reduced_basis, revlex_basis, saturate_by_variable
@@ -214,26 +212,26 @@ def _series_numerator(gens: list[Monomial], wvec: tuple[int, ...], cap: int) -> 
 # -- the independent initial-ideal oracle ------------------------------------------
 
 H_NAME = "_h"
+CONE_CANDIDATES = 10**5  # integer vectors stable_initial_ideal tries before it gives up
 
 
 def weighted_initial_ideal(ideal: IdealPresentation, wd: WeightData,
                            max_steps: int | None = None) -> IdealPresentation:
-    """Minimal-weight initial ideal computed without the t-family.
+    """Minimal-weight initial ideal without the t-family, by the route above."""
+    return _initial_basis(ideal, wd, max_steps)[0]
 
-    Route: reduced grevlex basis -> homogenize with h -> reduced basis for the
-    order refined by the positive weights (c - w_i, c) -> set h = 1 and take
-    minimal-weight initial forms.  Valid for any positive weights: with
-    c = max floor(w_i) + 1 every refining weight is positive, so the order is
-    global, and the proof for the h-homogenized order holds for real weights.
-    """
+
+def _initial_basis(ideal: IdealPresentation, wd: WeightData,
+                   max_steps: int | None) -> tuple[IdealPresentation, list[Polynomial]]:
+    """in_w(I), and the refined reduced basis with h = 1 (empty for <0> and <1>)."""
     wvec = wd.weights
     if len(wvec) != len(ideal.ring):
         raise ArityError("weights do not match ring")
     if not ideal.generators:
-        return IdealPresentation(ideal.ring, ())
+        return IdealPresentation(ideal.ring, ()), []
     base = reduced_basis(ideal, max_steps=max_steps)
     if any(g.total_degree() == 0 for g in base.elements):
-        return IdealPresentation(ideal.ring, (Polynomial.constant(ideal.ring, 1),))
+        return IdealPresentation(ideal.ring, (Polynomial.constant(ideal.ring, 1),)), []
     big_ring = ideal.ring + (H_NAME,)
     homogenized = []
     for g in base.elements:
@@ -244,38 +242,41 @@ def weighted_initial_ideal(ideal: IdealPresentation, wd: WeightData,
     refined = TermOrder(len(big_ring), weights=tuple(c - w for w in wvec) + (c,))
     basis = reduced_basis(IdealPresentation(big_ring, tuple(homogenized)), refined, max_steps)
     h_index = len(big_ring) - 1
-    forms = []
-    for b in basis.elements:
-        flat = b.set_variable(h_index, 1).drop_variable(h_index)
-        forms.append(initial_form(flat, wd))
-    canonical = reduced_basis(IdealPresentation(ideal.ring, tuple(forms)))
-    return IdealPresentation(ideal.ring, canonical.elements)
+    flats = [b.set_variable(h_index, 1).drop_variable(h_index) for b in basis.elements]
+    canonical = reduced_basis(IdealPresentation(ideal.ring, tuple(initial_form(f, wd) for f in flats)))
+    return IdealPresentation(ideal.ring, canonical.elements), flats
 
 
-def stable_initial_ideal(ideal: IdealPresentation, xi: tuple[ExactScalar, ...], N: int, cap: int,
+def stable_initial_ideal(ideal: IdealPresentation, xi: tuple[ExactScalar, ...],
                          max_steps: int | None = None) -> TestConfiguration:
     """The family of an irrational weight vector, certified exact.
 
-    in_xi(I) comes once from weighted_initial_ideal.  The family is the
-    t-family along the first Dirichlet approximant (denominator <= cap) at the
-    thresholds 1/N, 1/2N, 1/4N, ..., whose central fiber has the same reduced
-    basis; that equality is the certificate.  SearchExhaustedError names the
-    last threshold tried when the cap runs out first.
+    For each f of the refined basis, a a term of in_xi(f), the rows
+    (m - a).w > 0 for the terms m of f outside in_xi(f) and the span test cut
+    out the Groebner cone of xi, where in_w(I) = in_xi(I) (Sturmfels, Groebner
+    Bases and Convex Polytopes, Prop. 2.3): the span keeps every rational
+    relation of xi, so every tie (m - a).xi = 0 inside in_xi(f).  w runs by
+    entry sum, then lexicographically.
     """
-    vector = ReebVector(tuple(xi))
-    target = weighted_initial_ideal(ideal, WeightData(vector.entries), max_steps).generators
-    last = None
-    while N <= cap:
-        last = N
-        try:
-            report = dirichlet_approximant(vector, N, cap)
-        except SearchExhaustedError:
+    wd = WeightData(tuple(xi))
+    target, flats = _initial_basis(ideal, wd, max_steps)
+    greater = []
+    for f in flats:
+        lead = initial_form(f, wd).terms
+        a = next(iter(lead))
+        greater += [tuple(x - y for x, y in zip(m, a)) for m in f.terms if m not in lead]
+    span = [list(col) for col in zip(*ReebVector(wd.weights).coordinate_rows())]
+    rank = rational_matrix_rank(span)
+    candidates = (tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
+                  for total in count(len(xi)) for cuts in combinations(range(1, total), len(xi) - 1))
+    for w in islice(candidates, CONE_CANDIDATES):
+        if (all(sum(map(int.__mul__, r, w)) > 0 for r in greater)
+                and rational_matrix_rank(span + [list(w)]) == rank):
             break
-        tc = build_test_configuration(ideal, report.w_tilde, max_steps)
-        if central_fiber(tc).generators == target:
-            return tc
-        N *= 2
-    reach = f"last threshold tried 1/{last}" if last else f"N = {N} exceeds the cap"
-    raise SearchExhaustedError(
-        f"no Dirichlet approximant with denominator <= {cap} has the central fiber "
-        f"<{', '.join(map(str, target))}> ({reach})")
+    else:
+        raise SearchExhaustedError(f"none of the first {CONE_CANDIDATES} positive integer weights (entry "
+                                   f"sum up to {sum(w)}) lies in the Groebner cone and rational span of xi")
+    tc = build_test_configuration(ideal, w, max_steps)
+    if central_fiber(tc) != target:
+        raise ArithmeticError(f"the family along {w} does not degenerate to in_xi(I)")
+    return tc

@@ -238,13 +238,15 @@ def _monoid_solutions(wvec: tuple[int, ...], w: int, cap: int) -> list[tuple[int
 
 
 def invariant_generators(wd: WeightData, cap: int) -> list[Monomial]:
-    """Generators (up to t-degree cap) of the monoid of invariant monomials.
+    """Generators (up to t-degree cap >= 1) of the monoid of invariant monomials.
 
     Solutions of sum(a_i w_i) = b*w that are not sums of two smaller
-    solutions, together with the distinguished invariants x_i^w t^{w_i}
-    (kept even when they factor, since the decomposition routine divides
-    by exactly these).
+    solutions, together with the distinguished invariants x_i^w t^{w_i},
+    which are always included, whatever their t-degree (and even when they
+    factor, since the decomposition routine divides by exactly these).
     """
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, not {cap}")
     wvec = wd.integer_weights()
     if wd.t_weight is None:
         raise ValueError("a t-weight is required")

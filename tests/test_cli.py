@@ -150,6 +150,28 @@ class TestExitCodes:
         assert code == 0, err
         assert json.loads(out)["contains_input"] is True
 
+    @pytest.mark.parametrize("resolution", ["0", "1", "-3"])
+    def test_resolution_below_two_is_two(self, resolution):
+        code, out, err = run_cli("cone", "--weights", "s", "--field", "quad:2",
+                                 "--resolution", resolution)
+        assert (code, out, err) == (2, "", "error: resolution must be at least 2\n")
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_invariants_cap_below_one_is_two(self, cap):
+        code, out, err = run_cli("invariants", "--weights", "1,2", "--tweight", "3", "--cap", cap)
+        assert (code, out, err) == (2, "", f"error: cap must be at least 1, not {cap}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("decompose", "--weights", "1,a", "--tweight", "1", "--exponents", "2,0,1"),
+         "--weights entry 'a' is not an integer"),
+        (("decompose", "--weights", "1,1", "--tweight", "1", "--exponents", "2, 1.5,1"),
+         "--exponents entry '1.5' is not an integer"),
+        (("invariants", "--weights", "2,,1", "--tweight", "1"),
+         "--weights entry '' is not an integer"),
+    ])
+    def test_bad_integer_list_entry_is_named(self, argv, message):
+        assert run_cli(*argv) == (2, "", f"error: {message}\n")
+
     def test_success_is_zero(self):
         code, out, _ = run_cli("rank", "--weights", "1, s, 1+s", "--field", "quad:2")
         assert code == 0
@@ -209,6 +231,10 @@ def _reuse_sequence(tmp_path):
         (("invariants", "--weights", "1,1", "--tweight", "0"), 2),
         (("rank", "--weights", "1, 2", "--field", "quad:4"), 2),
         (("initial-ideal", "--input", str(tmp_path / "missing.txt")), 2),
+        (("cone", "--weights", "s", "--field", "quad:2", "--resolution", "0"), 2),
+        (("invariants", "--weights", "1,2", "--tweight", "3", "--cap", "0"), 2),
+        (("decompose", "--weights", "1,a", "--tweight", "1", "--exponents", "2,0,1"), 2),
+        (("fiber", "--input", str(a1d), "--N", "16"), 1),
         (("rank", "--weights", "2,2"), 0),
         (("demo", "a1"), 0),
     ]
@@ -373,7 +399,8 @@ class TestDeterminism:
 
 
 # Three documents whose t-families need saturation: two with rational weights,
-# one with quadratic-irrational weights (routed through approximants).
+# one with quadratic-irrational weights (routed through the Groebner cone of
+# the weights, which gives the family along (3, 2)).
 GOLDEN_DOCUMENTS = {
     "r1": "field rational\nring x y\nweights 1 1\nideal\ny - x^2\ny^2\n",
     "r2": "field rational\nring x y z\nweights 1 2 3\nideal\nx*y - z + x^3*z\ny^2 - x*z - y^3\n",
@@ -400,12 +427,9 @@ GOLDEN_TESTCONFIG = {
         '"saturated":true,"schema":"conify/1","weights":["1","2","3"]}\n'
     ),
     "q1": (
-        '{"family":["y^4*t^7 - x*y^2","x^3*y^2*t^7 - x^4","x^6*t^6 + x^3*y^4*t^3 - '
-        'y^8","x^3*y^6*t^4 - y^10*t + x^7","y^10*t^4 - x^7*t^3 - x^4*y^4","y^14*t - '
-        'x^10*t^3 - 2*x^7*y^4","x^3*y^10*t^3 - 1/2*y^14 - 1/2*x^10*t^2","x^5*t^13 + '
-        'x^3*y^2*t^3 - y^6","y^18 - 2*x^13*t^5 - 3*x^10*y^4*t^2","x^4*t^20 + '
-        'x^2*y^2*t^10 - y^4","x^3*t^27 + x*y^2*t^17 - y^2"],"ring":["x","y","t"],'
-        '"saturated":true,"schema":"conify/1","weights":["17","12"]}\n'
+        '{"family":["y^4*t - x*y^2","x^3*y^2*t - x^4","x^3*t^5 + x*y^2*t^3 - y^2",'
+        '"x^4*t^4 + x^2*y^2*t^2 - y^4","x^5*t^3 - y^6 + x^4","y^8 - x^6*t^2 - x^4*y^2"],'
+        '"ring":["x","y","t"],"saturated":true,"schema":"conify/1","weights":["3","2"]}\n'
     ),
 }
 
@@ -427,20 +451,30 @@ class TestGoldenFamilies:
 MULTI_RADICAND_DOCUMENTS = {
     "sqrt2_sqrt3": "ring x y\nweights sqrt(2) sqrt(3)\nideal\ny^3 - x^2 + x*y^2\n",
     "sqrt2_1+sqrt3_sqrt5": "ring x y z\nweights sqrt(2) 1+sqrt(3) sqrt(5)\nideal\nx*y - z^2 + x^3\n",
+    "sqrt2_1+sqrt3_sqrt5_two_generators": ("ring x y z\nweights sqrt(2) 1+sqrt(3) sqrt(5)\nideal\n"
+                                           "x*y - z^2 + x^3\ny^2 - x*z\n"),
 }
 MULTI_RADICAND_STDOUT = {
     "sqrt2_sqrt3": {
         "initial-ideal": '{"central_fiber":["x^2"],"schema":"conify/1"}\n',
-        "testconfig": ('{"family":["y^3*t^97 + x*y^2*t^84 - x^2"],"ring":["x","y","t"],'
-                       '"saturated":true,"schema":"conify/1","weights":["58","71"]}\n'),
+        "testconfig": ('{"family":["x*y^2*t + y^3*t - x^2"],"ring":["x","y","t"],'
+                       '"saturated":true,"schema":"conify/1","weights":["1","1"]}\n'),
         "fiber": '{"at":"0","fiber":["x^2"],"schema":"conify/1"}\n',
         "flatness": '{"flat":true,"schema":"conify/1"}\n',
     },
     "sqrt2_1+sqrt3_sqrt5": {
         "initial-ideal": '{"central_fiber":["x*y"],"schema":"conify/1"}\n',
-        "testconfig": ('{"family":["z^2*t^40 - x^3*t^12 - x*y"],"ring":["x","y","z","t"],'
-                       '"saturated":true,"schema":"conify/1","weights":["174","336","275"]}\n'),
+        "testconfig": ('{"family":["x^3*t - z^2*t^2 + x*y"],"ring":["x","y","z","t"],'
+                       '"saturated":true,"schema":"conify/1","weights":["1","1","2"]}\n'),
         "fiber": '{"at":"0","fiber":["x*y"],"schema":"conify/1"}\n',
+        "flatness": '{"flat":true,"schema":"conify/1"}\n',
+    },
+    "sqrt2_1+sqrt3_sqrt5_two_generators": {
+        "initial-ideal": '{"central_fiber":["x*z","x*y","z^3"],"schema":"conify/1"}\n',
+        "testconfig": ('{"family":["x^3*t - z^2*t + x*y","y^2*t^4 - x*z","y^3*t^3 + x^3*z - z^3",'
+                       '"x^6*z - x*y^4*t^2 - 2*x^3*z^3 + z^5"],"ring":["x","y","z","t"],'
+                       '"saturated":true,"schema":"conify/1","weights":["4","7","6"]}\n'),
+        "fiber": '{"at":"0","fiber":["x*z","x*y","z^3"],"schema":"conify/1"}\n',
         "flatness": '{"flat":true,"schema":"conify/1"}\n',
     },
 }
@@ -451,8 +485,10 @@ class TestMultiRadicandDocuments:
     def test_family_subcommands_stdout(self, name, tmp_path):
         path = tmp_path / "doc.txt"
         path.write_text(MULTI_RADICAND_DOCUMENTS[name])
+        start = time.monotonic()
         for command, expected in MULTI_RADICAND_STDOUT[name].items():
             assert run_cli(command, "--input", str(path)) == (0, expected, ""), command
+        assert time.monotonic() - start < 10.0
 
 
 class TestCatalogue:

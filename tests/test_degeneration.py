@@ -1,11 +1,13 @@
 """Test configurations, fibers, flatness, graded dimensions, stability."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
+from conify import degeneration
 from conify.degeneration import (
     build_test_configuration,
     central_fiber,
@@ -15,6 +17,7 @@ from conify.degeneration import (
     stable_initial_ideal,
     weighted_initial_ideal,
 )
+from conify.diophantine import ReebVector, rational_matrix_rank
 from conify.errors import InhomogeneousError, SearchExhaustedError
 from conify.exactnum import ExactScalar
 from conify.groebner import IdealPresentation, ideals_equal, reduced_basis
@@ -235,28 +238,107 @@ class TestHilbert:
         assert hilbert_function(source, degree, 6) == hilbert_function(fiber, degree, 6)
 
 
+def in_span_homogeneous(fiber, xi):
+    """Whether every generator of fiber is homogeneous for each integer vector
+    of a basis of the rational span of xi (the columns of its coordinates):
+    the rank-r torus action on the central fiber."""
+    rows = ReebVector(tuple(xi)).coordinate_rows()
+    for column in zip(*rows):
+        scale = math.lcm(*(c.denominator for c in column))
+        u = [int(c * scale) for c in column]
+        for g in fiber.generators:
+            if len({sum(a * e for a, e in zip(u, m)) for m in g.terms}) > 1:
+                return False
+    return True
+
+
+def in_rational_span(w, xi):
+    columns = [list(c) for c in zip(*ReebVector(tuple(xi)).coordinate_rows())]
+    return rational_matrix_rank(columns + [list(w)]) == rational_matrix_rank(columns)
+
+
+# (sqrt2, 1 + sqrt3, sqrt5): the Groebner cone of xi has five strict rows.
+THREE_RADICANDS = (ExactScalar.root(2), ExactScalar(1, 1, 3), ExactScalar.root(5))
+
+
 class TestStableInitialIdeal:
     def test_homogeneous_input_is_stable_for_any_scaling(self):
         source = ideal(XYZ, "x*y - z^2")
-        tc = stable_initial_ideal(source, (R2, R2, R2), 16, 10**6)
+        tc = stable_initial_ideal(source, (R2, R2, R2))
         assert [str(g) for g in central_fiber(tc).generators] == ["x*y - z^2"]
+        assert tc.weights.integer_weights() == (1, 1, 1)
 
     def test_proportional_approximants(self):
         # weights proportional to (3, 2) scaled by an irrational unit
         xi = (ExactScalar.root(2, 3), ExactScalar.root(2, 2))
         source = ideal(("x", "y"), "x^2 - y^3 - y^4")
-        tc = stable_initial_ideal(source, xi, 16, 10**6)
+        tc = stable_initial_ideal(source, xi)
         assert [str(g) for g in central_fiber(tc).generators] == ["y^3 - x^2"]
+        assert tc.weights.integer_weights() == (3, 2)
         assert flatness_witness(tc)
 
-    def test_exhausted_cap_raises(self):
-        # x^3 and y^4 nearly tie: the approximant at N = 16, (4, 3) / 1, ties
-        # them; the certified one, at N = 32, has denominator 306
-        xi = (ExactScalar(Fraction(1, 2), 2, 3), ExactScalar(2, Fraction(3, 5), 3))
-        source = ideal(("x", "y"), "y^4 - x^3 - x*y^5")
-        with pytest.raises(SearchExhaustedError, match=r"<= 100 .*\(last threshold tried 1/32\)"):
-            stable_initial_ideal(source, xi, 16, 100)
-        with pytest.raises(SearchExhaustedError, match="N = 16 exceeds the cap"):
-            stable_initial_ideal(source, xi, 16, 10)
-        tc = stable_initial_ideal(source, xi, 16, 306)
-        assert tc.weights.integer_weights() == (1213, 930)
+    def test_exhausted_cap_raises(self, monkeypatch):
+        # (1, 3) is the fourth candidate: (1, 1), (1, 2), (2, 1), (1, 3)
+        source = ideal(("x", "y"), "y - x^2 + y^2")
+        xi = (R2, ExactScalar.of(3))
+        monkeypatch.setattr(degeneration, "CONE_CANDIDATES", 3)
+        with pytest.raises(SearchExhaustedError, match=r"first 3 positive integer weights \(entry sum up to 3\)"):
+            stable_initial_ideal(source, xi)
+        monkeypatch.setattr(degeneration, "CONE_CANDIDATES", 4)
+        assert stable_initial_ideal(source, xi).weights.integer_weights() == (1, 3)
+
+    def test_strict_rows_skip_the_tie(self):
+        # in_xi = x^2; the rows are y > x^2 and y^2 > x^2, i.e. w_y > 2 w_x.
+        # (1, 2) ties y with x^2, so a non-strict row would take it.
+        source = ideal(("x", "y"), "y - x^2 + y^2")
+        xi = (R2, ExactScalar.of(3))
+        tc = stable_initial_ideal(source, xi)
+        assert tc.weights.integer_weights() == (1, 3)
+        assert [str(g) for g in central_fiber(tc).generators] == ["x^2"]
+        tie = weighted_initial_ideal(source, wdata(1, 2))
+        assert [str(g) for g in tie.generators] == ["x^2 - y"]
+
+    def test_certificate_rejects_a_wrong_family(self, monkeypatch):
+        # a family along the tie (1, 2) has central fiber <x^2 - y>, not <x^2>
+        build = degeneration.build_test_configuration
+        monkeypatch.setattr(degeneration, "build_test_configuration",
+                            lambda source, w, max_steps=None: build(source, (1, 2), max_steps))
+        with pytest.raises(ArithmeticError, match=r"along \(1, 3\) does not degenerate"):
+            stable_initial_ideal(ideal(("x", "y"), "y - x^2 + y^2"), (R2, ExactScalar.of(3)))
+
+    def test_three_radicands_take_one_small_family(self):
+        source = ideal(XYZ, "x*y - z^2 + x^3", "y^2 - x*z")
+        tc = stable_initial_ideal(source, THREE_RADICANDS)
+        assert tc.weights.integer_weights() == (4, 7, 6)
+        fiber = central_fiber(tc)
+        assert [str(g) for g in fiber.generators] == ["x*z", "x*y", "z^3"]
+        assert fiber == weighted_initial_ideal(source, WeightData(THREE_RADICANDS))
+        assert flatness_witness(tc)
+        # every smaller weight of the same span gives another initial ideal
+        for total in range(3, 17):
+            for w in product(range(1, total), repeat=3):
+                if sum(w) == total:
+                    assert weighted_initial_ideal(source, wdata(*w)) != fiber, w
+
+    @pytest.mark.parametrize("text, expected", [
+        ("y - x^2 + y^2", (1, 2)),   # x^2 and y tie under xi and stay tied
+        ("y - x^3", (1, 2)),         # (1, 1) is in the cone but not in the span
+    ])
+    def test_tie_keeps_the_rational_relation(self, text, expected):
+        xi = (R2, ExactScalar.root(2, 2))
+        source = ideal(("x", "y"), text)
+        tc = stable_initial_ideal(source, xi)
+        assert tc.weights.integer_weights() == expected
+        assert central_fiber(tc) == weighted_initial_ideal(source, WeightData(xi))
+        assert in_rational_span(expected, xi)
+
+    @pytest.mark.parametrize("xi, texts", [
+        (THREE_RADICANDS, ("x*y - z^2 + x^3", "y^2 - x*z")),
+        ((R2, ExactScalar.root(2, 2), ExactScalar.root(3)), ("x^2 - y + z^2", "x*z - y*z + z^3")),
+        ((R2, R2 + 1, R2 + 2), ("x*y - z^2", "x^3 - y*z + x*y*z")),
+    ])
+    def test_central_fiber_carries_the_torus_of_xi(self, xi, texts):
+        source = ideal(XYZ, *texts)
+        tc = stable_initial_ideal(source, xi)
+        assert in_rational_span(tc.weights.integer_weights(), xi)
+        assert in_span_homogeneous(central_fiber(tc), xi)

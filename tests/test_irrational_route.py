@@ -1,10 +1,12 @@
 """The exact route for irrational weights, against the two-sample route it replaced.
 
 `initial-ideal` reads in_xi(I) off `weighted_initial_ideal`; `testconfig`,
-`fiber` and `flatness` take the family along the first Dirichlet approximant
-whose central fiber has that reduced basis (`stable_initial_ideal`).  The
-replaced route accepted any fiber two approximants agreed on; it is kept here
-as the oracle of a differential test.
+`fiber` and `flatness` take the family along the least integer vector of the
+Groebner cone of xi in its rational span (`stable_initial_ideal`).  The
+replaced route accepted any fiber two Dirichlet approximants agreed on; it is
+kept here as the oracle of a differential test on central fibers and
+flatness.  The families themselves differ from the oracle's by design: they
+are along smaller weights.
 """
 
 import io
@@ -15,9 +17,15 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 from conify.cli import main, render
-from conify.degeneration import build_test_configuration, central_fiber, flatness_witness
+from conify.degeneration import (
+    build_test_configuration,
+    central_fiber,
+    flatness_witness,
+    weighted_initial_ideal,
+)
 from conify.diophantine import ReebVector, default_box_cone, dirichlet_approximant
 from conify.inputdoc import parse_input
+from test_degeneration import in_rational_span, in_span_homogeneous
 
 # (1/2 + 2 sqrt3, 2 + 3/5 sqrt3) ~ (3.964, 3.039): x^3 and y^4 nearly tie, and
 # the N = 16 approximant (4, 3) ties them exactly.
@@ -37,12 +45,12 @@ class TwoSamplesDisagree(Exception):
 
 
 def two_sample_outputs(text, N=16, cap=10**6):
-    """stdout of the four family subcommands under the replaced route.
+    """stdout of initial-ideal, fiber and flatness under the replaced route.
 
     Degenerate along the Dirichlet approximant at N and along a second one,
     doubling its threshold until the two differ; both must lie in the reference
-    box around the weights, and their central fibers must agree.  The family
-    printed is the first approximant's, built once more."""
+    box around the weights, and their central fibers must agree.  The fiber
+    and flatness printed are those of the first approximant's family."""
     doc = parse_input(text)
     ideal = doc.ideal()
     vector = ReebVector(doc.weights)
@@ -64,12 +72,6 @@ def two_sample_outputs(text, N=16, cap=10**6):
     tc = build_test_configuration(ideal, first.w_tilde)
     payloads = {
         "initial-ideal": {"central_fiber": [str(g) for g in fibers[0].generators]},
-        "testconfig": {
-            "family": [str(g) for g in tc.family],
-            "ring": list(tc.ring),
-            "weights": [str(w) for w in tc.weights.weights],
-            "saturated": True,
-        },
         "fiber": {"at": "0", "fiber": [str(g) for g in central_fiber(tc).generators]},
         "flatness": {"flat": flatness_witness(tc)},
     }
@@ -116,9 +118,12 @@ def near_tie_documents(seed, count, radicands=((2,), (3,), (5,), (7,))):
 
 
 def differential(docs, tmp_path):
-    """Run the four family subcommands on each document and compare them, byte
-    for byte, with the two-sample route wherever its two samples agree.
-    Returns the counts of documents where they agreed and disagreed."""
+    """Run the four family subcommands on each document.  Compare initial-ideal,
+    fiber and flatness byte for byte with the two-sample route wherever its two
+    samples agree; check that the testconfig weights lie in the rational span
+    of the document's weights and that the central fiber is homogeneous for
+    every vector of that span.  Returns the counts of documents where the
+    two samples agreed and disagreed."""
     agreed = disagreed = 0
     for i, text in enumerate(docs):
         path = tmp_path / f"doc{i}.txt"
@@ -128,6 +133,11 @@ def differential(docs, tmp_path):
             code, out, err = run_cli(command, "--input", str(path))
             assert code == 0, (text, command, err)
             outputs[command] = out
+        doc = parse_input(text)
+        weights = tuple(int(w) for w in json.loads(outputs.pop("testconfig"))["weights"])
+        assert in_rational_span(weights, doc.weights), text
+        fiber = weighted_initial_ideal(doc.ideal(), doc.weight_data())
+        assert in_span_homogeneous(fiber, doc.weights), text
         try:
             expected = two_sample_outputs(text)
         except TwoSamplesDisagree:
@@ -140,6 +150,8 @@ def differential(docs, tmp_path):
 
 class TestNearTieDocument:
     def test_every_subcommand_finds_the_certified_family(self, tmp_path):
+        # the N = 16 approximant (4, 3) ties x^3 and y^4; the Groebner cone of
+        # xi holds (1, 1), where y^4 stays heavier than x^3
         path = tmp_path / "near_tie.txt"
         path.write_text(NEAR_TIE)
         code, out, err = run_cli("initial-ideal", "--input", str(path))
@@ -150,18 +162,17 @@ class TestNearTieDocument:
         assert (code, json.loads(out)["flat"]) == (0, True), err
         code, out, err = run_cli("testconfig", "--input", str(path))
         assert code == 0, err
-        assert json.loads(out)["weights"] == ["1213", "930"]
+        assert json.loads(out)["weights"] == ["1", "1"]
 
-    def test_cap_below_the_certified_approximant_exits_2(self, tmp_path):
-        # the N = 16 approximant, (4, 3) / 1, is tried and rejected; the one at
-        # N = 32 has denominator 306
+    def test_removed_threshold_options_are_usage_errors(self, tmp_path):
+        # the family subcommands search no approximants, so --N and --cap are gone
         path = tmp_path / "near_tie.txt"
         path.write_text(NEAR_TIE)
         for command in ("testconfig", "fiber", "flatness"):
-            code, out, err = run_cli(command, "--input", str(path), "--cap", "100")
-            assert (code, out) == (2, "")
-            assert err == ("error: no Dirichlet approximant with denominator <= 100 has the "
-                           "central fiber <x^3> (last threshold tried 1/32)\n")
+            for option, value in (("--N", "16"), ("--cap", "100")):
+                code, out, err = run_cli(command, "--input", str(path), option, value)
+                assert (code, out) == (1, "")
+                assert err.startswith(f"usage error: unrecognized arguments: {option} {value}\n")
 
 
 class TestTwoSampleDifferential:

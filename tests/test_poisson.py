@@ -161,6 +161,17 @@ class TestInvariantGenerators:
         wd = WeightData((Fraction(1), Fraction(1)), t_weight=Fraction(1))
         assert invariant_generators(wd, 3) == [(0, 1, 1), (1, 0, 1)]
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_raises(self, cap):
+        wd = WeightData((Fraction(1), Fraction(2)), t_weight=Fraction(3))
+        with pytest.raises(ValueError, match="cap must be at least 1"):
+            invariant_generators(wd, cap)
+
+    def test_prescribed_invariants_exceed_the_cap(self):
+        # x_2^3 t^2 has t-degree 2 > cap but is always included
+        wd = WeightData((Fraction(1), Fraction(2)), t_weight=Fraction(3))
+        assert invariant_generators(wd, 1) == [(1, 1, 1), (3, 0, 1), (0, 3, 2)]
+
     def test_single_weight_two(self):
         wd = WeightData((Fraction(2),), t_weight=Fraction(1))
         assert invariant_generators(wd, 4) == [(1, 2)]
