@@ -17,9 +17,9 @@ minimal-weight forms at h = 1.  (Refining by the weight directly, max-first, is
 not sound for the minimal convention: <y - x^2, y^2> with weights (1, 1) has
 initial ideal <y, x^4>, while the max-refined reduced basis only shows <y>.)
 
-stable_initial_ideal gives an irrational xi its family along the first positive
-integer vector of xi's Groebner cone (read off the same refined basis) in its
-rational span, certified by a central fiber with the reduced basis of in_xi(I).
+stable_initial_ideal gives an irrational xi its family along the first integer
+point of xi's rational span in the Groebner cone of xi (read off the same
+refined basis), certified by a central fiber with the reduced basis of in_xi(I).
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count, islice
+from math import gcd
 
-from .diophantine import ReebVector, rational_matrix_rank
-from .errors import ArityError, InhomogeneousError, SearchExhaustedError
+from .diophantine import ReebVector, _gauss_jordan
+from .errors import ArityError, CertificateError, InhomogeneousError, SearchExhaustedError
 from .exactnum import ExactScalar
 from .groebner import GroebnerBasis, IdealPresentation, reduced_basis, revlex_basis, saturate_by_variable
 from .polyring import (
@@ -66,14 +67,9 @@ class TestConfiguration:
 
 
 def _homogenize_by_t(g: Polynomial, big_ring: tuple[str, ...], wvec: tuple[int, ...]) -> Polynomial:
-    weights = {}
-    for mono in g.terms:
-        weights[mono] = sum(w * e for w, e in zip(wvec, mono))
+    weights = {mono: sum(w * e for w, e in zip(wvec, mono)) for mono in g.terms}
     m = min(weights.values())
-    out = {}
-    for mono, coeff in g.terms.items():
-        out[mono + (weights[mono] - m,)] = coeff
-    return Polynomial(big_ring, out)
+    return Polynomial(big_ring, {mono + (weights[mono] - m,): c for mono, c in g.terms.items()})
 
 
 def build_test_configuration(ideal: IdealPresentation, wvec: tuple[int, ...],
@@ -96,12 +92,9 @@ def build_test_configuration(ideal: IdealPresentation, wvec: tuple[int, ...],
 def _fiber(tc: TestConfiguration, t_value: int) -> IdealPresentation:
     """The reduced basis of the family with t set to t_value, in the z-ring."""
     t_index = len(tc.ring) - 1
-    gens = []
-    for g in tc.family:
-        h = g.set_variable(t_index, t_value)
-        if not h.is_zero():
-            gens.append(h.drop_variable(t_index))
-    basis = reduced_basis(IdealPresentation(tc.z_ring(), tuple(gens)))
+    fibers = (g.set_variable(t_index, t_value) for g in tc.family)
+    gens = tuple(h.drop_variable(t_index) for h in fibers if not h.is_zero())
+    basis = reduced_basis(IdealPresentation(tc.z_ring(), gens))
     return IdealPresentation(basis.ring, basis.elements)
 
 
@@ -212,7 +205,7 @@ def _series_numerator(gens: list[Monomial], wvec: tuple[int, ...], cap: int) -> 
 # -- the independent initial-ideal oracle ------------------------------------------
 
 H_NAME = "_h"
-CONE_CANDIDATES = 10**5  # integer vectors stable_initial_ideal tries before it gives up
+CONE_CANDIDATES = 10**5  # span points stable_initial_ideal tries before it gives up
 
 
 def weighted_initial_ideal(ideal: IdealPresentation, wd: WeightData,
@@ -252,11 +245,12 @@ def stable_initial_ideal(ideal: IdealPresentation, xi: tuple[ExactScalar, ...],
     """The family of an irrational weight vector, certified exact.
 
     For each f of the refined basis, a a term of in_xi(f), the rows
-    (m - a).w > 0 for the terms m of f outside in_xi(f) and the span test cut
-    out the Groebner cone of xi, where in_w(I) = in_xi(I) (Sturmfels, Groebner
-    Bases and Convex Polytopes, Prop. 2.3): the span keeps every rational
-    relation of xi, so every tie (m - a).xi = 0 inside in_xi(f).  w runs by
-    entry sum, then lexicographically.
+    (m - a).w > 0 for the terms m of f outside in_xi(f) cut the Groebner cone of
+    xi, where in_w(I) = in_xi(I) (Sturmfels, Groebner Bases and Convex Polytopes,
+    Prop. 2.3), out of xi's rational span, which keeps every tie (m - a).xi = 0
+    inside in_xi(f).  w runs over lam.B, B the integer echelon basis of the span
+    and lam > 0 by coordinate sum, then lexicographically, so the reach depends
+    on the rank of xi alone.
     """
     wd = WeightData(tuple(xi))
     target, flats = _initial_basis(ideal, wd, max_steps)
@@ -265,18 +259,20 @@ def stable_initial_ideal(ideal: IdealPresentation, xi: tuple[ExactScalar, ...],
         lead = initial_form(f, wd).terms
         a = next(iter(lead))
         greater += [tuple(x - y for x, y in zip(m, a)) for m in f.terms if m not in lead]
-    span = [list(col) for col in zip(*ReebVector(wd.weights).coordinate_rows())]
-    rank = rational_matrix_rank(span)
-    candidates = (tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
-                  for total in count(len(xi)) for cuts in combinations(range(1, total), len(xi) - 1))
-    for w in islice(candidates, CONE_CANDIDATES):
-        if (all(sum(map(int.__mul__, r, w)) > 0 for r in greater)
-                and rational_matrix_rank(span + [list(w)]) == rank):
+    basis = [list(col) for col in zip(*ReebVector(wd.weights).coordinate_rows())]
+    pivots, d = _gauss_jordan(basis, len(xi))
+    basis = [[x if d > 0 else -x for x in row] for row in basis[:len(pivots)]]
+    lams = (tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,))) for total in count(len(pivots))
+            for cuts in combinations(range(1, total), len(pivots) - 1))
+    for lam in islice(lams, CONE_CANDIDATES):
+        w = [sum(map(int.__mul__, lam, col)) for col in zip(*basis)]
+        if min(w) > 0 and all(sum(map(int.__mul__, row, w)) > 0 for row in greater):
             break
     else:
-        raise SearchExhaustedError(f"none of the first {CONE_CANDIDATES} positive integer weights (entry "
-                                   f"sum up to {sum(w)}) lies in the Groebner cone and rational span of xi")
+        raise SearchExhaustedError(f"none of the first {CONE_CANDIDATES} integer points of the rational span of "
+                                   f"xi (coordinate sum up to {sum(lam)}) lies in its Groebner cone")
+    w = tuple(x // gcd(*w) for x in w)
     tc = build_test_configuration(ideal, w, max_steps)
     if central_fiber(tc) != target:
-        raise ArithmeticError(f"the family along {w} does not degenerate to in_xi(I)")
+        raise CertificateError(f"the family along {w} does not degenerate to in_xi(I)")
     return tc

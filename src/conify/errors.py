@@ -31,6 +31,10 @@ class SearchExhaustedError(ConifyError):
     """A bounded exhaustive search ran out of budget before succeeding."""
 
 
+class CertificateError(ConifyError):
+    """An exact certificate of a computed result failed to verify."""
+
+
 class OutsideConeError(ConifyError):
     """Every candidate approximant within the cap fell outside the reference cone."""
 

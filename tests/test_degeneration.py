@@ -18,13 +18,14 @@ from conify.degeneration import (
     weighted_initial_ideal,
 )
 from conify.diophantine import ReebVector, rational_matrix_rank
-from conify.errors import InhomogeneousError, SearchExhaustedError
+from conify.errors import CertificateError, InhomogeneousError, SearchExhaustedError
 from conify.exactnum import ExactScalar
 from conify.groebner import IdealPresentation, ideals_equal, reduced_basis
 from conify.polyring import Polynomial, TermOrder, WeightData, parse_polynomial
 from test_acceptance import _degeneration_cases
 
 R2 = ExactScalar.root(2)
+R3 = ExactScalar.root(3)
 XYZ = ("x", "y", "z")
 
 
@@ -282,7 +283,7 @@ class TestStableInitialIdeal:
         source = ideal(("x", "y"), "y - x^2 + y^2")
         xi = (R2, ExactScalar.of(3))
         monkeypatch.setattr(degeneration, "CONE_CANDIDATES", 3)
-        with pytest.raises(SearchExhaustedError, match=r"first 3 positive integer weights \(entry sum up to 3\)"):
+        with pytest.raises(SearchExhaustedError, match=r"first 3 integer points .* \(coordinate sum up to 3\)"):
             stable_initial_ideal(source, xi)
         monkeypatch.setattr(degeneration, "CONE_CANDIDATES", 4)
         assert stable_initial_ideal(source, xi).weights.integer_weights() == (1, 3)
@@ -303,7 +304,7 @@ class TestStableInitialIdeal:
         build = degeneration.build_test_configuration
         monkeypatch.setattr(degeneration, "build_test_configuration",
                             lambda source, w, max_steps=None: build(source, (1, 2), max_steps))
-        with pytest.raises(ArithmeticError, match=r"along \(1, 3\) does not degenerate"):
+        with pytest.raises(CertificateError, match=r"along \(1, 3\) does not degenerate"):
             stable_initial_ideal(ideal(("x", "y"), "y - x^2 + y^2"), (R2, ExactScalar.of(3)))
 
     def test_three_radicands_take_one_small_family(self):
@@ -331,6 +332,24 @@ class TestStableInitialIdeal:
         assert tc.weights.integer_weights() == expected
         assert central_fiber(tc) == weighted_initial_ideal(source, WeightData(xi))
         assert in_rational_span(expected, xi)
+
+    @pytest.mark.parametrize("xi, texts, expected", [
+        # rank 1 in three variables: the one ray of the span, at entry sum 87
+        (tuple(ExactScalar.root(2, c) for c in (50, 30, 7)), ("x - y*z^3 + y^2",), (50, 30, 7)),
+        # rank 2 in three variables: y^4, x^5 and z^6, y^11 nearly tie, and
+        # no vector of the span with entry sum below 98 is in the cone
+        ((R2, R3, R2 + R3), ("y^4 - x^5 + z^3", "z^6 - y^11 + x^14"), (22, 27, 49)),
+        # the fraction-free echelon basis of this span ends with a negative pivot
+        ((R2 + 1, R2 + 2, R3), ("y - x^2 + y^2", "z^2 - x*y"), (2, 1, 1)),
+        # (1, 1, 0) meets every row, but the span also holds nonpositive vectors
+        ((R2, R3, R3 - R2), ("y - x^2 + y^2",), (2, 3, 1)),
+    ])
+    def test_search_runs_over_the_span(self, xi, texts, expected):
+        source = ideal(XYZ, *texts)
+        tc = stable_initial_ideal(source, xi)
+        assert tc.weights.integer_weights() == expected
+        assert central_fiber(tc) == weighted_initial_ideal(source, WeightData(xi))
+        assert flatness_witness(tc)
 
     @pytest.mark.parametrize("xi, texts", [
         (THREE_RADICANDS, ("x*y - z^2 + x^3", "y^2 - x*z")),

@@ -1,8 +1,8 @@
 """The exact route for irrational weights, against the two-sample route it replaced.
 
 `initial-ideal` reads in_xi(I) off `weighted_initial_ideal`; `testconfig`,
-`fiber` and `flatness` take the family along the least integer vector of the
-Groebner cone of xi in its rational span (`stable_initial_ideal`).  The
+`fiber` and `flatness` take the family along the first integer point of xi's
+rational span in the Groebner cone of xi (`stable_initial_ideal`).  The
 replaced route accepted any fiber two Dirichlet approximants agreed on; it is
 kept here as the oracle of a differential test on central fibers and
 flatness.  The families themselves differ from the oracle's by design: they
@@ -16,6 +16,7 @@ import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
+from conify import degeneration
 from conify.cli import main, render
 from conify.degeneration import (
     build_test_configuration,
@@ -174,6 +175,31 @@ class TestNearTieDocument:
                 assert (code, out) == (1, "")
                 assert err.startswith(f"usage error: unrecognized arguments: {option} {value}\n")
 
+    def test_search_exhaustion_exits_2(self, tmp_path, monkeypatch):
+        # (1, 3) is the fourth candidate: (1, 1), (1, 2), (2, 1), (1, 3)
+        path = tmp_path / "tie.txt"
+        path.write_text("ring x y\nweights sqrt(2) 3\nideal\ny - x^2 + y^2\n")
+        monkeypatch.setattr(degeneration, "CONE_CANDIDATES", 3)
+        for command in ("testconfig", "fiber", "flatness"):
+            assert run_cli(command, "--input", str(path)) == (2, "", (
+                "error: none of the first 3 integer points of the rational span of xi "
+                "(coordinate sum up to 3) lies in its Groebner cone\n"))
+
+
+class TestThreeVariableNearTie:
+    def test_every_subcommand_finds_the_certified_family(self, tmp_path):
+        # y^4, x^5 and z^6, y^11 nearly tie along a rank-2 span; the fiber and
+        # flatness are those of the replaced route
+        path = tmp_path / "near_tie_3.txt"
+        path.write_text("ring x y z\nweights sqrt(2) sqrt(3) sqrt(2)+sqrt(3)\n"
+                        "ideal\ny^4 - x^5 + z^3\nz^6 - y^11 + x^14\n")
+        expected = {"initial-ideal": '{"central_fiber":["y^4","z^6"],"schema":"conify/1"}\n',
+                    "fiber": '{"at":"0","fiber":["y^4","z^6"],"schema":"conify/1"}\n',
+                    "flatness": '{"flat":true,"schema":"conify/1"}\n'}
+        for command, out in expected.items():
+            assert run_cli(command, "--input", str(path)) == (0, out, "")
+        code, out, err = run_cli("testconfig", "--input", str(path))
+        assert (code, json.loads(out)["weights"]) == (0, ["22", "27", "49"]), err
 
 class TestTwoSampleDifferential:
     def test_near_tie_documents(self, tmp_path):
