@@ -193,6 +193,10 @@ def _family_payload(doc: InputDocument):
 
 def run(args) -> dict:
     command = args.command
+    for option, low in (("n", 1), ("N", 2)):    # before anything is derived from them
+        value = getattr(args, option, None)
+        if value is not None and value < low:
+            raise ConifyError(f"--{option} must be at least {low}, not {value}")
 
     if command == "initial-ideal":
         doc = _read_document(args.input)

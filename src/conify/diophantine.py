@@ -98,6 +98,8 @@ class ReebVector:
             raise ValueError("weight vector must be nonempty")
         if any(e.sign() <= 0 for e in entries):
             raise ValueError("all weights must be positive")
+        if self.n is not None and self.n < 1:
+            raise ValueError(f"ambient dimension n must be at least 1, not {self.n}")
         object.__setattr__(self, "entries", entries)
 
     def __len__(self):
@@ -219,14 +221,13 @@ def default_N(v: ReebVector) -> int:
 
 def _candidate(v: ReebVector, D: int, N: int) -> ApproximantReport | None:
     bound = Fraction(1, N)
-    w_tilde = []
-    errors = []
+    w_tilde, errors = [], []
     for w in v.entries:
-        scaled = w * D
-        nearest = scaled.nearest_int()
-        if nearest < 1:
+        nearest = (w.floor(2 * D) + 1) // 2
+        # w*D*N is irrational, so |w*D - nearest| < 1/N iff this holds of its floor
+        if nearest < 1 or (w.terms and not nearest * N - 1 <= w.floor(D * N) <= nearest * N):
             return None
-        err = abs(scaled - nearest)
+        err = abs(w * D - nearest)
         if not err < bound:
             return None
         w_tilde.append(nearest)
@@ -280,23 +281,20 @@ def verify_perturbation_bound(report: ApproximantReport, p: int, eps_prime) -> b
     """Exact check that the scaled perturbation stays below eps_prime.
 
     Requires the approximation errors to respect 1/N, the threshold bound
-    p/(N * min w_i) < eps_prime/2, and the actual relative error bound
-    p * D * max_i |w_i - w'_i| / w_i < eps_prime/2.  Any sufficiently small
-    tau-exponent slack then fits in the remaining half.
+    p/(N * min w_i) < eps_prime/2, and the relative error bound p * D *
+    max_i |w_i - w'_i| / w_i < eps_prime/2 (p >= 0), both multiplied out as w_i > 0.
+    Any sufficiently small tau-exponent slack then fits in the remaining half.
     """
     v = report.xi
     if v is None:
         raise ValueError("report does not retain its weight vector")
-    eps_prime = Fraction(eps_prime)
-    half = ExactScalar.of(eps_prime / 2)
+    half = Fraction(eps_prime) / 2
     bound = Fraction(1, report.N)
     if not all(e < bound for e in report.errors):
         return False
-    threshold = ExactScalar.of(p) / (report.N * v.min_entry())
-    if not threshold < half:
+    if not p < half * report.N * v.min_entry():
         return False
-    relative = max((e / w for e, w in zip(report.errors, v.entries)), default=ExactScalar.of(0))
-    return ExactScalar.of(p) * relative < half
+    return all(p * e < half * w for e, w in zip(report.errors, v.entries))
 
 
 # -- cones ---------------------------------------------------------------------------

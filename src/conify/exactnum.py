@@ -2,10 +2,10 @@
 
 A scalar is a + sum(c_k * sqrt(k)) with rational a and c_k over distinct
 squarefree radicands k >= 2.  Rationals have no radicand terms, and scalars
-over different radicands combine freely.  Every decision is exact: the sign
-of a + b*sqrt(d) compares a^2 with b^2*d, the sign of a scalar with several
-radicands removes one prime per squaring (combo_sign), and floors come from
-integer square roots.  No floating point enters any decision.
+over different radicands combine freely.  Every decision is exact and runs on
+integer coordinates: floors and signs bracket R*times*x between integers by
+integer square roots (signs at times = 2^64), and only a sign whose bracket
+holds 0 goes to the exact fallback combo_sign.  No floating point is used.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .errors import ParseError
 RationalLike = int | Fraction
 
 _ZERO = Fraction(0)
-_HALF = Fraction(1, 2)
 _set = object.__setattr__
 
 
@@ -177,19 +176,16 @@ class ExactScalar:
     # -- exact order -------------------------------------------------------
 
     def sign(self) -> int:
-        """Sign of the real number, in {-1, 0, +1}."""
-        a, terms = self.a, self.terms
-        sa = (a > 0) - (a < 0)
-        if not terms:
-            return sa
-        if len(terms) > 1:
-            return combo_sign(self)
-        (d, b), = terms
-        sb = (b > 0) - (b < 0)
-        if sa == 0 or sa == sb:
-            return sb
-        # opposite signs: |a| vs |b|*sqrt(d) by squaring, never equal for squarefree d
-        return sa if a * a > b * b * d else sb
+        """Sign, in {-1, 0, +1}: +1 if lo >= 0 and -1 if lo + t <= 0 for the bracket of
+        2^64*self; only a bracket that holds 0 goes to the exact fallback combo_sign."""
+        if not self.terms:
+            return (self.a > 0) - (self.a < 0)
+        lo, _ = self._bracket(1 << 64)
+        if lo >= 0:
+            return 1
+        if lo + len(self.terms) <= 0:
+            return -1
+        return combo_sign(self)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -218,22 +214,27 @@ class ExactScalar:
 
     # -- integer bracketing (no floats) -------------------------------------
 
+    def _bracket(self, times: int) -> tuple[int, int]:
+        """(lo, R) with R*times*self strictly inside (lo, lo + t) for t radicands: over
+        the common denominator R > 0, times*self = (P + sum(Q_k*sqrt(k))) / R, and
+        lo = P + sum(floor(Q_k*sqrt(k))), each irrational Q_k*sqrt(k) floored by isqrt."""
+        a, terms = self.a, self.terms
+        R = lcm(a.denominator, *(c.denominator for _, c in terms))
+        lo = a.numerator * (R // a.denominator) * times
+        for k, c in terms:
+            Q = c.numerator * (R // c.denominator) * times
+            root = isqrt(Q * Q * k)
+            lo += root if Q > 0 else -root - 1
+        return lo, R
+
     def floor(self, times: int = 1) -> int:
-        """floor(times * self) for every integer times, without forming the product:
-        floor((times*P + sum(times*Q_k*sqrt(k))) / R) over the common denominator R."""
+        """floor(times * self) for every integer times, without forming the product."""
         a, terms = self.a, self.terms
         if not terms or not times:
             return a.numerator * times // a.denominator
-        R = lcm(a.denominator, *(c.denominator for _, c in terms))
-        s = 0
-        for k, c in terms:
-            Q = c.numerator * (R // c.denominator) * times
-            root = isqrt(Q * Q * k)    # Q*sqrt(k) is irrational: floor is root or -root-1
-            s += root if Q > 0 else -root - 1
-        P = a.numerator * (R // a.denominator) * times
-        n = (P + s) // R
-        # the t fractional parts sum to less than t, so floor(sum Q_k*sqrt(k)) <= s + t - 1
-        top = (P + s + len(terms) - 1) // R
+        lo, R = self._bracket(times)
+        n = lo // R
+        top = (lo + len(terms) - 1) // R    # R*times*self < lo + t
         # times*x - top has the sign of times * sign(x - top/times)
         while top > n and (self - Fraction(top, times)).sign() * times < 0:
             top -= 1
@@ -243,8 +244,8 @@ class ExactScalar:
         return -(-self).floor()
 
     def nearest_int(self) -> int:
-        """Nearest integer, ties rounded up."""
-        return (self + _HALF).floor()
+        """Nearest integer, ties rounded up: floor(self + 1/2)."""
+        return (self.floor(2) + 1) // 2
 
     def __float__(self) -> float:
         return float(self.a) + sum(float(c) * k**0.5 for k, c in self.terms)
@@ -276,18 +277,15 @@ class ExactScalar:
 
 
 def combo_sign(x: ExactScalar) -> int:
-    """Exact sign of a scalar; ExactScalar.sign calls it for two or more radicands.
+    """Exact sign of a scalar, the fallback of ExactScalar.sign near 0.
 
     With p the least prime of the first radicand, x = A + sqrt(p)*C where
     neither A nor C has a radicand divisible by p.  When A and C have opposite
     signs, sign(x) = sign(A) * sign(A^2 - p*C^2), and A^2 - p*C^2 =
     x * conj_p(x): each squaring eliminates one prime.
     """
-    signs = {c > 0 for _, c in x.terms}
-    if x.a:
-        signs.add(x.a > 0)
-    if len(signs) < 2:
-        return (1 if signs.pop() else -1) if signs else 0
+    if not x.terms:
+        return x.sign()
     p = _least_prime(x.terms[0][0])
     sa = _make(x.a, tuple(t for t in x.terms if t[0] % p)).sign()
     cofactor = {k // p: c for k, c in x.terms if k % p == 0}

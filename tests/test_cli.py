@@ -156,6 +156,19 @@ class TestExitCodes:
                                  "--resolution", resolution)
         assert (code, out, err) == (2, "", "error: resolution must be at least 2\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (("approximate", "--n", "0"), "--n must be at least 1, not 0"),
+        (("approximate", "--N", "1"), "--N must be at least 2, not 1"),
+        (("approximate", "--n", "-2", "--N", "9"), "--n must be at least 1, not -2"),
+        (("cone", "--N", "0"), "--N must be at least 2, not 0"),
+        (("cone", "--N", "-5", "--resolution", "40"), "--N must be at least 2, not -5"),
+        (("cone", "--n", "0"), "--n must be at least 1, not 0"),
+    ])
+    @pytest.mark.parametrize("weights", ["sqrt(2), 1", "1, 2"])
+    def test_threshold_option_below_its_bound_is_named(self, argv, message, weights):
+        # checked before N, n or the resolution derive anything, rational weights included
+        assert run_cli(*argv, "--weights", weights) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_invariants_cap_below_one_is_two(self, cap):
         code, out, err = run_cli("invariants", "--weights", "1,2", "--tweight", "3", "--cap", cap)

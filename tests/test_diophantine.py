@@ -8,7 +8,9 @@ from itertools import combinations, product
 
 import pytest
 
+from conify import diophantine
 from conify.diophantine import (
+    ApproximantReport,
     BoxCone,
     ConeDescription,
     ReebVector,
@@ -296,6 +298,11 @@ class TestDefaultN:
         with pytest.raises(ValueError):
             default_N(vec(R2))
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_dimension_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match=f"ambient dimension n must be at least 1, not {n}"):
+            vec(R2, n=n)
+
 
 class TestNiceApproximant:
     def test_rational_is_its_own_approximant(self):
@@ -330,6 +337,110 @@ class TestNiceApproximant:
         assert verify_perturbation_bound(report, 2, Fraction(2, 2))
         # an absurdly small budget fails
         assert not verify_perturbation_bound(report, 2, Fraction(1, 100))
+
+
+def reference_candidate(v, D, N):
+    """_candidate before the floor shortcut: forms w*D, rounds w*D + 1/2, and
+    decides every entry by the error |w*D - nearest| itself."""
+    bound = Fraction(1, N)
+    w_tilde = []
+    errors = []
+    for w in v.entries:
+        scaled = w * D
+        nearest = (scaled + Fraction(1, 2)).floor()
+        if nearest < 1:
+            return None
+        err = abs(scaled - nearest)
+        if not err < bound:
+            return None
+        w_tilde.append(nearest)
+        errors.append(err)
+    return ApproximantReport(D, tuple(w_tilde), N, tuple(errors), nice=False, xi=v)
+
+
+def reference_perturbation_bound(report, p, eps_prime):
+    """verify_perturbation_bound before multiplying out: divides by N*min w and by each w_i."""
+    v = report.xi
+    eps_prime = Fraction(eps_prime)
+    half = ExactScalar.of(eps_prime / 2)
+    bound = Fraction(1, report.N)
+    if not all(e < bound for e in report.errors):
+        return False
+    threshold = ExactScalar.of(p) / (report.N * v.min_entry())
+    if not threshold < half:
+        return False
+    relative = max((e / w for e, w in zip(report.errors, v.entries)), default=ExactScalar.of(0))
+    return ExactScalar.of(p) * relative < half
+
+
+def random_weight(rng):
+    """A positive entry: rational, one radicand, or two or three radicands."""
+    while True:
+        kind = rng.randrange(4)
+        if kind == 0:
+            return ExactScalar.of(Fraction(rng.randint(1, 40), rng.randint(1, 12)))
+        coords = {1: Fraction(rng.randint(-4, 6), rng.randint(1, 5))}
+        for k in rng.sample([2, 3, 5, 6, 7, 30], kind):
+            coords[k] = Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 5))
+        w = ExactScalar.from_coordinates(coords)
+        if w.sign() > 0 and w > Fraction(1, 3):
+            return w
+
+
+def search_outcomes(vectors):
+    """Every Dirichlet and nice search result over the vectors, with its errors."""
+    out = []
+    for v in vectors:
+        for N in (2, 5, 13):
+            for search, kwargs in ((dirichlet_approximant, {"N": N, "cap": 4 * N}),
+                                   (nice_approximant, {"N": N, "cap": 400})):
+                try:
+                    report = search(v, **kwargs)
+                except (SearchExhaustedError, OutsideConeError) as exc:
+                    out.append((type(exc), str(exc)))
+                else:
+                    out.append((report.to_json_dict(), report.errors, report))
+    return out
+
+
+class TestCandidateDifferential:
+    """The floor-shortcut _candidate and the multiplied-out perturbation bound
+    against the product-forming bodies kept above."""
+
+    @staticmethod
+    def vectors():
+        rng = random.Random(59)
+        vectors = [ReebVector(tuple(random_weight(rng) for _ in range(rng.randint(1, 3))))
+                   for _ in range(40)]
+        # w*D*N an exact integer: at D = 3, N = 4 the error of 7/12 is exactly 1/N
+        vectors += [vec(Fraction(7, 12)), vec(Fraction(7, 12), R2), vec(Fraction(5, 4), 1 + R3),
+                    vec(Fraction(1, 2), R2 + R3), vec(R2 - 1, Fraction(9, 10), 2 - R3)]
+        return vectors
+
+    def test_reports_match(self, monkeypatch):
+        vectors = self.vectors()
+        new = search_outcomes(vectors)
+        with monkeypatch.context() as m:
+            m.setattr(diophantine, "_candidate", reference_candidate)
+            old = search_outcomes(vectors)
+        assert [o[:2] for o in new] == [o[:2] for o in old]
+        reports = [o[2] for o in new if len(o) == 3]
+        assert any(r.nice for r in reports) and any(not r.nice for r in reports)
+        assert any(r.xi.is_rational() for r in reports)
+        assert any(len({k for e in r.xi.entries for k, _ in e.terms}) >= 2 for r in reports)
+
+    def test_perturbation_bound_matches(self):
+        seen = set()
+        for outcome in search_outcomes(self.vectors()[::3]):
+            if len(outcome) < 3:
+                continue
+            report = outcome[2]
+            for p in (0, 1, 2, 5):
+                for eps in (Fraction(1, 100), Fraction(1, 2), Fraction(2), Fraction(12)):
+                    got = verify_perturbation_bound(report, p, eps)
+                    assert got == reference_perturbation_bound(report, p, eps)
+                    seen.add(got)
+        assert seen == {True, False}
 
 
 class TestCornerSearch:

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from conify import exactnum
 from conify.errors import ParseError
 from conify.exactnum import ExactScalar, parse_scalar, sign
 
@@ -29,9 +30,9 @@ def rand_multi(rng):
     return ExactScalar.from_coordinates(coords)
 
 
-def decimal_value(x: ExactScalar) -> Decimal:
+def decimal_value(x: ExactScalar, prec: int = 60) -> Decimal:
     with localcontext() as ctx:
-        ctx.prec = 60
+        ctx.prec = prec
         total = Decimal(x.a.numerator) / x.a.denominator
         for k, c in x.terms:
             total += Decimal(c.numerator) / c.denominator * Decimal(k).sqrt()
@@ -65,6 +66,150 @@ class TestSign:
             q = rand_scalar(rng)
             if abs(float(p) - float(q)) > 1e-6:
                 assert (p < q) == (float(p) < float(q))
+
+
+def reference_sign(x: ExactScalar) -> int:
+    """ExactScalar.sign before the integer filter, kept as the oracle: one radicand
+    compares a^2 with b^2*d, several go to reference_combo_sign's squarings."""
+    a, terms = x.a, x.terms
+    sa = (a > 0) - (a < 0)
+    if not terms:
+        return sa
+    if len(terms) > 1:
+        return reference_combo_sign(x)
+    (d, b), = terms
+    sb = (b > 0) - (b < 0)
+    if sa == 0 or sa == sb:
+        return sb
+    return sa if a * a > b * b * d else sb
+
+
+def reference_combo_sign(x: ExactScalar) -> int:
+    """combo_sign before the integer filter: x = A + sqrt(p)*C, one prime per squaring."""
+    signs = {c > 0 for _, c in x.terms}
+    if x.a:
+        signs.add(x.a > 0)
+    if len(signs) < 2:
+        return (1 if signs.pop() else -1) if signs else 0
+    k0 = x.terms[0][0]
+    p = next(q for q in range(2, k0 + 1) if k0 % q == 0)
+    sa = reference_sign(ExactScalar.from_coordinates(
+        {1: x.a, **{k: c for k, c in x.terms if k % p}}))
+    sb = reference_sign(ExactScalar.from_coordinates(
+        {k // p: c for k, c in x.terms if k % p == 0}))
+    if sa * sb >= 0:
+        return sa or sb
+    conj = ExactScalar.from_coordinates(
+        {1: x.a, **{k: -c if k % p == 0 else c for k, c in x.terms}})
+    return sa * reference_sign(x * conj)
+
+
+def sqrt_convergents(d: int, count: int) -> list[tuple[int, int]]:
+    """Convergents p/q of sqrt(d), from its periodic continued fraction in integers."""
+    a0 = math.isqrt(d)
+    m, den, a = 0, 1, a0
+    p0, q0, p1, q1 = 1, 0, a0, 1
+    out = []
+    for _ in range(count):
+        m = den * a - m
+        den = (d - m * m) // den
+        a = (a0 + m) // den
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        out.append((p1, q1))
+    return out
+
+
+def convergents(x: ExactScalar, qmin: int, qmax: int) -> list[Fraction]:
+    """Continued-fraction convergents p/q of x with qmin < q < qmax (120-digit value)."""
+    v = Fraction(decimal_value(x, prec=120))
+    h0, k0, h1, k1 = 0, 1, 1, 0
+    out = []
+    while k1 < qmax:
+        a = math.floor(v)
+        h0, k0, h1, k1 = h1, k1, a * h1 + h0, a * k1 + k0
+        if qmin < k1 < qmax:
+            out.append(Fraction(h1, k1))
+        v = 1 / (v - a)
+    return out
+
+
+ALPHAS = [R2 + R3,
+          parse_scalar("sqrt(2) + sqrt(3) + sqrt(5)"),
+          parse_scalar("sqrt(5) + sqrt(6) - sqrt(7) + 3*sqrt(30)"),
+          parse_scalar("1/3*sqrt(2) - 2/7*sqrt(3) + sqrt(5)")]
+
+
+def near_zero_cases() -> list[ExactScalar]:
+    """Irrational values within 10^-30 of 0 whose filter bracket must hold 0."""
+    pell = [ExactScalar.of(p) - ExactScalar.root(2, q)
+            for p, q in sqrt_convergents(2, 100) if q > 10**31][:6]
+    cases = [x * R3 for x in pell] + [x * ExactScalar.root(5, 7) for x in pell]
+    cases += [(ExactScalar.of(p) - ExactScalar.root(3, q)) * pell[0]
+              for p, q in sqrt_convergents(3, 120) if q > 10**31][:4]
+    for alpha in ALPHAS:
+        cases += [alpha - r for r in convergents(alpha, 2**64, 10**40)[:4]]
+        cases += [r - alpha for r in convergents(alpha, 2**64, 10**40)[:2]]
+    return cases
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Every scalar that ExactScalar.sign hands to the exact fallback combo_sign."""
+    calls = []
+    original = exactnum.combo_sign
+
+    def spy(x):
+        calls.append(x)
+        return original(x)
+
+    monkeypatch.setattr(exactnum, "combo_sign", spy)
+    return calls
+
+
+class TestFilteredSign:
+    """ExactScalar.sign's integer filter against the squaring oracle kept above."""
+
+    def test_random_scalars_with_one_to_four_radicands(self):
+        rng = random.Random(43)
+        for _ in range(400):
+            x, y = rand_multi(rng), rand_multi(rng)
+            for z in (x, -x, x - y, x * y, x.a - x, ExactScalar.of(x.a)):
+                assert z.sign() == reference_sign(z), z
+
+    def test_near_zero_values_fall_back(self, fallbacks):
+        cases = near_zero_cases()
+        assert len(cases) == 40
+        for x in cases:
+            assert len(x.terms) >= 2
+            assert abs(decimal_value(x, prec=200)) < Decimal("1e-30")
+            fallbacks.clear()
+            assert x.sign() == reference_sign(x), x
+            assert fallbacks and fallbacks[0] == x
+        assert {x.sign() for x in cases} == {-1, 1}
+
+    def test_one_radicand_bracket_is_the_exact_floor(self, fallbacks):
+        # for one radicand the bracket is (floor, floor + 1) of an irrational, which
+        # holds no integer: even values within 10^-30 of 0 are decided without squaring
+        cases = []
+        for d in (2, 3, 7, 30):
+            for p, q in [pq for pq in sqrt_convergents(d, 200) if pq[1] > 10**31][:6]:
+                cases += [ExactScalar.of(p) - ExactScalar.root(d, q),
+                          ExactScalar.root(d, q) - p]
+        assert {x.sign() for x in cases} == {-1, 1}
+        for x in cases:
+            assert abs(decimal_value(x, prec=200)) < Decimal("1e-30")
+            assert x.sign() == reference_sign(x), x
+        assert fallbacks == []
+
+    def test_values_beyond_the_bracket_width_decide_without_fallback(self, fallbacks):
+        # a convergent p/q with q < 2^30 leaves |x| < 1/q^2, close enough to 0 for
+        # some brackets at times = 1 to hold 0, yet far beyond t/(R*2^64)
+        cases = [s * (alpha - r) for alpha in ALPHAS
+                 for r in convergents(alpha, 10**3, 2**30) for s in (1, -1)]
+        assert len(cases) == 84
+        for x in cases:
+            assert x.sign() == reference_sign(x), x
+        assert fallbacks == []
 
 
 class TestFieldOps:
