@@ -6,10 +6,13 @@ off one grevlex basis with that variable last (`revlex_basis`).
 Pairs are taken smallest lcm first (the normal strategy) and filtered once,
 when an element is inserted, by the Gebauer-Moller update (Becker and
 Weispfenning, *Groebner Bases*, 5.5): criteria M, F and B, and retirement of
-the elements whose leading monomial the new one divides.  S-polynomials reduce
-on term dicts against the remaining active set, a minimal basis whose
-interreduction is the result.  All results are unique reduced bases sorted by
-leading monomial, so equal ideals compare equal.
+the elements whose leading monomial the new one divides.  S-polynomials are
+pseudo-reduced (Greuel and Pfister, *A Singular Introduction to Commutative
+Algebra*, ch. 1) on primitive integer term dicts against the remaining active
+set, a minimal basis whose interreduction is the result.  A Fraction is made
+only where a result leaves the kernel, by dividing out the reduction's scale.
+All results are unique reduced bases sorted by leading monomial, so equal
+ideals compare equal.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm as int_lcm
 from operator import add, le, sub
 
 from .errors import ArityError, BudgetExceededError
@@ -66,11 +70,11 @@ class GroebnerBasis:
         return len(self.elements)
 
     def leading_monomials(self) -> list[Monomial]:
-        return [lm for lm, _ in self.reducers]
+        return [r[0] for r in self.reducers]
 
     @cached_property
     def reducers(self) -> list[Reducer]:
-        return [_reducer(g.terms, self.order.key) for g in self.elements]
+        return [_reducer(_integral(g.terms)[0], self.order.key) for g in self.elements]
 
     def contains(self, f: Polynomial) -> bool:
         return normal_form(f, self).is_zero()
@@ -79,38 +83,54 @@ class GroebnerBasis:
         return "{" + ", ".join(str(g) for g in self.elements) + "}"
 
 
-# -- reduction on term dicts -----------------------------------------------------
+# -- reduction on integer term dicts ------------------------------------------
 
-Reducer = tuple[Monomial, list[tuple[Monomial, Fraction]]]
+Reducer = tuple[Monomial, int, list[tuple[Monomial, int]]]
 
 
-def _reducer(terms: dict[Monomial, Fraction], key) -> Reducer:
-    """A polynomial made monic, as (leading monomial, tail)."""
+def _integral(terms: dict[Monomial, Fraction]) -> tuple[dict[Monomial, int], int]:
+    """(d * terms, d) for d > 0 the lcm of the denominators."""
+    d = int_lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (d // c.denominator) for m, c in terms.items()}, d
+
+
+def _reducer(terms: dict[Monomial, int], key) -> Reducer:
+    """The primitive part with a positive lead, as (leading monomial, lc, tail)."""
     lm = max(terms, key=key)
-    lc = terms[lm]
-    if lc == 1:
-        return lm, [(m, c) for m, c in terms.items() if m != lm]
-    return lm, [(m, c / lc) for m, c in terms.items() if m != lm]
+    content = gcd(*terms.values()) if terms[lm] > 0 else -gcd(*terms.values())
+    return lm, terms[lm] // content, [(m, c // content) for m, c in terms.items() if m != lm]
 
 
-def _reduce(work: dict[Monomial, Fraction], reducers: list[Reducer], key,
-            quotients: list[dict] | None = None) -> dict[Monomial, Fraction]:
-    """Fully reduce the terms in `work` (consumed) and return the remainder.
+def _reduce(work: dict[Monomial, int], reducers: list[Reducer], key,
+            quotients: list[dict] | None = None) -> tuple[dict[Monomial, int], int]:
+    """Fully pseudo-reduce the terms in `work` (consumed); return (r, s), s > 0
+    and r = s * the remainder over Q.
 
     Terms are taken largest first from a key-sorted pending list; a term that
     cancels stays in `work` with coefficient 0 until its turn.  The first
-    reducer whose leading monomial divides the term is used; if `quotients`
-    is given, quotients[i] records the multiples of reducer i subtracted."""
+    reducer whose lead divides the term c is used: with g = gcd(c, lc), work
+    and remainder are multiplied by lc/g and c/g times its shifted tail is
+    subtracted; quotients[i], if given, records the terms it cancels over Q."""
     pending = sorted(work, key=key)
     remainder = {}
+    scale = 1
     while pending:
         m = pending.pop()
         c = work.pop(m)
         if not c:
             continue
-        for i, (lm, tail) in enumerate(reducers):
+        for i, (lm, lc, tail) in enumerate(reducers):
             if all(map(le, lm, m)):
                 factor = tuple(map(sub, m, lm))
+                if quotients is not None:
+                    quotients[i][factor] = Fraction(c, scale)
+                g = gcd(c, lc)
+                c, a = c // g, lc // g
+                if a != 1:
+                    scale *= a
+                    for part in (work, remainder):
+                        for m2 in part:
+                            part[m2] *= a
                 for m2, c2 in tail:
                     target = tuple(map(add, m2, factor))
                     value = work.get(target)
@@ -119,23 +139,23 @@ def _reduce(work: dict[Monomial, Fraction], reducers: list[Reducer], key,
                         insort(pending, target, key=key)
                     else:
                         work[target] = value - c * c2
-                if quotients is not None:
-                    quotients[i][factor] = c
                 break
         else:
             remainder[m] = c
-    return remainder
+    return remainder, scale
 
 
-def _spair(f: Reducer, g: Reducer, lcm: Monomial) -> dict[Monomial, Fraction]:
-    """The S-polynomial of two reducers as a term dict; the leads cancel."""
-    (lf, tf), (lg, tg) = f, g
+def _spair(f: Reducer, g: Reducer, lcm: Monomial) -> dict[Monomial, int]:
+    """The S-polynomial (lc_g/d) x^a f - (lc_f/d) x^b g, d = gcd(lc_f, lc_g)."""
+    (lf, cf, tf), (lg, cg, tg) = f, g
+    d = gcd(cf, cg)
+    af, ag = cg // d, cf // d
     sf, sg = tuple(map(sub, lcm, lf)), tuple(map(sub, lcm, lg))
-    work = {tuple(map(add, m, sf)): c for m, c in tf}
+    work = {tuple(map(add, m, sf)): af * c for m, c in tf}
     for m, c in tg:
         target = tuple(map(add, m, sg))
         value = work.get(target)
-        work[target] = -c if value is None else value - c
+        work[target] = -ag * c if value is None else value - ag * c
     return work
 
 
@@ -144,13 +164,14 @@ def division(f: Polynomial, divisors: list[Polynomial], order: TermOrder):
     divisible by any leading term of the divisors.  Returns (quotients, r)."""
     key = order.key
     live = [i for i, d in enumerate(divisors) if not d.is_zero()]
-    reducers = [_reducer(divisors[i].terms, key) for i in live]
+    reducers = [_reducer(_integral(divisors[i].terms)[0], key) for i in live]
     found: list[dict] = [{} for _ in live]
-    remainder = _reduce(dict(f.terms), reducers, key, found)
+    work, den = _integral(f.terms)
+    remainder, scale = _reduce(work, reducers, key, found)
     quotients = [Polynomial.zero(f.ring) for _ in divisors]
-    for i, (lm, _), q in zip(live, reducers, found):
-        quotients[i] = Polynomial(f.ring, {m: c / divisors[i].terms[lm] for m, c in q.items()})
-    return quotients, Polynomial(f.ring, remainder)
+    for i, (lm, _, _), q in zip(live, reducers, found):
+        quotients[i] = Polynomial(f.ring, {m: c / (den * divisors[i].terms[lm]) for m, c in q.items()})
+    return quotients, Polynomial(f.ring, {m: Fraction(c, den * scale) for m, c in remainder.items()})
 
 
 def normal_form(f: Polynomial, basis: GroebnerBasis) -> Polynomial:
@@ -159,7 +180,9 @@ def normal_form(f: Polynomial, basis: GroebnerBasis) -> Polynomial:
         raise ArityError(f"ring mismatch: {f.ring} vs {basis.ring}")
     if not basis.reducers:
         return f
-    return Polynomial(f.ring, _reduce(dict(f.terms), basis.reducers, basis.order.key))
+    work, den = _integral(f.terms)
+    remainder, scale = _reduce(work, basis.reducers, basis.order.key)
+    return Polynomial(f.ring, {m: Fraction(c, den * scale) for m, c in remainder.items()})
 
 
 def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
@@ -174,8 +197,9 @@ def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
 # -- Buchberger ----------------------------------------------------------------
 
 def spoly(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
-    rf, rg = _reducer(f.terms, order.key), _reducer(g.terms, order.key)
-    return Polynomial(f.ring, _spair(rf, rg, mono_lcm(rf[0], rg[0])))
+    rf, rg = _reducer(_integral(f.terms)[0], order.key), _reducer(_integral(g.terms)[0], order.key)
+    scale = Fraction(gcd(rf[1], rg[1]), rf[1] * rg[1])
+    return Polynomial(f.ring, {m: c * scale for m, c in _spair(rf, rg, mono_lcm(rf[0], rg[0])).items()})
 
 
 def _buchberger(gens: list[Polynomial], order: TermOrder, max_steps: int | None) -> list[Reducer]:
@@ -191,8 +215,8 @@ def _buchberger(gens: list[Polynomial], order: TermOrder, max_steps: int | None)
         """Add an element with the Gebauer-Moller update of pairs and active set."""
         nonlocal pairs, reducers, dropped
         h = len(elements)
-        lh, tail = _reducer(terms, key)
-        elements.append((lh, tail))
+        elements.append(_reducer(terms, key))
+        lh = elements[h][0]
         # criterion B: an old pair goes when lh divides its lcm properly
         old = []
         for pair in pairs:
@@ -226,7 +250,7 @@ def _buchberger(gens: list[Polynomial], order: TermOrder, max_steps: int | None)
             pairs.clear()   # the unit ideal
 
     for g in gens:
-        r = _reduce(dict(g.terms), reducers, key)
+        r, _ = _reduce(_integral(g.terms)[0], reducers, key)
         if r:
             insert(r)
     while pairs:
@@ -236,7 +260,7 @@ def _buchberger(gens: list[Polynomial], order: TermOrder, max_steps: int | None)
                 f"S-pair budget of {max_steps} exceeded: {reduced} pairs reduced, "
                 f"{dropped} dropped by the criteria, active basis of {len(active)}")
         reduced += 1
-        r = _reduce(_spair(elements[i], elements[j], lcm), reducers, key)
+        r, _ = _reduce(_spair(elements[i], elements[j], lcm), reducers, key)
         if r:
             insert(r)
     return reducers
@@ -248,9 +272,10 @@ def _interreduce(basis: list[Reducer], order: TermOrder, ring: tuple[str, ...]) 
     A tail term lies below its own lead, so no element reduces its own tail."""
     key = order.key
     out = []
-    for lm, tail in sorted(basis, key=lambda r: key(r[0])):
+    for lm, lc, tail in sorted(basis, key=lambda r: key(r[0])):
         terms = {lm: Fraction(1)}
-        terms.update(_reduce(dict(tail), basis, key))
+        remainder, scale = _reduce(dict(tail), basis, key)
+        terms.update((m, Fraction(c, lc * scale)) for m, c in remainder.items())
         out.append(Polynomial(ring, terms))
     return out
 
@@ -259,9 +284,11 @@ def reduced_basis(ideal: IdealPresentation, order: TermOrder | None = None,
                   max_steps: int | None = None) -> GroebnerBasis:
     """The unique reduced Groebner basis of the ideal for the order.
 
-    `max_steps` bounds the number of S-pairs reduced, counted after the
-    Gebauer-Moller criteria have dropped theirs; BudgetExceededError reports
-    the pairs reduced and dropped and the active basis size."""
+    `max_steps` >= 0 bounds the number of S-pairs reduced, counted after
+    the Gebauer-Moller criteria have dropped theirs; BudgetExceededError
+    reports the pairs reduced and dropped and the active basis size."""
+    if max_steps is not None and max_steps < 0:
+        raise ValueError(f"max_steps must be at least 0, not {max_steps}")
     order = order or TermOrder(len(ideal.ring))
     if order.nvars != len(ideal.ring):
         raise ArityError("order arity does not match ring")

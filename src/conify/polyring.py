@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import add, le
 from typing import Iterable, Iterator
 
 from .errors import ArityError, ParseError
@@ -27,16 +28,13 @@ Monomial = tuple[int, ...]
 # -- monomial helpers --------------------------------------------------------
 
 def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(a + b for a, b in zip(m1, m2))
+    return tuple(map(add, m1, m2))
 
 def mono_divides(m1: Monomial, m2: Monomial) -> bool:
-    return all(a <= b for a, b in zip(m1, m2))
+    return all(map(le, m1, m2))
 
 def mono_lcm(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(max(a, b) for a, b in zip(m1, m2))
-
-def mono_degree(m: Monomial) -> int:
-    return sum(m)
+    return tuple(map(max, m1, m2))
 
 
 def _grevlex_key(m: Monomial):
@@ -114,8 +112,8 @@ class Polynomial:
     def __post_init__(self):
         clean = {}
         for mono, coeff in self.terms.items():
-            coeff = Fraction(coeff)
-            if coeff == 0:
+            coeff = coeff if type(coeff) is Fraction else Fraction(coeff)
+            if not coeff:
                 continue
             if len(mono) != len(self.ring):
                 raise ArityError(f"monomial {mono} has wrong arity for ring {self.ring}")
@@ -207,7 +205,7 @@ class Polynomial:
         return Polynomial(self.ring, out)
 
     def total_degree(self) -> int:
-        return max((mono_degree(m) for m in self.terms), default=0)
+        return max(map(sum, self.terms), default=0)
 
     # order-dependent views
     def leading_monomial(self, order: TermOrder) -> Monomial:

@@ -74,6 +74,16 @@ class TestBuild:
         with pytest.raises(BudgetExceededError):
             build_test_configuration(hard, (1, 2, 3), max_steps=1)
 
+    def test_stress_budget_message(self):
+        # the N = 16 approximant family of the three-radicand document; the
+        # counters pin the pair trajectory of the saturation
+        from conify.errors import BudgetExceededError
+        source = ideal(XYZ, "x*y - z^2 + x^3", "y^2 - x*z")
+        with pytest.raises(BudgetExceededError) as info:
+            build_test_configuration(source, (174, 336, 275), max_steps=200)
+        assert str(info.value) == ("S-pair budget of 200 exceeded: 200 pairs reduced, "
+                                   "5216 dropped by the criteria, active basis of 106")
+
 
 class TestFibers:
     def test_central_fiber_drops_deformation(self):

@@ -7,6 +7,7 @@ multiples of generators stay in the ideal.
 
 import gc
 import random
+import time
 import weakref
 from fractions import Fraction
 from itertools import combinations
@@ -26,6 +27,7 @@ from conify.groebner import (
     spoly,
 )
 from conify.polyring import Polynomial, mono_divides, parse_polynomial
+from test_acceptance import _degeneration_cases
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -131,6 +133,19 @@ class TestReducedBasis:
         assert str(info.value) == ("S-pair budget of 2 exceeded: 2 pairs reduced, "
                                    "4 dropped by the criteria, active basis of 5")
 
+    @pytest.mark.parametrize("steps", [-1, -5])
+    def test_negative_budget_is_rejected(self, steps):
+        # a negative budget is no budget at all unless refused
+        source = ideal(XYZ, "x^4*y - z^2", "x*z^3 - y^3", "y^4 - x^2*z")
+        with pytest.raises(ValueError, match="max_steps must be at least 0"):
+            reduced_basis(source, max_steps=steps)
+        with pytest.raises(ValueError, match="max_steps must be at least 0"):
+            reduced_basis(ideal(XYZ), max_steps=steps)
+        with pytest.raises(ValueError, match="max_steps must be at least 0"):
+            saturate_by_variable(source, "z", max_steps=steps)
+        with pytest.raises(ValueError, match="max_steps must be at least 0"):
+            intersect(source, ideal(XYZ, "x - z"), max_steps=steps)
+
     def test_default_order_dies_with_its_basis(self):
         # the default order and its key memo are freed with the basis
         basis = reduced_basis(ideal(XYZ, "x^4*y - z^2", "x*z^3 - y^3"))
@@ -185,3 +200,31 @@ class TestQuotient:
     def test_intersection(self):
         meet = intersect(ideal(XY, "x"), ideal(XY, "y"))
         assert [str(g) for g in meet.generators] == ["x*y"]
+
+
+CASE_5_MEET = [
+    "x^2*y^3 - 2/3*x^2*z^3 - y^3*z + 2/3*z^4 + y^3 - 2/3*z^3",
+    "x^4*y + x^2*y^2*z - x^2*y*z - y^2*z^2 + x^2*y + y^2*z",
+    "x^6 - x^3*y*z^2 - x^4*z + x*y*z^3 + x^4 - x*y*z^2 - 2/3*x^2 + 2/3*z - 2/3",
+    "x^4*z^3 + x^2*y*z^4 - x^2*z^4 - y*z^5 + x^2*z^3 + y*z^4",
+    "x^3*y^2*z^2 - 2/3*x^2*z^5 - x*y^2*z^3 + 2/3*z^6 + x*y^2*z^2 - 2/3*z^5 + 2/3*x^2*y"
+    " - 2/3*y*z + 2/3*y",
+    "x^2*y*z^5 + x^2*z^6 - y*z^6 - z^7 + y*z^5 + z^6 - x^3*y - x^2*y^2 + x*y*z + y^2*z"
+    " - x*y - y^2",
+    "x^3*z^5 + x^2*z^6 - x*z^6 - z^7 + x*z^5 + z^6 - x^3*y + x*y*z - x*y",
+    "x^2*z^8 - z^9 + z^8 + 3/5*x^3*y^2*z - 3/5*x^3*y*z^2 - 3/5*x^2*y^2*z^2 - 2/5*x^3*z^3"
+    " - 2/5*x^2*y*z^3 + 2/5*x^2*z^4 - 3/5*x*y^2*z^2 + 3/5*x*y*z^3 + 3/5*y^2*z^3 + 2/5*x*z^4"
+    " + 2/5*y*z^4 - 2/5*z^5 + 3/5*x*y^2*z - 3/5*x*y*z^2 - 3/5*y^2*z^2 - 2/5*x*z^3"
+    " - 2/5*y*z^3 + 2/5*z^4",
+]
+
+
+def test_criterion_1_case_5_intersection():
+    # rational coefficient growth made this take 16 s with Fraction reducers
+    source, _ = _degeneration_cases()[5]
+    assert str(source) == "<3*x*y^3 - 2*x*z^3, -3*x^4 + 3*x*y*z^2 + 2, 2*x^3*y + 2*x*y^2*z>"
+    start = time.monotonic()
+    meet = intersect(source, ideal(XYZ, "x^2 - z + 1"))
+    elapsed = time.monotonic() - start
+    assert [str(g) for g in meet.generators] == CASE_5_MEET
+    assert elapsed < 8.0
