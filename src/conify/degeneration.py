@@ -92,8 +92,8 @@ def build_test_configuration(ideal: IdealPresentation, wvec: tuple[int, ...],
 def _fiber(tc: TestConfiguration, t_value: int) -> IdealPresentation:
     """The reduced basis of the family with t set to t_value, in the z-ring."""
     t_index = len(tc.ring) - 1
-    fibers = (g.set_variable(t_index, t_value) for g in tc.family)
-    gens = tuple(h.drop_variable(t_index) for h in fibers if not h.is_zero())
+    fibers = (g.evaluate(t_index, t_value) for g in tc.family)
+    gens = tuple(h for h in fibers if not h.is_zero())
     basis = reduced_basis(IdealPresentation(tc.z_ring(), gens))
     return IdealPresentation(basis.ring, basis.elements)
 
@@ -235,7 +235,7 @@ def _initial_basis(ideal: IdealPresentation, wd: WeightData,
     refined = TermOrder(len(big_ring), weights=tuple(c - w for w in wvec) + (c,))
     basis = reduced_basis(IdealPresentation(big_ring, tuple(homogenized)), refined, max_steps)
     h_index = len(big_ring) - 1
-    flats = [b.set_variable(h_index, 1).drop_variable(h_index) for b in basis.elements]
+    flats = [b.evaluate(h_index, 1) for b in basis.elements]
     canonical = reduced_basis(IdealPresentation(ideal.ring, tuple(initial_form(f, wd) for f in flats)))
     return IdealPresentation(ideal.ring, canonical.elements), flats
 

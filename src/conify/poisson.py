@@ -22,6 +22,7 @@ from .polyring import (
     Polynomial,
     WeightData,
     homogeneous_weight,
+    mono_mul,
 )
 
 
@@ -48,34 +49,29 @@ class PoissonTable:
                 raise ArityError(f"bad bracket index pair ({i}, {j})")
             if p.ring != self.ring:
                 raise ArityError("bracket polynomial lives in the wrong ring")
-            clean[(i, j)] = p if basis is None else normal_form(p, basis)
+            p = p if basis is None else normal_form(p, basis)
+            if not p.is_zero():
+                clean[(i, j)] = p
         object.__setattr__(self, "table", clean)
 
-    def pair(self, i: int, j: int) -> Polynomial:
-        """{z_i, z_j} with antisymmetry filled in."""
-        if i == j:
-            return Polynomial.zero(self.ring)
-        if i < j:
-            return self.table.get((i, j), Polynomial.zero(self.ring))
-        return -self.table.get((j, i), Polynomial.zero(self.ring))
-
     def bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
-        """{f, g} by the Leibniz rule through the coordinate table."""
-        out = Polynomial.zero(self.ring)
-        n = len(self.ring)
-        partials_f = [f.derivative(i) for i in range(n)]
-        partials_g = [g.derivative(j) for j in range(n)]
-        for i in range(n):
-            if partials_f[i].is_zero():
-                continue
-            for j in range(n):
-                if i == j or partials_g[j].is_zero():
+        """{f, g} = sum over i < j of p_ij (d_i f d_j g - d_j f d_i g)."""
+        if f.ring != self.ring or g.ring != self.ring:
+            raise ArityError("bracket argument lives in the wrong ring")
+        df = [f.derivative(k).terms for k in range(len(self.ring))]
+        dg = [g.derivative(k).terms for k in range(len(self.ring))]
+        out: dict[Monomial, Fraction] = {}
+        for (i, j), p in self.table.items():
+            for a, b, sign in ((df[i], dg[j], 1), (df[j], dg[i], -1)):
+                if not a or not b:
                     continue
-                p = self.pair(i, j)
-                if p.is_zero():
-                    continue
-                out = out + p * partials_f[i] * partials_g[j]
-        return out
+                for m1, c1 in p.terms.items():
+                    for m2, c2 in a.items():
+                        m12, c12 = mono_mul(m1, m2), sign * c1 * c2
+                        for m3, c3 in b.items():
+                            m = mono_mul(m12, m3)
+                            out[m] = out.get(m, 0) + c12 * c3
+        return Polynomial(self.ring, out)
 
     def quotient_basis(self) -> GroebnerBasis | None:
         """The grevlex reduced basis of the quotient ideal, computed once."""
@@ -88,10 +84,12 @@ def jacobi_defect(table: PoissonTable) -> dict[tuple[int, int, int], Polynomial]
     basis = table.quotient_basis()
     out = {}
     coords = [Polynomial.variable(ring, name) for name in ring]
+    zero = Polynomial.zero(ring)
     for i, j, k in combinations(range(len(ring)), 3):
-        total = (table.bracket(coords[i], table.pair(j, k))
-                 + table.bracket(coords[j], table.pair(k, i))
-                 + table.bracket(coords[k], table.pair(i, j)))
+        pij, pik, pjk = (table.table.get(key, zero) for key in ((i, j), (i, k), (j, k)))
+        # {z_j, {z_k, z_i}} = -{z_j, p_ik} by antisymmetry
+        total = (table.bracket(coords[i], pjk) - table.bracket(coords[j], pik)
+                 + table.bracket(coords[k], pij))
         if basis is not None:
             total = normal_form(total, basis)
         out[(i, j, k)] = total
@@ -117,21 +115,25 @@ def preserves_ideal(table: PoissonTable, ideal: IdealPresentation) -> bool:
     return True
 
 
-def bracket_weight(table: PoissonTable, wd: WeightData) -> ExactScalar | None:
-    """The common lambda with wt({z_i, z_j}) = w_i + w_j + lambda, if any."""
+def _common_weight(entries: dict[tuple[int, int], Polynomial], wd: WeightData,
+                   sign: int) -> ExactScalar | None:
+    """The common wt(p) + sign * (w_i + w_j) over the nonzero entries p at (i, j), if any."""
     value: ExactScalar | None = None
-    for (i, j), p in sorted(table.table.items()):
-        if p.is_zero():
-            continue
+    for (i, j), p in sorted(entries.items()):
         w = homogeneous_weight(p, wd)
         if w is None:
             return None
-        lam = w - wd.weights[i] - wd.weights[j]
+        lam = w + (wd.weights[i] + wd.weights[j]) * sign
         if value is None:
             value = lam
-        elif (lam - value).sign() != 0:
+        elif lam != value:
             return None
     return value
+
+
+def bracket_weight(table: PoissonTable, wd: WeightData) -> ExactScalar | None:
+    """The common lambda with wt({z_i, z_j}) = w_i + w_j + lambda, if any."""
+    return _common_weight(table.table, wd, -1)
 
 
 @dataclass(frozen=True)
@@ -156,17 +158,7 @@ class FormTable:
 
 def form_weight(form: FormTable, wd: WeightData) -> ExactScalar | None:
     """The common lambda with wt(c_ab) + w_a + w_b = lambda, if any."""
-    value: ExactScalar | None = None
-    for (a, b), p in sorted(form.coefficients.items()):
-        w = homogeneous_weight(p, wd)
-        if w is None:
-            return None
-        lam = w + wd.weights[a] + wd.weights[b]
-        if value is None:
-            value = lam
-        elif (lam - value).sign() != 0:
-            return None
-    return value
+    return _common_weight(form.coefficients, wd, 1)
 
 
 # -- scale-up deformation conditions ------------------------------------------------
@@ -308,6 +300,8 @@ def decompose_semiinvariant(mono: Monomial, wd: WeightData
     w = Fraction(wd.t_weight).numerator
     if len(mono) != len(wvec) + 1:
         raise ArityError("monomial arity must be weights plus one t-slot")
+    if any(e < 0 for e in mono):
+        raise ValueError(f"exponents must be nonnegative, got {list(mono)}")
     a = list(mono[:-1])
     b = mono[-1]
     m = sum(x * wi for x, wi in zip(a, wvec)) - b * w

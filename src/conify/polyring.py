@@ -138,10 +138,6 @@ class Polynomial:
         expo[idx] = 1
         return Polynomial(ring, {tuple(expo): Fraction(1)})
 
-    @staticmethod
-    def from_term(ring: Iterable[str], mono: Monomial, coeff) -> "Polynomial":
-        return Polynomial(tuple(ring), {tuple(mono): Fraction(coeff)})
-
     # structure
     def is_zero(self) -> bool:
         return not self.terms
@@ -225,20 +221,16 @@ class Polynomial:
         return iter(self.sorted_terms())
 
     # substitution helpers used by the degeneration machinery
-    def set_variable(self, var_index: int, value) -> "Polynomial":
-        """Substitute a rational constant for one variable (ring unchanged)."""
+    def evaluate(self, var_index: int, value) -> "Polynomial":
+        """Substitute a rational constant for one variable and drop it from the ring."""
         value = Fraction(value)
         out: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
-            e = m[var_index]
-            nm = list(m)
-            nm[var_index] = 0
-            coeff = c * value**e
-            if coeff == 0:
-                continue
-            key = tuple(nm)
-            out[key] = out.get(key, Fraction(0)) + coeff
-        return Polynomial(self.ring, out)
+            coeff = c * value ** m[var_index]
+            if coeff:
+                key = m[:var_index] + m[var_index + 1:]
+                out[key] = out.get(key, Fraction(0)) + coeff
+        return Polynomial(self.ring[:var_index] + self.ring[var_index + 1:], out)
 
     def drop_variable(self, var_index: int) -> "Polynomial":
         """Remove a variable that no term uses."""
@@ -416,6 +408,8 @@ def _tokenize(text: str, line: int | None):
                     k += 1
                 if k == j + 1:
                     raise ParseError("missing denominator", line, j + 1)
+                if not int(text[j + 1:k]):
+                    raise ParseError("zero denominator", line, col)
                 tokens.append(("num", Fraction(int(text[i:j]), int(text[j + 1:k])), col))
                 i = k
             else:
@@ -438,7 +432,7 @@ def parse_polynomial(text: str, ring: Iterable[str], line: int | None = None) ->
     tokens = _tokenize(text, line)
     if not tokens:
         raise ParseError("empty polynomial", line)
-    result = Polynomial.zero(ring)
+    terms: dict[Monomial, Fraction] = {}
     i = 0
     n = len(tokens)
     while i < n:
@@ -487,5 +481,6 @@ def parse_polynomial(text: str, ring: Iterable[str], line: int | None = None) ->
                 raise ParseError("missing '*' between factors", line, tokens[i][2])
         if expect_factor:
             raise ParseError("dangling '*'", line)
-        result = result + Polynomial.from_term(ring, tuple(expo), coeff)
-    return result
+        key = tuple(expo)
+        terms[key] = terms.get(key, Fraction(0)) + coeff
+    return Polynomial(ring, terms)

@@ -139,6 +139,17 @@ class TestExitCodes:
         code, out, err = run_cli("initial-ideal", "--input", str(path))
         assert (code, out, err) == (2, "", "error: second 'weights' declaration (line 3)\n")
 
+    def test_zero_denominator_is_positioned(self, tmp_path):
+        path = tmp_path / "zero.txt"
+        path.write_text("field rational\nring x y\nweights 1 1\nideal\n3/0*x + y\n")
+        code, out, err = run_cli("initial-ideal", "--input", str(path))
+        assert (code, out, err) == (2, "", "error: zero denominator (line 5, column 1)\n")
+
+    def test_negative_exponent_is_two(self):
+        code, out, err = run_cli("decompose", "--weights", "1,1", "--tweight", "1",
+                                 "--exponents=0,0,-2")
+        assert (code, out, err) == (2, "", "error: exponents must be nonnegative, got [0, 0, -2]\n")
+
     def test_mixed_radicand_weights_succeed(self):
         weights = ("--weights", "sqrt(2), sqrt(3)")
         assert run_cli("rank", *weights) == (

@@ -7,8 +7,9 @@ from itertools import combinations
 
 import pytest
 
+from conify.errors import ArityError
 from conify.exactnum import ExactScalar
-from conify.groebner import IdealPresentation, reduced_basis
+from conify.groebner import IdealPresentation, normal_form, reduced_basis
 from conify.poisson import (
     FormTable,
     PoissonTable,
@@ -59,6 +60,21 @@ class TestJacobi:
         table = PoissonTable(XYZ, {(0, 1): P("z"), (1, 2): P("x"), (0, 2): P("-x")})
         defects = jacobi_defect(table)
         assert str(defects[(0, 1, 2)]) == "-z"
+
+
+class TestBracketRing:
+    def test_arguments_from_another_ring_raise(self):
+        table = PoissonTable(XYZ, {(0, 1): P("z")})
+        a, x = Polynomial.variable(("a", "b", "c"), "a"), P("x")
+        for f, g in ((a, x), (x, a), (a, a)):
+            with pytest.raises(ArityError, match="bracket argument"):
+                table.bracket(f, g)
+
+    def test_zero_entries_are_dropped(self):
+        table = PoissonTable(XYZ, {(0, 1): P("x - x"), (1, 2): P("z")})
+        assert table.table == {(1, 2): P("z")}
+        assert table.bracket(P("y"), P("z")) == P("z")
+        assert table.bracket(P("x"), P("y")).is_zero()
 
 
 class TestPreservesIdeal:
@@ -216,6 +232,12 @@ class TestDecomposition:
         assert prefix == (1, 0)
         assert factors == [(1, 1), (1, 1)]
 
+    @pytest.mark.parametrize("mono", [(0, 0, -2), (-1, 3, 1)])
+    def test_negative_exponent_raises(self, mono):
+        wd = WeightData((Fraction(1), Fraction(1)), t_weight=Fraction(1))
+        with pytest.raises(ValueError, match="nonnegative"):
+            decompose_semiinvariant(mono, wd)
+
     def test_round_trip_and_bounds_random(self):
         rng = random.Random(61)
         for _ in range(100):
@@ -369,3 +391,25 @@ def test_jacobi_defect_matches_sympy(sympy, kind, seed, quotient):
             total = basis.reduce(total)[1]
         assert _same(sympy, defects[(i, j, k)], total, gens), (i, j, k)
     assert jacobi_holds(table) is (kind != "broken")
+
+
+@pytest.mark.parametrize("kind, seed, quotient", [case for case in ORACLE_TABLES if case[2]])
+def test_preserves_ideal_matches_sympy(sympy, kind, seed, quotient):
+    # {z_i, g} reduces to 0 under sympy's grevlex basis exactly when conify reduces it to 0
+    table = _oracle_table(kind, seed, quotient)
+    gens = sympy.symbols(table.ring)
+    matrix = _sympy_matrix(sympy, table, gens)
+    generators = table.ideal.generators
+    basis = sympy.groebner([_to_sympy(sympy, g, gens) for g in generators],
+                           *gens, order="grevlex", domain="QQ")
+    ours = reduced_basis(table.ideal)
+    verdicts = []
+    for i, z in enumerate(Polynomial.variable(table.ring, name) for name in table.ring):
+        for g in generators:
+            sg = _to_sympy(sympy, g, gens)
+            expected = sympy.expand(sum(matrix[i, b] * sympy.diff(sg, gens[b])
+                                        for b in range(len(gens))))
+            verdict = basis.reduce(expected)[1] == 0
+            assert normal_form(table.bracket(z, g), ours).is_zero() is verdict, (i, g)
+            verdicts.append(verdict)
+    assert preserves_ideal(table, table.ideal) is all(verdicts)

@@ -145,6 +145,8 @@ class TestParsePrint:
         assert P("3/2*x + y^2") == Polynomial(XYZ, {(1, 0, 0): Fraction(3, 2), (0, 2, 0): 1})
         assert P("-x") == -Polynomial.variable(XYZ, "x")
         assert P("2 - 1") == Polynomial.constant(XYZ, 1)
+        assert P("x - x + y + 2*x*z - x*z") == P("y + x*z")
+        assert P("x - x").is_zero()
 
     def test_round_trip_random(self):
         rng = random.Random(7)
@@ -153,6 +155,12 @@ class TestParsePrint:
             if f.is_zero():
                 continue
             assert parse_polynomial(str(f), XYZ) == f
+
+    @pytest.mark.parametrize("text, column", [("3/0*x + y", 1), ("x - 7*y + 2/00*z", 11)])
+    def test_zero_denominator_is_positioned(self, text, column):
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text, XYZ, line=5)
+        assert str(info.value) == f"zero denominator (line 5, column {column})"
 
     def test_rejects_juxtaposition(self):
         with pytest.raises(ParseError):
@@ -167,3 +175,14 @@ class TestParsePrint:
             P("x +")
         with pytest.raises(ParseError):
             P("x * ")
+
+
+class TestEvaluate:
+    def test_substitutes_and_drops_the_variable(self):
+        f = P("x^2*z - 3*y*z^2 + x - y")
+        assert f.evaluate(2, 2) == P("2*x^2 - 12*y + x - y", ("x", "y"))
+        assert f.evaluate(2, 0) == P("x - y", ("x", "y"))
+        assert f.evaluate(0, Fraction(1, 2)) == P("1/4*z - 3*y*z^2 + 1/2 - y", ("y", "z"))
+
+    def test_cancellation_leaves_zero(self):
+        assert P("x*z - x").evaluate(2, 1).is_zero()
