@@ -20,7 +20,6 @@ from .groebner import (
     ideals_equal,
     normal_form,
     reduced_basis,
-    saturate_by_variable,
 )
 from .degeneration import (
     TestConfiguration,

@@ -79,10 +79,7 @@ def build_parser() -> _Parser:
         p.add_argument("--pretty", action="store_true", help="indented JSON")
         return p
 
-    p = add("initial-ideal")
-    p.add_argument("--input", required=True, help="input document file")
-
-    for name in ("testconfig", "fiber", "flatness"):
+    for name in ("initial-ideal", "testconfig", "fiber", "flatness"):
         p = add(name)
         p.add_argument("--input", required=True, help="input document file")
         if name == "fiber":

@@ -1,25 +1,22 @@
 """One-parameter flat degenerations of an affine variety to its weighted cone.
 
-build_test_configuration realizes the zoom-in family: substitute
-z_i -> t^{w_i} z_i in each generator, strip the common t power, then saturate
-by t with Bayer's revlex trick (`groebner.saturate_by_variable`), whose result
-is the family's reduced grevlex basis; TestConfiguration keeps it as that
-basis, so the fibers and flatness_witness never recompute it.  The fiber at
-t = 0 presents the coordinate ring of the degeneration (the quotient by the
-minimal-weight initial forms); the fiber at t = 1 is the original variety.
-flatness_witness reads t-torsion off one grevlex basis with t last.
+Every route starts from the flats of I along positive weights w (`_flats`):
+I's reduced grevlex basis, homogenized with a fresh variable h, gives the
+reduced basis for the order refined by (c - w_1, ..., c - w_l, c),
+c = max floor(w_i) + 1, which at h = 1 is a standard basis of I for w.
+(Refining by the weight directly, max-first, is not sound for the minimal
+convention: <y - x^2, y^2> with weights (1, 1) has initial ideal <y, x^4>,
+while the max-refined reduced basis only shows <y>.)
 
-weighted_initial_ideal computes that central fiber without the t-family, for
-any positive weights, irrational ones included: it homogenizes a grevlex basis
-with a fresh variable h, computes the reduced basis for the global order
-refined by (c - w_1, ..., c - w_l, c), c = max floor(w_i) + 1, and reads off
-minimal-weight forms at h = 1.  (Refining by the weight directly, max-first, is
-not sound for the minimal convention: <y - x^2, y^2> with weights (1, 1) has
-initial ideal <y, x^4>, while the max-refined reduced basis only shows <y>.)
-
-stable_initial_ideal gives an irrational xi its family along the first integer
-point of xi's rational span in the Groebner cone of xi (read off the same
-refined basis), certified by a central fiber with the reduced basis of in_xi(I).
+build_test_configuration substitutes z_i -> t^{w_i} z_i in each flat and
+strips the common t power; for a standard basis these generate the
+t-saturated family (Eisenbud, Commutative Algebra, Thm. 15.17), kept as its
+reduced grevlex basis.  Its fiber at t = 0 is the degeneration, at t = 1 the
+original variety.  flatness_witness reads t-torsion off one revlex basis,
+independently of the flats.  weighted_initial_ideal is the reduced basis of
+the flats' initial forms; stable_initial_ideal builds an irrational xi's
+family from the same flats along the first integer point of xi's rational
+span in its Groebner cone, certified by its central fiber.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from math import gcd
 from .diophantine import ReebVector, _gauss_jordan
 from .errors import ArityError, CertificateError, InhomogeneousError, SearchExhaustedError
 from .exactnum import ExactScalar
-from .groebner import GroebnerBasis, IdealPresentation, reduced_basis, revlex_basis, saturate_by_variable
+from .groebner import GroebnerBasis, IdealPresentation, reduced_basis, revlex_basis
 from .polyring import (
     Monomial,
     Polynomial,
@@ -74,28 +71,37 @@ def _homogenize_by_t(g: Polynomial, big_ring: tuple[str, ...], wvec: tuple[int, 
 
 def build_test_configuration(ideal: IdealPresentation, wvec: tuple[int, ...],
                              max_steps: int | None = None) -> TestConfiguration:
-    """Degenerate along positive integer weights; the result is t-saturated."""
+    """Degenerate along positive integer weights: the flats of I, homogenized
+    by t, generate the t-saturated family, so no saturation is computed."""
     if len(wvec) != len(ideal.ring):
         raise ArityError("weight vector arity does not match ring")
     if any(w <= 0 or int(w) != w for w in wvec):
         raise ValueError("weights must be positive integers")
-    if T_NAME in ideal.ring:
-        raise ArityError(f"ring already contains the family variable {T_NAME!r}")
     wvec = tuple(int(w) for w in wvec)
-    big_ring = ideal.ring + (T_NAME,)
-    gens = tuple(_homogenize_by_t(g, big_ring, wvec) for g in ideal.generators)
-    family = saturate_by_variable(IdealPresentation(big_ring, gens), T_NAME, max_steps)
-    wd = WeightData(tuple(ExactScalar.of(w) for w in wvec), t_weight=Fraction(1))
-    return TestConfiguration(GroebnerBasis(big_ring, family.generators, TermOrder(len(big_ring))), wd)
+    return _family(ideal.ring, _flats(ideal, WeightData(tuple(map(ExactScalar.of, wvec))), max_steps),
+                   wvec, max_steps)
 
 
-def _fiber(tc: TestConfiguration, t_value: int) -> IdealPresentation:
+def _family(ring: tuple[str, ...], flats: list[Polynomial], wvec: tuple[int, ...],
+            max_steps: int | None) -> TestConfiguration:
+    """The reduced grevlex basis of the flats homogenized by t along wvec."""
+    if T_NAME in ring:
+        raise ArityError(f"ring already contains the family variable {T_NAME!r}")
+    big_ring = ring + (T_NAME,)
+    gens = tuple(_homogenize_by_t(f, big_ring, wvec) for f in flats)
+    wd = WeightData(tuple(map(ExactScalar.of, wvec)), t_weight=Fraction(1))
+    return TestConfiguration(reduced_basis(IdealPresentation(big_ring, gens), max_steps=max_steps), wd)
+
+
+def _canonical(ring: tuple[str, ...], gens, max_steps: int | None) -> IdealPresentation:
+    """The ideal of gens, presented by its reduced grevlex basis."""
+    basis = reduced_basis(IdealPresentation(ring, tuple(gens)), max_steps=max_steps)
+    return IdealPresentation(ring, basis.elements)
+
+
+def _fiber(tc: TestConfiguration, t_value: int, max_steps: int | None = None) -> IdealPresentation:
     """The reduced basis of the family with t set to t_value, in the z-ring."""
-    t_index = len(tc.ring) - 1
-    fibers = (g.evaluate(t_index, t_value) for g in tc.family)
-    gens = tuple(h for h in fibers if not h.is_zero())
-    basis = reduced_basis(IdealPresentation(tc.z_ring(), gens))
-    return IdealPresentation(basis.ring, basis.elements)
+    return _canonical(tc.z_ring(), (g.evaluate(len(tc.ring) - 1, t_value) for g in tc.family), max_steps)
 
 
 def central_fiber(tc: TestConfiguration) -> IdealPresentation:
@@ -202,7 +208,7 @@ def _series_numerator(gens: list[Monomial], wvec: tuple[int, ...], cap: int) -> 
     return coeffs
 
 
-# -- the independent initial-ideal oracle ------------------------------------------
+# -- the initial ideal and irrational weights --------------------------------------
 
 H_NAME = "_h"
 CONE_CANDIDATES = 10**5  # span points stable_initial_ideal tries before it gives up
@@ -210,34 +216,28 @@ CONE_CANDIDATES = 10**5  # span points stable_initial_ideal tries before it give
 
 def weighted_initial_ideal(ideal: IdealPresentation, wd: WeightData,
                            max_steps: int | None = None) -> IdealPresentation:
-    """Minimal-weight initial ideal without the t-family, by the route above."""
-    return _initial_basis(ideal, wd, max_steps)[0]
+    """Minimal-weight initial ideal without the t-family: the flats' initial forms."""
+    return _canonical(ideal.ring, (initial_form(f, wd) for f in _flats(ideal, wd, max_steps)), max_steps)
 
 
-def _initial_basis(ideal: IdealPresentation, wd: WeightData,
-                   max_steps: int | None) -> tuple[IdealPresentation, list[Polynomial]]:
-    """in_w(I), and the refined reduced basis with h = 1 (empty for <0> and <1>)."""
-    wvec = wd.weights
-    if len(wvec) != len(ideal.ring):
+def _flats(ideal: IdealPresentation, wd: WeightData, max_steps: int | None) -> list[Polynomial]:
+    """The refined reduced basis of I^h at h = 1: [] for <0>, [1] for <1>."""
+    if len(wd.weights) != len(ideal.ring):
         raise ArityError("weights do not match ring")
     if not ideal.generators:
-        return IdealPresentation(ideal.ring, ()), []
+        return []
     base = reduced_basis(ideal, max_steps=max_steps)
     if any(g.total_degree() == 0 for g in base.elements):
-        return IdealPresentation(ideal.ring, (Polynomial.constant(ideal.ring, 1),)), []
+        return list(base.elements)
     big_ring = ideal.ring + (H_NAME,)
     homogenized = []
     for g in base.elements:
         deg = g.total_degree()
-        terms = {mono + (deg - sum(mono),): c for mono, c in g.terms.items()}
-        homogenized.append(Polynomial(big_ring, terms))
-    c = ExactScalar.of(max(w.floor() for w in wvec) + 1)
-    refined = TermOrder(len(big_ring), weights=tuple(c - w for w in wvec) + (c,))
+        homogenized.append(Polynomial(big_ring, {m + (deg - sum(m),): c for m, c in g.terms.items()}))
+    c = ExactScalar.of(max(w.floor() for w in wd.weights) + 1)
+    refined = TermOrder(len(big_ring), weights=tuple(c - w for w in wd.weights) + (c,))
     basis = reduced_basis(IdealPresentation(big_ring, tuple(homogenized)), refined, max_steps)
-    h_index = len(big_ring) - 1
-    flats = [b.evaluate(h_index, 1) for b in basis.elements]
-    canonical = reduced_basis(IdealPresentation(ideal.ring, tuple(initial_form(f, wd) for f in flats)))
-    return IdealPresentation(ideal.ring, canonical.elements), flats
+    return [b.evaluate(len(big_ring) - 1, 1) for b in basis.elements]
 
 
 def stable_initial_ideal(ideal: IdealPresentation, xi: tuple[ExactScalar, ...],
@@ -253,12 +253,13 @@ def stable_initial_ideal(ideal: IdealPresentation, xi: tuple[ExactScalar, ...],
     on the rank of xi alone.
     """
     wd = WeightData(tuple(xi))
-    target, flats = _initial_basis(ideal, wd, max_steps)
+    flats = _flats(ideal, wd, max_steps)
+    initials = [initial_form(f, wd) for f in flats]
+    target = _canonical(ideal.ring, initials, max_steps)
     greater = []
-    for f in flats:
-        lead = initial_form(f, wd).terms
-        a = next(iter(lead))
-        greater += [tuple(x - y for x, y in zip(m, a)) for m in f.terms if m not in lead]
+    for f, lead in zip(flats, initials):
+        a = next(iter(lead.terms))
+        greater += [tuple(x - y for x, y in zip(m, a)) for m in f.terms if m not in lead.terms]
     basis = [list(col) for col in zip(*ReebVector(wd.weights).coordinate_rows())]
     pivots, d = _gauss_jordan(basis, len(xi))
     basis = [[x if d > 0 else -x for x in row] for row in basis[:len(pivots)]]
@@ -272,7 +273,7 @@ def stable_initial_ideal(ideal: IdealPresentation, xi: tuple[ExactScalar, ...],
         raise SearchExhaustedError(f"none of the first {CONE_CANDIDATES} integer points of the rational span of "
                                    f"xi (coordinate sum up to {sum(lam)}) lies in its Groebner cone")
     w = tuple(x // gcd(*w) for x in w)
-    tc = build_test_configuration(ideal, w, max_steps)
-    if central_fiber(tc) != target:
+    tc = _family(ideal.ring, flats, w, max_steps)
+    if _fiber(tc, 0, max_steps) != target:
         raise CertificateError(f"the family along {w} does not degenerate to in_xi(I)")
     return tc

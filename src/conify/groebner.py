@@ -335,7 +335,9 @@ def saturate_by_variable(ideal: IdealPresentation, var: str,
                          max_steps: int | None = None) -> IdealPresentation:
     """(I : var^infinity) as its reduced grevlex basis, by Bayer's trick: divide
     each element of `revlex_basis` by its largest power of var, set h = 1, and
-    reduce in the ring of I (setting h = 1 commutes with saturating by var)."""
+    reduce in the ring of I (setting h = 1 commutes with saturating by var).
+    Only the tests (its oracle for the t-families) and the benchmark tracer
+    use it; it leaves with `intersect` and `ideal_quotient`."""
     basis, k = revlex_basis(ideal, var, max_steps), ideal.ring.index(var)
     flat = []
     for g in basis:

@@ -235,7 +235,8 @@ def invariant_generators(wd: WeightData, cap: int) -> list[Monomial]:
     Solutions of sum(a_i w_i) = b*w that are not sums of two smaller
     solutions, together with the distinguished invariants x_i^w t^{w_i},
     which are always included, whatever their t-degree (and even when they
-    factor, since the decomposition routine divides by exactly these).
+    factor, since the decomposition routine divides by exactly these).  b stops
+    at max w_i, which bounds every minimal solution (Lambert, CRAS 305, 1987).
     """
     if cap < 1:
         raise ValueError(f"cap must be at least 1, not {cap}")
@@ -248,7 +249,7 @@ def invariant_generators(wd: WeightData, cap: int) -> list[Monomial]:
     w = w.numerator
     if not wvec:
         return []
-    solutions = _monoid_solutions(wvec, w, cap)
+    solutions = _monoid_solutions(wvec, w, min(cap, max(wvec)))
     sol_set = set(solutions)
     gens = []
     for sol in sorted(solutions, key=lambda s: (sum(s), s)):

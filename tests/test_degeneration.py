@@ -18,7 +18,7 @@ from conify.degeneration import (
     weighted_initial_ideal,
 )
 from conify.diophantine import ReebVector, rational_matrix_rank
-from conify.errors import CertificateError, InhomogeneousError, SearchExhaustedError
+from conify.errors import ArityError, CertificateError, InhomogeneousError, SearchExhaustedError
 from conify.exactnum import ExactScalar
 from conify.groebner import IdealPresentation, ideals_equal, reduced_basis
 from conify.polyring import Polynomial, TermOrder, WeightData, parse_polynomial
@@ -52,6 +52,13 @@ class TestBuild:
         assert all(all(m[t_index] == 0 for m in g.terms)
                    for g in tc.family)
 
+    def test_ring_with_the_family_variable_is_refused(self):
+        source = ideal(("x", "t"), "x^2 - t")
+        with pytest.raises(ArityError, match="family variable 't'"):
+            build_test_configuration(source, (1, 2))
+        with pytest.raises(ArityError, match="family variable 't'"):
+            stable_initial_ideal(source, (R2, ExactScalar.of(1)))
+
     def test_unit_weights(self):
         tc = build_test_configuration(ideal(XYZ, "x*y - z^2 - x^3"), (1, 1, 1))
         assert [str(g) for g in tc.family] == ["x^3*t - x*y + z^2"]
@@ -76,13 +83,14 @@ class TestBuild:
 
     def test_stress_budget_message(self):
         # the N = 16 approximant family of the three-radicand document; the
-        # counters pin the pair trajectory of the saturation
+        # counters pin the pair trajectory of the family basis, the last of
+        # the three (base, refined, family) and the one the budget stops
         from conify.errors import BudgetExceededError
         source = ideal(XYZ, "x*y - z^2 + x^3", "y^2 - x*z")
         with pytest.raises(BudgetExceededError) as info:
             build_test_configuration(source, (174, 336, 275), max_steps=200)
         assert str(info.value) == ("S-pair budget of 200 exceeded: 200 pairs reduced, "
-                                   "5216 dropped by the criteria, active basis of 106")
+                                   "5176 dropped by the criteria, active basis of 96")
 
 
 class TestFibers:
@@ -311,9 +319,9 @@ class TestStableInitialIdeal:
 
     def test_certificate_rejects_a_wrong_family(self, monkeypatch):
         # a family along the tie (1, 2) has central fiber <x^2 - y>, not <x^2>
-        build = degeneration.build_test_configuration
-        monkeypatch.setattr(degeneration, "build_test_configuration",
-                            lambda source, w, max_steps=None: build(source, (1, 2), max_steps))
+        family = degeneration._family
+        monkeypatch.setattr(degeneration, "_family",
+                            lambda ring, flats, w, max_steps: family(ring, flats, (1, 2), max_steps))
         with pytest.raises(CertificateError, match=r"along \(1, 3\) does not degenerate"):
             stable_initial_ideal(ideal(("x", "y"), "y - x^2 + y^2"), (R2, ExactScalar.of(3)))
 

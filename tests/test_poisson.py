@@ -2,6 +2,7 @@
 and a sympy oracle for brackets and Jacobi defects."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,6 +12,7 @@ from conify.errors import ArityError
 from conify.exactnum import ExactScalar
 from conify.groebner import IdealPresentation, normal_form, reduced_basis
 from conify.poisson import (
+    _monoid_solutions,
     FormTable,
     PoissonTable,
     bracket_weight,
@@ -172,7 +174,46 @@ class TestScaleUp:
         assert not report.all_pass()
 
 
+def enumerated_generators(wd: WeightData, cap: int) -> list[tuple[int, ...]]:
+    """The body invariant_generators had before Lambert's bound: every b <= cap."""
+    wvec, w = wd.integer_weights(), int(wd.t_weight)
+    solutions = _monoid_solutions(wvec, w, cap)
+    sol_set = set(solutions)
+    gens = []
+    for sol in sorted(solutions, key=lambda s: (sum(s), s)):
+        rests = (tuple(x - y for x, y in zip(sol, g)) for g in gens)
+        if not any(min(r) >= 0 and any(r) and r in sol_set for r in rests):
+            gens.append(sol)
+    for i, wi in enumerate(wvec):
+        prescribed = tuple(w if j == i else 0 for j in range(len(wvec))) + (wi,)
+        if prescribed not in gens:
+            gens.append(prescribed)
+    return sorted(gens, key=lambda s: (sum(s), s))
+
+
 class TestInvariantGenerators:
+    def test_large_cap_is_fast_and_complete(self):
+        wd = WeightData((Fraction(1),) * 4, t_weight=Fraction(5))
+        start = time.perf_counter()
+        gens = invariant_generators(wd, 24)
+        assert time.perf_counter() - start < 1.0
+        assert len(gens) == 56
+        assert gens == invariant_generators(wd, 2) == enumerated_generators(wd, 2)
+
+    def test_enumeration_oracle_on_seeded_cases(self):
+        rng = random.Random(1987)
+        for _ in range(40):
+            wvec = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3)))
+            w = rng.randint(1, 4)
+            wd = WeightData(tuple(map(Fraction, wvec)), t_weight=Fraction(w))
+            cap = rng.randint(1, max(wvec) + 4)
+            assert invariant_generators(wd, cap) == enumerated_generators(wd, cap), (wvec, w, cap)
+
+    def test_generator_at_the_bound(self):
+        # x*y*t^3 is minimal and not prescribed, with b = 3 = max w_i
+        wd = WeightData((Fraction(3), Fraction(3)), t_weight=Fraction(2))
+        assert invariant_generators(wd, 10) == [(0, 2, 3), (1, 1, 3), (2, 0, 3)]
+
     def test_two_unit_weights(self):
         wd = WeightData((Fraction(1), Fraction(1)), t_weight=Fraction(1))
         assert invariant_generators(wd, 3) == [(0, 1, 1), (1, 0, 1)]

@@ -1,11 +1,13 @@
-"""Bayer's revlex route for saturation and flatness against the elimination route.
+"""The family route and Bayer's revlex route against the elimination route.
 
-saturate_by_variable reads (I : t^infinity) off one grevlex basis of the
+build_test_configuration reads the t-saturated family off the flats (the
+refined basis of I^h at h = 1), with no saturation.  saturate_by_variable, the
+route it replaced, reads (I : t^infinity) off one grevlex basis of the
 h-homogenized ideal with t last, and flatness_witness reads t-torsion off the
-same kind of basis.  The route they replaced adjoins a tag variable u with
-u*t - 1 and eliminates it; it is kept here, as `elimination_saturation`, as
-the oracle.  Flatness is compared with (J : t) = J computed by
-`ideal_quotient`, itself a tag-variable elimination.
+same kind of basis.  The families are checked against saturate_by_variable,
+and that in turn against the route it replaced: a tag variable u with u*t - 1,
+eliminated, kept here as `elimination_saturation`.  Flatness is compared with
+(J : t) = J computed by `ideal_quotient`, itself a tag-variable elimination.
 """
 
 import random
@@ -14,7 +16,14 @@ from fractions import Fraction
 import pytest
 
 from conify import degeneration, groebner
-from conify.degeneration import T_NAME, _homogenize_by_t, build_test_configuration, flatness_witness
+from conify.degeneration import (
+    T_NAME,
+    _homogenize_by_t,
+    build_test_configuration,
+    flatness_witness,
+    stable_initial_ideal,
+    weighted_initial_ideal,
+)
 from conify.errors import BudgetExceededError
 from conify.exactnum import ExactScalar
 from conify.groebner import (
@@ -30,6 +39,7 @@ from test_acceptance import _degeneration_cases
 CASES = _degeneration_cases()
 HARD = IdealPresentation(("x", "y", "z"), tuple(parse_polynomial(s, ("x", "y", "z")) for s in
                                               ("x^4*y - z^2", "x*z^3 - y^3", "y^4 - x^2*z")))
+UNIT = IdealPresentation(("x",), (parse_polynomial("x", ("x",)), parse_polynomial("x - 1", ("x",))))
 
 
 def elimination_saturation(ideal: IdealPresentation, var: str,
@@ -136,6 +146,30 @@ class TestSaturationAgainstElimination:
         assert saturate_by_variable(empty, "t").generators == ()
 
 
+class TestFamilyAgainstSaturation:
+    @pytest.mark.parametrize("index", range(len(CASES)))
+    def test_criterion_1_families(self, index):
+        ideal, weights = CASES[index]
+        family = build_test_configuration(ideal, weights).family
+        assert family.elements == saturate_by_variable(raw_family(ideal, weights), T_NAME).generators
+
+    def test_benchmark_template_families(self):
+        for ideal, weights in TEMPLATES:
+            family = build_test_configuration(ideal, weights).family
+            expected = saturate_by_variable(raw_family(ideal, weights), T_NAME)
+            assert family.elements == expected.generators, str(ideal)
+
+    def test_unit_ideal(self):
+        tc = build_test_configuration(UNIT, (1,))
+        assert [str(g) for g in tc.family] == ["1"]
+        assert tc.family.elements == saturate_by_variable(raw_family(UNIT, (1,)), T_NAME).generators
+
+    def test_zero_ideal(self):
+        tc = build_test_configuration(IdealPresentation(("x", "y"), ()), (1, 2))
+        assert tc.ring == ("x", "y", T_NAME)
+        assert tc.family.elements == ()
+
+
 class TestFlatnessAgainstQuotient:
     def test_criterion_1_families(self):
         for ideal, weights in CASES:
@@ -205,13 +239,38 @@ class TestBudgets:
         inner = groebner.reduced_basis
 
         def spy(ideal, order=None, max_steps=None):
-            seen.append(max_steps)
+            seen.append((ideal.ring, max_steps))
             return inner(ideal, order, max_steps)
 
         monkeypatch.setattr(groebner, "reduced_basis", spy)
         monkeypatch.setattr(degeneration, "reduced_basis", spy)
-        tc = build_test_configuration(HARD, (1, 2, 3), max_steps=10**6)
-        assert seen == [10**6, 10**6]
+        budget = 10**6
+        base, refined, family = (HARD.ring, budget), (HARD.ring + ("_h",), budget), (HARD.ring + (T_NAME,), budget)
+        tc = build_test_configuration(HARD, (1, 2, 3), max_steps=budget)
+        assert seen == [base, refined, family]
         seen.clear()
-        assert flatness_witness(tc, max_steps=10**6)
-        assert seen == [10**6]
+        assert flatness_witness(tc, max_steps=budget)
+        assert seen == [(("x", "y", "z", "_h", T_NAME), budget)]
+        seen.clear()
+        weighted_initial_ideal(HARD, WeightData((ExactScalar.of(1), ExactScalar.of(2), ExactScalar.root(3, 2))),
+                               max_steps=budget)
+        assert seen == [base, refined, base]
+        seen.clear()
+        # base, refined, the canonical basis of in_xi(I), family, central fiber
+        stable_initial_ideal(HARD, (ExactScalar.root(2, 2), ExactScalar.of(1), ExactScalar.of(3)), max_steps=budget)
+        assert seen == [base, refined, base, family, base]
+
+    def test_unit_and_zero_ideals_skip_the_refined_basis(self, monkeypatch):
+        seen = []
+        inner = groebner._buchberger
+
+        def spy(gens, order, max_steps):
+            seen.append((gens[0].ring, max_steps))
+            return inner(gens, order, max_steps)
+
+        monkeypatch.setattr(groebner, "_buchberger", spy)
+        build_test_configuration(UNIT, (1,), max_steps=5)
+        assert seen == [(("x",), 5), (("x", T_NAME), 5)]
+        seen.clear()
+        build_test_configuration(IdealPresentation(("x",), ()), (1,), max_steps=5)
+        assert seen == []
