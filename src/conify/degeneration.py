@@ -23,11 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count, islice
+from itertools import chain, combinations, count, islice
 from math import gcd
 
 from .diophantine import ReebVector, _gauss_jordan
-from .errors import ArityError, CertificateError, InhomogeneousError, SearchExhaustedError
+from .errors import ArityError, CertificateError, InhomogeneousError
 from .exactnum import ExactScalar
 from .groebner import GroebnerBasis, IdealPresentation, reduced_basis, revlex_basis
 from .polyring import (
@@ -211,7 +211,7 @@ def _series_numerator(gens: list[Monomial], wvec: tuple[int, ...], cap: int) -> 
 # -- the initial ideal and irrational weights --------------------------------------
 
 H_NAME = "_h"
-CONE_CANDIDATES = 10**5  # span points stable_initial_ideal tries before it gives up
+CONE_CANDIDATES = 10**5  # small span points stable_initial_ideal tries before rounding xi
 
 
 def weighted_initial_ideal(ideal: IdealPresentation, wd: WeightData,
@@ -249,8 +249,10 @@ def stable_initial_ideal(ideal: IdealPresentation, xi: tuple[ExactScalar, ...],
     xi, where in_w(I) = in_xi(I) (Sturmfels, Groebner Bases and Convex Polytopes,
     Prop. 2.3), out of xi's rational span, which keeps every tie (m - a).xi = 0
     inside in_xi(f).  w runs over lam.B, B the integer echelon basis of the span
-    and lam > 0 by coordinate sum, then lexicographically, so the reach depends
-    on the rank of xi alone.
+    and lam > 0 by coordinate sum, then lexicographically.  After CONE_CANDIDATES
+    of those, lam = round(2^k lam_xi) for k = 1, 2, ..., where xi = lam_xi.B (xi
+    at the pivots over |d|): these tend to the ray of xi, which lies in the open
+    cone, so the search always ends.
     """
     wd = WeightData(tuple(xi))
     flats = _flats(ideal, wd, max_steps)
@@ -265,13 +267,11 @@ def stable_initial_ideal(ideal: IdealPresentation, xi: tuple[ExactScalar, ...],
     basis = [[x if d > 0 else -x for x in row] for row in basis[:len(pivots)]]
     lams = (tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,))) for total in count(len(pivots))
             for cuts in combinations(range(1, total), len(pivots) - 1))
-    for lam in islice(lams, CONE_CANDIDATES):
+    near = (tuple((wd.weights[p].floor(2 ** (k + 1)) + abs(d)) // (2 * abs(d)) for p in pivots) for k in count(1))
+    for lam in chain(islice(lams, CONE_CANDIDATES), near):
         w = [sum(map(int.__mul__, lam, col)) for col in zip(*basis)]
         if min(w) > 0 and all(sum(map(int.__mul__, row, w)) > 0 for row in greater):
             break
-    else:
-        raise SearchExhaustedError(f"none of the first {CONE_CANDIDATES} integer points of the rational span of "
-                                   f"xi (coordinate sum up to {sum(lam)}) lies in its Groebner cone")
     w = tuple(x // gcd(*w) for x in w)
     tc = _family(ideal.ring, flats, w, max_steps)
     if _fiber(tc, 0, max_steps) != target:

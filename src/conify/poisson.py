@@ -1,22 +1,25 @@
 """Graded Poisson brackets from coordinate tables, homogeneity weights,
 invariant-monomial generators, and bounded semi-invariant decompositions.
 
-A bracket table lists {z_i, z_j} for i < j; brackets of arbitrary polynomials
-expand through the Leibniz rule.  When a quotient ideal is attached, results
-reduce modulo its Groebner basis, so checks like the Jacobi identity are
-decided on the quotient ring.
+A bracket table lists {z_i, z_j} for i < j, kept as integer rows over one
+common denominator D (FLINT's fmpq_poly layout).  One integer kernel gives the
+coordinate brackets D * {z_l, p}, and {f, g} sums d_l f * {z_l, g}.  With a
+quotient ideal attached, the Jacobi identity and ideal preservation are decided
+on the quotient ring by pseudo-reducing integer coordinate brackets, so a
+passing check makes no Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from math import ceil
+from math import ceil, lcm
 
 from .errors import ArityError
 from .exactnum import ExactScalar
-from .groebner import GroebnerBasis, IdealPresentation, normal_form, reduced_basis
+from .groebner import GroebnerBasis, IdealPresentation, _integral, _reduce, normal_form, reduced_basis
 from .polyring import (
     Monomial,
     Polynomial,
@@ -54,45 +57,68 @@ class PoissonTable:
                 clean[(i, j)] = p
         object.__setattr__(self, "table", clean)
 
+    @cached_property
+    def rows(self) -> tuple[int, list[dict[int, dict[Monomial, int]]]]:
+        """(D, rows): D > 0 the lcm of the entries' denominators and
+        rows[l][k] = D * {z_l, z_k} as an integer term dict, for both signs."""
+        d = lcm(*(c.denominator for p in self.table.values() for c in p.terms.values()))
+        rows: list[dict] = [{} for _ in self.ring]
+        for (i, j), p in self.table.items():
+            rows[i][j] = {m: c.numerator * (d // c.denominator) for m, c in p.terms.items()}
+            rows[j][i] = {m: -c for m, c in rows[i][j].items()}
+        return d, rows
+
+    def _coordinate(self, l: int, p: dict[Monomial, int], out: dict[Monomial, int]) -> dict[Monomial, int]:
+        """Add D * {z_l, p} = sum over k of D * {z_l, z_k} * d_k p into out."""
+        for k, row in self.rows[1][l].items():
+            for m2, c2 in p.items():
+                e = m2[k]
+                if e:
+                    m2, c2 = m2[:k] + (e - 1,) + m2[k + 1:], c2 * e
+                    for m1, c1 in row.items():
+                        m = mono_mul(m1, m2)
+                        out[m] = out.get(m, 0) + c1 * c2
+        return out
+
     def bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
-        """{f, g} = sum over i < j of p_ij (d_i f d_j g - d_j f d_i g)."""
+        """{f, g} = sum over l of d_l f * {z_l, g}, one Fraction per output term."""
         if f.ring != self.ring or g.ring != self.ring:
             raise ArityError("bracket argument lives in the wrong ring")
-        df = [f.derivative(k).terms for k in range(len(self.ring))]
-        dg = [g.derivative(k).terms for k in range(len(self.ring))]
-        out: dict[Monomial, Fraction] = {}
-        for (i, j), p in self.table.items():
-            for a, b, sign in ((df[i], dg[j], 1), (df[j], dg[i], -1)):
-                if not a or not b:
-                    continue
-                for m1, c1 in p.terms.items():
-                    for m2, c2 in a.items():
-                        m12, c12 = mono_mul(m1, m2), sign * c1 * c2
-                        for m3, c3 in b.items():
-                            m = mono_mul(m12, m3)
-                            out[m] = out.get(m, 0) + c12 * c3
-        return Polynomial(self.ring, out)
+        (fi, a), (gi, b) = _integral(f.terms), _integral(g.terms)
+        out: dict[Monomial, int] = {}
+        for l in range(len(self.ring)):
+            df = [(m[:l] + (m[l] - 1,) + m[l + 1:], c * m[l]) for m, c in fi.items() if m[l]]
+            if df:
+                for m2, c2 in self._coordinate(l, gi, {}).items():
+                    for m1, c1 in df:
+                        m = mono_mul(m1, m2)
+                        out[m] = out.get(m, 0) + c1 * c2
+        return _reduced(self.ring, out, a * b * self.rows[0], None)
 
     def quotient_basis(self) -> GroebnerBasis | None:
         """The grevlex reduced basis of the quotient ideal, computed once."""
         return self._basis
 
 
+def _reduced(ring: tuple[str, ...], work: dict[Monomial, int], den: int, basis: GroebnerBasis | None) -> Polynomial:
+    """work / den, pseudo-reduced mod the basis on integers; no Fraction for 0."""
+    scale = 1
+    if basis is not None:
+        work, scale = _reduce(work, basis.reducers, basis.order.key)
+    return Polynomial(ring, {m: Fraction(c, den * scale) for m, c in work.items() if c})
+
+
 def jacobi_defect(table: PoissonTable) -> dict[tuple[int, int, int], Polynomial]:
-    """The Jacobi cyclic sum for every variable triple, reduced mod the ideal."""
-    ring = table.ring
+    """The Jacobi cyclic sum for every variable triple, reduced mod the ideal:
+    D^2 times it is the sum of the integer coordinate brackets D * {z_a, D * p_bc}."""
+    d, rows = table.rows
     basis = table.quotient_basis()
     out = {}
-    coords = [Polynomial.variable(ring, name) for name in ring]
-    zero = Polynomial.zero(ring)
-    for i, j, k in combinations(range(len(ring)), 3):
-        pij, pik, pjk = (table.table.get(key, zero) for key in ((i, j), (i, k), (j, k)))
-        # {z_j, {z_k, z_i}} = -{z_j, p_ik} by antisymmetry
-        total = (table.bracket(coords[i], pjk) - table.bracket(coords[j], pik)
-                 + table.bracket(coords[k], pij))
-        if basis is not None:
-            total = normal_form(total, basis)
-        out[(i, j, k)] = total
+    for i, j, k in combinations(range(len(table.ring)), 3):
+        total: dict[Monomial, int] = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            table._coordinate(a, rows[b].get(c, {}), total)
+        out[(i, j, k)] = _reduced(table.ring, total, d * d, basis)
     return out
 
 
@@ -107,10 +133,9 @@ def preserves_ideal(table: PoissonTable, ideal: IdealPresentation) -> bool:
     if not ideal.generators:
         return True
     basis = table.quotient_basis() if ideal == table.ideal else reduced_basis(ideal)
-    coords = [Polynomial.variable(table.ring, name) for name in table.ring]
-    for z in coords:
-        for g in ideal.generators:
-            if not normal_form(table.bracket(z, g), basis).is_zero():
+    for gi in (_integral(g.terms)[0] for g in ideal.generators):
+        for l in range(len(table.ring)):
+            if _reduce(table._coordinate(l, gi, {}), basis.reducers, basis.order.key)[0]:
                 return False
     return True
 
@@ -169,7 +194,7 @@ class ScaleUpReport:
     bracket_weight_matches: bool     # bracket weight equals minus the form weight
     section_condition: bool          # all fiber-variable weights positive
     bracket_weight_value: ExactScalar | None
-    expected_bracket_weight: Fraction | None
+    expected_bracket_weight: Fraction | None    # minus the form weight
 
     def all_pass(self) -> bool:
         return (self.base_weight_negative and self.bracket_weight_matches
@@ -183,7 +208,7 @@ class ScaleUpReport:
             "bracket_weight": None if self.bracket_weight_value is None
             else str(self.bracket_weight_value),
             "expected_bracket_weight": None if self.expected_bracket_weight is None
-            else str(-self.expected_bracket_weight),
+            else str(self.expected_bracket_weight),
             "all_pass": self.all_pass(),
         }
 
@@ -202,7 +227,7 @@ def check_scaleup(table: PoissonTable, wd: WeightData) -> ScaleUpReport:
     if wd.form_weight is not None and value is not None:
         cond2 = (value + ExactScalar.of(wd.form_weight)).sign() == 0
     cond3 = all(w.sign() > 0 for w in wd.weights)
-    return ScaleUpReport(cond1, cond2, cond3, value, wd.form_weight)
+    return ScaleUpReport(cond1, cond2, cond3, value, None if wd.form_weight is None else -wd.form_weight)
 
 
 # -- invariant monomials and semi-invariant decomposition ------------------------------

@@ -18,7 +18,7 @@ from conify.degeneration import (
     weighted_initial_ideal,
 )
 from conify.diophantine import ReebVector, rational_matrix_rank
-from conify.errors import ArityError, CertificateError, InhomogeneousError, SearchExhaustedError
+from conify.errors import ArityError, CertificateError, InhomogeneousError
 from conify.exactnum import ExactScalar
 from conify.groebner import IdealPresentation, ideals_equal, reduced_basis
 from conify.polyring import Polynomial, TermOrder, WeightData, parse_polynomial
@@ -296,15 +296,31 @@ class TestStableInitialIdeal:
         assert tc.weights.integer_weights() == (3, 2)
         assert flatness_witness(tc)
 
-    def test_exhausted_cap_raises(self, monkeypatch):
-        # (1, 3) is the fourth candidate: (1, 1), (1, 2), (2, 1), (1, 3)
+    def test_exhausted_candidates_round_xi(self, monkeypatch):
+        # (1, 3) is the fourth candidate: (1, 1), (1, 2), (2, 1), (1, 3).  With
+        # three, lam = round(2^k xi / 3) over B = 3I ties y with x^2 at (1, 2),
+        # (2, 4), (4, 8) and (8, 16), and first leaves the tie at (15, 32)
         source = ideal(("x", "y"), "y - x^2 + y^2")
         xi = (R2, ExactScalar.of(3))
         monkeypatch.setattr(degeneration, "CONE_CANDIDATES", 3)
-        with pytest.raises(SearchExhaustedError, match=r"first 3 integer points .* \(coordinate sum up to 3\)"):
-            stable_initial_ideal(source, xi)
+        tc = stable_initial_ideal(source, xi)
+        assert tc.weights.integer_weights() == (15, 32)
+        assert [str(g) for g in central_fiber(tc).generators] == ["x^2"]
         monkeypatch.setattr(degeneration, "CONE_CANDIDATES", 4)
         assert stable_initial_ideal(source, xi).weights.integer_weights() == (1, 3)
+
+    @pytest.mark.parametrize("gens, xi, weights", [
+        (("x*y - z^2 + x^3", "y^2 - x*z"), THREE_RADICANDS, (6, 11, 9)),
+        (("y^4 - x^3 - x*y^5",), (ExactScalar(Fraction(1, 2), 2, 3), ExactScalar(2, Fraction(3, 5), 3)), (1, 1)),
+    ])
+    def test_rounding_alone_is_certified(self, monkeypatch, gens, xi, weights):
+        # with no small span point tried, the rounded lam_xi still ends the search
+        monkeypatch.setattr(degeneration, "CONE_CANDIDATES", 0)
+        source = ideal(XYZ[:len(xi)], *gens)
+        tc = stable_initial_ideal(source, xi)
+        assert tc.weights.integer_weights() == weights
+        assert central_fiber(tc) == weighted_initial_ideal(source, WeightData(xi))
+        assert flatness_witness(tc)
 
     def test_strict_rows_skip_the_tie(self):
         # in_xi = x^2; the rows are y > x^2 and y^2 > x^2, i.e. w_y > 2 w_x.

@@ -175,15 +175,16 @@ class TestNearTieDocument:
                 assert (code, out) == (1, "")
                 assert err.startswith(f"usage error: unrecognized arguments: {option} {value}\n")
 
-    def test_search_exhaustion_exits_2(self, tmp_path, monkeypatch):
-        # (1, 3) is the fourth candidate: (1, 1), (1, 2), (2, 1), (1, 3)
+    def test_exhausted_candidates_still_certify(self, tmp_path, monkeypatch):
+        # (1, 3) is the fourth candidate: (1, 1), (1, 2), (2, 1), (1, 3); with
+        # three, the rounded multiples of xi give the certified (15, 32)
         path = tmp_path / "tie.txt"
         path.write_text("ring x y\nweights sqrt(2) 3\nideal\ny - x^2 + y^2\n")
         monkeypatch.setattr(degeneration, "CONE_CANDIDATES", 3)
-        for command in ("testconfig", "fiber", "flatness"):
-            assert run_cli(command, "--input", str(path)) == (2, "", (
-                "error: none of the first 3 integer points of the rational span of xi "
-                "(coordinate sum up to 3) lies in its Groebner cone\n"))
+        code, out, err = run_cli("testconfig", "--input", str(path))
+        assert (code, json.loads(out)["weights"]) == (0, ["15", "32"]), err
+        assert run_cli("fiber", "--input", str(path)) == (0, '{"at":"0","fiber":["x^2"],"schema":"conify/1"}\n', "")
+        assert run_cli("flatness", "--input", str(path)) == (0, '{"flat":true,"schema":"conify/1"}\n', "")
 
 
 class TestThreeVariableNearTie:

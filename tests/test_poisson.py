@@ -1,5 +1,6 @@
 """Bracket tables, homogeneity weights, scale-up conditions, decompositions,
-and a sympy oracle for brackets and Jacobi defects."""
+the Fraction bodies as oracles of the integer rows, and a sympy oracle for
+brackets and Jacobi defects."""
 
 import random
 import time
@@ -164,6 +165,15 @@ class TestScaleUp:
         report = check_scaleup(table, wd)
         assert not report.base_weight_negative
         assert report.bracket_weight_matches and report.section_condition
+
+    def test_expected_weight_is_minus_the_form_weight(self):
+        table, _ = quadric_table()
+        wd = WeightData((ExactScalar.of(2),) * 3, t_weight=Fraction(1), form_weight=Fraction(2))
+        report = check_scaleup(table, wd)
+        assert report.bracket_weight_matches
+        assert report.expected_bracket_weight == Fraction(-2)
+        assert report.bracket_weight_value == ExactScalar.of(report.expected_bracket_weight)
+        assert report.to_json_dict()["expected_bracket_weight"] == "-2"
 
     def test_wrong_form_weight_fails_condition_two(self):
         table, _ = quadric_table()
@@ -454,3 +464,150 @@ def test_preserves_ideal_matches_sympy(sympy, kind, seed, quotient):
             assert normal_form(table.bracket(z, g), ours).is_zero() is verdict, (i, g)
             verdicts.append(verdict)
     assert preserves_ideal(table, table.ideal) is all(verdicts)
+
+
+# -- differential test against the Fraction bodies --------------------------------------
+# The bodies bracket, jacobi_defect and preserves_ideal had before the integer
+# rows: every bracket is a Fraction Polynomial summed over the stored i < j, and
+# each check reduces it with normal_form.  They need no sympy.
+
+def fraction_bracket(table: PoissonTable, f: Polynomial, g: Polynomial) -> Polynomial:
+    """{f, g} = sum over i < j of p_ij (d_i f d_j g - d_j f d_i g)."""
+    df = [f.derivative(k).terms for k in range(len(table.ring))]
+    dg = [g.derivative(k).terms for k in range(len(table.ring))]
+    out = {}
+    for (i, j), p in table.table.items():
+        for a, b, sign in ((df[i], dg[j], 1), (df[j], dg[i], -1)):
+            for m1, c1 in p.terms.items():
+                for m2, c2 in a.items():
+                    for m3, c3 in b.items():
+                        m = tuple(x + y + z for x, y, z in zip(m1, m2, m3))
+                        out[m] = out.get(m, 0) + sign * c1 * c2 * c3
+    return Polynomial(table.ring, out)
+
+
+def fraction_jacobi_defect(table: PoissonTable) -> dict:
+    ring = table.ring
+    basis = table.quotient_basis()
+    coords = [Polynomial.variable(ring, name) for name in ring]
+    zero = Polynomial.zero(ring)
+    out = {}
+    for i, j, k in combinations(range(len(ring)), 3):
+        pij, pik, pjk = (table.table.get(key, zero) for key in ((i, j), (i, k), (j, k)))
+        # {z_j, {z_k, z_i}} = -{z_j, p_ik} by antisymmetry
+        total = (fraction_bracket(table, coords[i], pjk) - fraction_bracket(table, coords[j], pik)
+                 + fraction_bracket(table, coords[k], pij))
+        out[(i, j, k)] = total if basis is None else normal_form(total, basis)
+    return out
+
+
+def fraction_preserves_ideal(table: PoissonTable, ideal: IdealPresentation) -> bool:
+    if not ideal.generators:
+        return True
+    basis = reduced_basis(ideal)
+    return all(normal_form(fraction_bracket(table, Polynomial.variable(table.ring, z), g), basis).is_zero()
+               for z in table.ring for g in ideal.generators)
+
+
+def _denominators_table(quotient: bool) -> PoissonTable:
+    # denominators 2, 3 and 7, so D = 42 is no single entry's; no Jacobi identity.
+    # The quotient's integer reducer 13*x*y - 5*z^2 has lc 13, prime to D, so
+    # its reductions scale the remainder.
+    ideal = IdealPresentation(XYZ, (P("x*y - 5/13*z^2"),)) if quotient else None
+    return PoissonTable(XYZ, {(0, 1): P("1/2*z + x^2"), (0, 2): P("2/3*y^2 - x"),
+                              (1, 2): P("3/7*x*z + y")}, ideal=ideal)
+
+
+def _vanishing_entry_table() -> PoissonTable:
+    # {x, y} = x*y - z^2 reduces to 0 modulo the quadric and is dropped
+    quadric = IdealPresentation(XYZ, (P("x*y - z^2"),))
+    return PoissonTable(XYZ, {(0, 1): P("x*y - z^2"), (0, 2): P("1/5*x"), (1, 2): P("-1/5*y")},
+                        ideal=quadric)
+
+
+EXTRA_TABLES = {
+    "empty": lambda: PoissonTable(XYZ, {}),
+    "empty with quotient": lambda: PoissonTable(XYZ, {}, ideal=IdealPresentation(XYZ, (P("x*y - z^2"),))),
+    "two variables": lambda: PoissonTable(UV, {(0, 1): parse_polynomial("1/3*u^2 - 5/2*v", UV)}),
+    "denominators 2, 3, 7": lambda: _denominators_table(False),
+    "denominators 2, 3, 7 with quotient": lambda: _denominators_table(True),
+    "entry vanishing modulo the ideal": _vanishing_entry_table,
+}
+DIFFERENTIAL_TABLES = [pytest.param(lambda case=case: _oracle_table(*case), id="-".join(map(str, case)))
+                       for case in ORACLE_TABLES]
+DIFFERENTIAL_TABLES += [pytest.param(build, id=name) for name, build in EXTRA_TABLES.items()]
+
+
+def _other_ideals(table: PoissonTable) -> list[IdealPresentation]:
+    """Ideals other than the table's own: single variables, a quadric with a
+    fractional coefficient, the ideal of the table's entries, the unit ideal."""
+    ring = table.ring
+    ideals = [IdealPresentation(ring, (Polynomial.variable(ring, name),)) for name in ring]
+    first, last = ring[0], ring[-1]
+    ideals.append(IdealPresentation(ring, (parse_polynomial(f"{first}^2 - 3/2*{last}^3", ring),)))
+    ideals.append(IdealPresentation(ring, tuple(table.table.values())))
+    ideals.append(IdealPresentation(ring, (Polynomial.constant(ring, 7),)))
+    return ideals
+
+
+@pytest.mark.parametrize("build", DIFFERENTIAL_TABLES)
+class TestFractionOracle:
+    def test_bracket(self, build):
+        table = build()
+        rng = random.Random(len(table.table) + 17 * len(table.ring))
+        zero, one = Polynomial.zero(table.ring), Polynomial.constant(table.ring, 1)
+        pairs = [(zero, one), (one, zero)] + [(_random_poly(rng, table.ring, 3, 2), _random_poly(rng, table.ring, 3, 2))
+                                              for _ in range(4)]
+        pairs += [(Polynomial.variable(table.ring, a), Polynomial.variable(table.ring, b))
+                  for a in table.ring for b in table.ring]
+        for f, g in pairs:
+            assert table.bracket(f, g) == fraction_bracket(table, f, g), (f, g)
+
+    def test_jacobi_defect(self, build):
+        table = build()
+        defects = jacobi_defect(table)
+        assert defects == fraction_jacobi_defect(table)
+        assert sorted(defects) == list(combinations(range(len(table.ring)), 3))
+        assert jacobi_holds(table) is all(p.is_zero() for p in defects.values())
+
+    def test_preserves_ideal(self, build):
+        table = build()
+        ideals = _other_ideals(table) + ([table.ideal] if table.ideal is not None else [])
+        verdicts = [preserves_ideal(table, ideal) for ideal in ideals]
+        assert verdicts == [fraction_preserves_ideal(table, ideal) for ideal in ideals]
+
+
+def test_differential_cases_reach_both_verdicts():
+    # the oracle comparisons above see failing and passing checks and a
+    # denominator of 42
+    broken = _denominators_table(True)
+    assert broken.rows[0] == 42
+    assert not jacobi_holds(broken) and not jacobi_holds(_denominators_table(False))
+    assert not preserves_ideal(broken, broken.ideal)
+    vanishing = _vanishing_entry_table()
+    assert (0, 1) not in vanishing.table and jacobi_holds(vanishing)
+    assert preserves_ideal(*quadric_table())
+
+
+def test_rows_store_both_signs_over_one_denominator():
+    table = _denominators_table(False)
+    d, rows = table.rows
+    assert d == 42 and table.rows is table.rows
+    for (i, j), p in table.table.items():
+        assert rows[i][j] == {m: int(c * d) for m, c in p.terms.items()}
+        assert rows[j][i] == {m: -c for m, c in rows[i][j].items()}
+    assert all(i not in row for i, row in enumerate(rows))
+    assert PoissonTable(XYZ, {}).rows == (1, [{}, {}, {}])
+
+
+def test_passing_checks_make_no_fraction(monkeypatch):
+    from conify import groebner, poisson
+
+    tables = [_jacobian_table(0, True), _casimir_table(0, True), quadric_table()[0]]
+
+    def no_fraction(*args):
+        raise AssertionError("a passing check made a Fraction")
+    for module in (poisson, groebner):
+        monkeypatch.setattr(module, "Fraction", no_fraction)
+    for table in tables:
+        assert jacobi_holds(table) and preserves_ideal(table, table.ideal)
