@@ -6,9 +6,10 @@ values, which may mix radicands; linear algebra happens on their rational
 coordinates over the basis {1, sqrt(k_1), sqrt(k_2), ...}, and every sign,
 floor and comparison is the scalar type's own exact one.  Elimination is
 fraction-free: rows are scaled to integers and reduced by Bareiss's method.
-Cone membership tries no subset smaller than the rank of the target's
-coordinates, and the corner test takes one integer floor, floor(C*res*w),
-per multiplier and entry.
+Cone membership scales its equations to integers once per call, tries no
+subset smaller than the rank of the target's coordinates, and builds each
+coefficient from the Bareiss numerators over the diagonal.  The corner test
+takes one integer floor, floor(C*res*w), per multiplier and entry.
 """
 
 from __future__ import annotations
@@ -62,9 +63,10 @@ def rational_matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(_gauss_jordan(mat, len(mat[0]) if mat else 0)[0])
 
 
-def solve_rational(columns: Sequence[Sequence[Fraction]],
-                   rhs_list: Sequence[Sequence[Fraction]]) -> list[list[Fraction]] | None:
-    """The unique x with sum(x_j * columns[j]) = rhs, for each rhs.
+def solve_integral(columns: Sequence[Sequence[Fraction]],
+                   rhs_list: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int] | None:
+    """(X, d): the unique x with sum(x_j * columns[j]) = rhs is X[t] / d for the t-th rhs,
+    X the Bareiss numerators over the common diagonal d.
 
     None when the columns are linearly dependent (a zero column included) or
     any rhs lies outside their span.
@@ -76,7 +78,14 @@ def solve_rational(columns: Sequence[Sequence[Fraction]],
     pivots, d = _gauss_jordan(aug, k)
     if len(pivots) < k or any(x for row in aug[k:] for x in row[k:]):
         return None
-    return [[Fraction(aug[j][k + t], d) for j in range(k)] for t in range(len(rhs_list))]
+    return [[aug[j][k + t] for j in range(k)] for t in range(len(rhs_list))], d
+
+
+def solve_rational(columns: Sequence[Sequence[Fraction]],
+                   rhs_list: Sequence[Sequence[Fraction]]) -> list[list[Fraction]] | None:
+    """The unique x with sum(x_j * columns[j]) = rhs, for each rhs; None as in solve_integral."""
+    solved = solve_integral(columns, rhs_list)
+    return None if solved is None else [[Fraction(x, solved[1]) for x in row] for row in solved[0]]
 
 
 # -- weight vectors ------------------------------------------------------------------
@@ -106,12 +115,16 @@ class ReebVector:
         return len(self.entries)
 
     def radicands(self) -> list[int]:
-        return [1] + sorted({k for e in self.entries for k, _ in e.terms})
+        return [1] + sorted({k for e in self.entries for k, _ in e.surds})
 
-    def coordinate_rows(self) -> list[list[Fraction]]:
-        """Coordinates of each entry over the basis {1} + {sqrt(k)}."""
+    def coordinate_rows(self) -> list[list[Fraction | int]]:
+        """Coordinates of each entry over the basis {1} + {sqrt(k)}, read off its integers."""
         basis = self.radicands()
-        return [[e.coordinates().get(k, Fraction(0)) for k in basis] for e in self.entries]
+        rows = []
+        for e in self.entries:
+            coords = {1: e.num, **dict(e.surds)}
+            rows.append([Fraction(coords[k], e.den) if coords.get(k) else 0 for k in basis])
+        return rows
 
     def min_entry(self) -> ExactScalar:
         return min(self.entries)
@@ -225,7 +238,7 @@ def _candidate(v: ReebVector, D: int, N: int) -> ApproximantReport | None:
     for w in v.entries:
         nearest = (w.floor(2 * D) + 1) // 2
         # w*D*N is irrational, so |w*D - nearest| < 1/N iff this holds of its floor
-        if nearest < 1 or (w.terms and not nearest * N - 1 <= w.floor(D * N) <= nearest * N):
+        if nearest < 1 or (w.surds and not nearest * N - 1 <= w.floor(D * N) <= nearest * N):
             return None
         err = abs(w * D - nearest)
         if not err < bound:
@@ -326,21 +339,27 @@ class ConeDescription:
         Sizes start at the rank of the target's coordinate matrix T, one column
         per radicand: independent columns G with G*X = T number at least rank T.
         """
-        target = [ExactScalar.of(x).coordinates() for x in v]
+        target = [ExactScalar.of(x) for x in v]
         if self.homogenized:
-            target = [{1: Fraction(1)}] + target
+            target = [ExactScalar.of(1)] + target
         columns = self._matrix()
         if columns and len(columns[0]) != len(target):
             raise ArityError("dimension mismatch in cone membership")
-        radicands = sorted({k for coords in target for k in coords}) or [1]
-        rhs_list = [[coords.get(k, Fraction(0)) for coords in target] for k in radicands]
+        coords = [{1: x.num, **dict(x.surds)} for x in target]
+        radicands = sorted({k for c in coords for k, q in c.items() if q}) or [1]
+        # equation i times the lcm m_i of its denominators: integer rows, the same solutions
+        lcms = [lcm(x.den, *(col[i].denominator for col in columns)) for i, x in enumerate(target)]
+        columns = [[g.numerator * (m // g.denominator) for g, m in zip(col, lcms)] for col in columns]
+        rhs_list = [[c.get(k, 0) * (m // x.den) for c, m, x in zip(coords, lcms, target)]
+                    for k in radicands]
         for size in range(max(1, rational_matrix_rank(rhs_list)), len(columns) + 1):
             for subset in combinations(range(len(columns)), size):
-                sols = solve_rational([columns[i] for i in subset], rhs_list)
-                if sols is None:
+                solved = solve_integral([columns[i] for i in subset], rhs_list)
+                if solved is None:
                     continue
-                lambdas = [ExactScalar.from_coordinates(dict(zip(radicands, column)))
-                           for column in zip(*sols)]
+                numerators, d = solved
+                lambdas = [ExactScalar.from_coordinates(dict(zip(radicands, column))) / d
+                           for column in zip(*numerators)]
                 if all(lam.sign() >= 0 for lam in lambdas):
                     return True, [(i, lam.spaced()) for i, lam in zip(subset, lambdas)]
         return False, None

@@ -1,11 +1,11 @@
 """Exact arithmetic in real multi-quadratic fields Q(sqrt(k_1), ..., sqrt(k_r)).
 
-A scalar is a + sum(c_k * sqrt(k)) with rational a and c_k over distinct
-squarefree radicands k >= 2.  Rationals have no radicand terms, and scalars
-over different radicands combine freely.  Every decision is exact and runs on
-integer coordinates: floors and signs bracket R*times*x between integers by
-integer square roots (signs at times = 2^64), and only a sign whose bracket
-holds 0 goes to the exact fallback combo_sign.  No floating point is used.
+A scalar a + sum(c_k * sqrt(k)) over distinct squarefree radicands k >= 2 is
+stored as integers over one denominator, (P + sum(Q_k*sqrt(k))) / R, as in
+FLINT's nf_elem; rationals have no radicand terms, and radicands mix freely.
+Field operations run on the integers with one gcd per result.  Decisions are
+exact: floors and signs bracket R*times*x by integer square roots (signs at
+times = 2^64); only a bracket that holds 0 goes to the fallback combo_sign.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .errors import ParseError
 
 RationalLike = int | Fraction
 
-_ZERO = Fraction(0)
 _set = object.__setattr__
 
 
@@ -33,45 +32,63 @@ def _least_prime(k: int) -> int:
     return next((p for p in range(2, isqrt(k) + 1) if k % p == 0), k)
 
 
-def _make(a: Fraction, terms: tuple) -> "ExactScalar":
+def _new(num: int, surds: tuple, den: int) -> "ExactScalar":
+    """(num + sum(q*sqrt(k))) / den for den > 0, with the content gcd(num, q..., den) divided out."""
+    g = gcd(num, den)
+    if g != 1 and (g := gcd(g, *(q for _, q in surds))) != 1:
+        num, den, surds = num // g, den // g, tuple((k, q // g) for k, q in surds)
     x = object.__new__(ExactScalar)
-    _set(x, "a", a)
-    _set(x, "terms", terms)
+    _set(x, "num", num)
+    _set(x, "surds", surds)
+    _set(x, "den", den)
     return x
 
 
-def _sorted_terms(coeffs: dict[int, Fraction]) -> tuple:
-    return tuple(sorted((k, c) for k, c in coeffs.items() if c))
+def _from_dict(coeffs: dict[int, int], den: int) -> "ExactScalar":
+    """sum(q_k*sqrt(k)) / den for den > 0; key 1 is the rational part."""
+    return _new(coeffs.pop(1, 0), tuple(sorted((k, q) for k, q in coeffs.items() if q)), den)
+
+
+def _times(surds: tuple, n: int) -> tuple:
+    return surds if n == 1 else tuple((k, q * n) for k, q in surds)
+
+
+def _parts(x) -> tuple[int, tuple, int]:
+    """(num, surds, den) of a scalar; a rational enters as (numerator, (), denominator)."""
+    if isinstance(x, ExactScalar):
+        return x.num, x.surds, x.den
+    x = x if isinstance(x, (int, Fraction)) else Fraction(x)
+    return x.numerator, (), x.denominator
 
 
 class ExactScalar:
-    """An element a + sum(c_k*sqrt(k)) of a real multi-quadratic field.
+    """An element (num + sum(q_k*sqrt(k))) / den of a real multi-quadratic field.
 
-    Canonical and immutable: `a` is the rational part and `terms` holds the
-    pairs (k, c_k) with c_k != 0, sorted by radicand.
+    Canonical and immutable: `surds` holds the pairs (k, q_k) with q_k != 0
+    sorted by radicand, den > 0, and gcd(num, q_k..., den) = 1.  The views `a`
+    (the rational part) and `terms` (the pairs (k, c_k)) are Fractions.
     """
 
-    __slots__ = ("a", "terms")
+    __slots__ = ("num", "surds", "den")
 
-    def __init__(self, a: RationalLike, b: RationalLike = 0, d: int = 0):
+    def __new__(cls, a: RationalLike, b: RationalLike = 0, d: int = 0):
         """The scalar a + b*sqrt(d); d is ignored when b is zero."""
-        b = Fraction(b)
-        _set(self, "a", Fraction(a))
-        _set(self, "terms", ((check_radicand(d), b),) if b else ())
+        return ExactScalar.from_coordinates({1: a, check_radicand(d): b} if Fraction(b) else {1: a})
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactScalar is immutable")
 
     def __reduce__(self):
-        return _make, (self.a, self.terms)
+        return _new, (self.num, self.surds, self.den)
+
+    a = property(lambda self: Fraction(self.num, self.den), doc="The rational part.")
+    terms = property(lambda self: tuple((k, Fraction(q, self.den)) for k, q in self.surds))
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def of(value: RationalLike | "ExactScalar") -> "ExactScalar":
-        if isinstance(value, ExactScalar):
-            return value
-        return _make(Fraction(value), ())
+        return value if isinstance(value, ExactScalar) else _new(*_parts(value))
 
     @staticmethod
     def root(d: int, coeff: RationalLike = 1) -> "ExactScalar":
@@ -81,90 +98,90 @@ class ExactScalar:
     @staticmethod
     def from_coordinates(coords: dict[int, RationalLike]) -> "ExactScalar":
         """The scalar sum(c_k*sqrt(k)) for {k: c_k}; key 1 is the rational part."""
-        terms = {check_radicand(k): Fraction(c) for k, c in coords.items() if k != 1}
-        return _make(Fraction(coords.get(1, 0)), _sorted_terms(terms))
-
-    # -- predicates --------------------------------------------------------
+        parts = {k if k == 1 else check_radicand(k): _parts(c) for k, c in coords.items()}
+        if any(surds for _, surds, _ in parts.values()):
+            raise TypeError("coordinates must be rational")
+        r = lcm(*(d for _, _, d in parts.values()))
+        return _from_dict({k: n * (r // d) for k, (n, _, d) in parts.items()}, r)
 
     def is_rational(self) -> bool:
-        return not self.terms
+        return not self.surds
 
     def is_zero(self) -> bool:
-        return not self.a and not self.terms
+        return not self.num and not self.surds
 
     def as_fraction(self) -> Fraction:
-        if self.terms:
+        if self.surds:
             raise ValueError(f"{self} is irrational")
-        return self.a
+        return Fraction(self.num, self.den)
 
     def coordinates(self) -> dict[int, Fraction]:
         """Nonzero coefficients by radicand; key 1 holds the rational part."""
-        out = {1: self.a} if self.a else {}
-        out.update(self.terms)
-        return out
+        return {k: c for k, c in ((1, self.a),) + self.terms if c}
 
     # -- field structure ---------------------------------------------------
 
+    def _add(self, num: int, surds: tuple, den: int) -> "ExactScalar":
+        """self + (num + sum(q*sqrt(k))) / den, over the lcm of the denominators."""
+        n, s, r = self.num, self.surds, self.den
+        if r != den:
+            g = gcd(r, den)
+            u, v = den // g, r // g
+            n, s, num, surds, r = n * u, _times(s, u), num * v, _times(surds, v), r * u
+        if not s or not surds:
+            return _new(n + num, s or surds, r)
+        coeffs = {1: n + num, **dict(s)}
+        for k, q in surds:
+            coeffs[k] = coeffs.get(k, 0) + q
+        return _from_dict(coeffs, r)
+
     def __add__(self, other) -> "ExactScalar":
-        if isinstance(other, (int, Fraction)):
-            return _make(self.a + other, self.terms)
-        other = ExactScalar.of(other)
-        s, o = self.terms, other.terms
-        if not s or not o:
-            terms = s or o
-        else:
-            coeffs = dict(s)
-            for k, c in o:
-                coeffs[k] = coeffs.get(k, _ZERO) + c
-            terms = _sorted_terms(coeffs)
-        return _make(self.a + other.a, terms)
+        return self._add(*_parts(other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactScalar":
-        return _make(-self.a, tuple((k, -c) for k, c in self.terms))
+        return _new(-self.num, _times(self.surds, -1), self.den)
 
     def __sub__(self, other) -> "ExactScalar":
-        if isinstance(other, (int, Fraction)):
-            return _make(self.a - other, self.terms)
-        return self + -ExactScalar.of(other)
+        num, surds, den = _parts(other)
+        return self._add(-num, _times(surds, -1), den)
 
     def __rsub__(self, other) -> "ExactScalar":
         return -self + other
 
-    def _scale(self, c: RationalLike) -> "ExactScalar":
-        return _make(self.a * c, tuple((k, v * c) for k, v in self.terms) if c else ())
+    def _scale(self, n: int, d: int) -> "ExactScalar":
+        """self * n/d for d > 0."""
+        return _new(self.num * n, _times(self.surds, n) if n else (), self.den * d)
 
     def __mul__(self, other) -> "ExactScalar":
-        if isinstance(other, (int, Fraction)):
-            return self._scale(other)
-        other = ExactScalar.of(other)
-        if not other.terms:
-            return self._scale(other.a)
-        if not self.terms:
-            return other._scale(self.a)
+        num, surds, den = _parts(other)
+        if not surds:
+            return self._scale(num, den)
+        if not self.surds:
+            return other._scale(self.num, self.den)
         # sqrt(j)*sqrt(k) = g*sqrt(j*k/g^2) with g = gcd(j, k), for squarefree j, k
-        coeffs: dict[int, Fraction] = {}
-        for j, cj in ((1, self.a),) + self.terms:
-            for k, ck in ((1, other.a),) + other.terms:
+        coeffs: dict[int, int] = {}
+        for j, p in ((1, self.num),) + self.surds:
+            for k, q in ((1, num),) + surds:
                 g = gcd(j, k)
                 m = j * k // (g * g)
-                coeffs[m] = coeffs.get(m, _ZERO) + cj * ck * g
-        return _make(coeffs.pop(1), _sorted_terms(coeffs))
+                coeffs[m] = coeffs.get(m, 0) + p * q * g
+        return _from_dict(coeffs, self.den * den)
 
     __rmul__ = __mul__
 
     def _conjugate(self, p: int) -> "ExactScalar":
         """The image under sqrt(p) -> -sqrt(p): flips the terms whose radicand p divides."""
-        return _make(self.a, tuple((k, -c if k % p == 0 else c) for k, c in self.terms))
+        return _new(self.num, tuple((k, -q if k % p == 0 else q) for k, q in self.surds), self.den)
 
     def inverse(self) -> "ExactScalar":
-        if not self.terms:
-            if not self.a:
+        if not self.surds:
+            if not self.num:
                 raise ZeroDivisionError("division by zero scalar")
-            return _make(1 / self.a, ())
+            return _new(self.den, (), self.num) if self.num > 0 else _new(-self.den, (), -self.num)
         # x * conj(x) has no radicand divisible by p, so the recursion ends
-        conj = self._conjugate(_least_prime(self.terms[0][0]))
+        conj = self._conjugate(_least_prime(self.surds[0][0]))
         return conj * (self * conj).inverse()
 
     def __truediv__(self, other) -> "ExactScalar":
@@ -178,24 +195,21 @@ class ExactScalar:
     def sign(self) -> int:
         """Sign, in {-1, 0, +1}: +1 if lo >= 0 and -1 if lo + t <= 0 for the bracket of
         2^64*self; only a bracket that holds 0 goes to the exact fallback combo_sign."""
-        if not self.terms:
-            return (self.a > 0) - (self.a < 0)
-        lo, _ = self._bracket(1 << 64)
-        if lo >= 0:
-            return 1
-        if lo + len(self.terms) <= 0:
-            return -1
-        return combo_sign(self)
+        if not self.surds:
+            return (self.num > 0) - (self.num < 0)
+        lo = self._bracket(1 << 64)
+        return 1 if lo >= 0 else -1 if lo + len(self.surds) <= 0 else combo_sign(self)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            return not self.terms and self.a == other
+            return not self.surds and self.num == other.numerator and self.den == other.denominator
         if not isinstance(other, ExactScalar):
             return NotImplemented
-        return self.a == other.a and self.terms == other.terms
+        return self.num == other.num and self.den == other.den and self.surds == other.surds
 
     def __hash__(self):
-        return hash((self.a, self.terms))
+        # a rational scalar equals its Fraction, so it hashes as one
+        return hash((self.num, self.surds, self.den) if self.surds else Fraction(self.num, self.den))
 
     def __lt__(self, other) -> bool:
         return (self - other).sign() < 0
@@ -212,31 +226,23 @@ class ExactScalar:
     def __abs__(self) -> "ExactScalar":
         return -self if self.sign() < 0 else self
 
-    # -- integer bracketing (no floats) -------------------------------------
-
-    def _bracket(self, times: int) -> tuple[int, int]:
-        """(lo, R) with R*times*self strictly inside (lo, lo + t) for t radicands: over
-        the common denominator R > 0, times*self = (P + sum(Q_k*sqrt(k))) / R, and
-        lo = P + sum(floor(Q_k*sqrt(k))), each irrational Q_k*sqrt(k) floored by isqrt."""
-        a, terms = self.a, self.terms
-        R = lcm(a.denominator, *(c.denominator for _, c in terms))
-        lo = a.numerator * (R // a.denominator) * times
-        for k, c in terms:
-            Q = c.numerator * (R // c.denominator) * times
-            root = isqrt(Q * Q * k)
-            lo += root if Q > 0 else -root - 1
-        return lo, R
+    def _bracket(self, times: int) -> int:
+        """lo with R*times*self = P*times + sum(Q_k*times*sqrt(k)) strictly inside (lo, lo + t)
+        for t radicands: lo = P*times + sum(floor(Q_k*times*sqrt(k))), floored by isqrt."""
+        lo = self.num * times
+        for k, q in self.surds:
+            q *= times
+            root = isqrt(q * q * k)
+            lo += root if q > 0 else -root - 1
+        return lo
 
     def floor(self, times: int = 1) -> int:
         """floor(times * self) for every integer times, without forming the product."""
-        a, terms = self.a, self.terms
-        if not terms or not times:
-            return a.numerator * times // a.denominator
-        lo, R = self._bracket(times)
-        n = lo // R
-        top = (lo + len(terms) - 1) // R    # R*times*self < lo + t
-        # times*x - top has the sign of times * sign(x - top/times)
-        while top > n and (self - Fraction(top, times)).sign() * times < 0:
+        if not self.surds or not times:
+            return self.num * times // self.den
+        lo, R = self._bracket(times), self.den
+        top = (lo + len(self.surds) - 1) // R    # R*times*self < lo + t
+        while top > lo // R and (self * times - top).sign() < 0:
             top -= 1
         return top
 
@@ -248,22 +254,17 @@ class ExactScalar:
         return (self.floor(2) + 1) // 2
 
     def __float__(self) -> float:
-        return float(self.a) + sum(float(c) * k**0.5 for k, c in self.terms)
-
-    # -- printing ----------------------------------------------------------
+        return self.num / self.den + sum(q / self.den * k**0.5 for k, q in self.surds)
 
     def _text(self, plus: str, minus: str) -> str:
-        parts = []
-        for k, c in ((1, self.a),) + self.terms:
-            if not c:
-                continue
-            mag = abs(c)
-            body = str(mag) if k == 1 else (f"sqrt({k})" if mag == 1 else f"{mag}*sqrt({k})")
-            if parts:
-                parts.append((plus if c > 0 else minus) + body)
-            else:
-                parts.append(body if c > 0 else "-" + body)
-        return "".join(parts) or "0"
+        out = ""
+        for k, q in ((1, self.num),) + self.surds:
+            if q:
+                g = gcd(q, self.den)
+                mag = f"{abs(q) // g}" + ("" if g == self.den else f"/{self.den // g}")
+                body = mag if k == 1 else (f"sqrt({k})" if mag == "1" else f"{mag}*sqrt({k})")
+                out += ((plus if q > 0 else minus) if out else ("" if q > 0 else "-")) + body
+        return out or "0"
 
     def __str__(self) -> str:
         return self._text("+", "-")
@@ -284,12 +285,11 @@ def combo_sign(x: ExactScalar) -> int:
     signs, sign(x) = sign(A) * sign(A^2 - p*C^2), and A^2 - p*C^2 =
     x * conj_p(x): each squaring eliminates one prime.
     """
-    if not x.terms:
+    if not x.surds:
         return x.sign()
-    p = _least_prime(x.terms[0][0])
-    sa = _make(x.a, tuple(t for t in x.terms if t[0] % p)).sign()
-    cofactor = {k // p: c for k, c in x.terms if k % p == 0}
-    sb = _make(cofactor.pop(1, _ZERO), _sorted_terms(cofactor)).sign()
+    p = _least_prime(x.surds[0][0])
+    sa = _new(x.num, tuple(t for t in x.surds if t[0] % p), x.den).sign()
+    sb = _from_dict({k // p: q for k, q in x.surds if k % p == 0}, x.den).sign()
     if sa * sb >= 0:
         return sa or sb
     return sa * (x * x._conjugate(p)).sign()

@@ -68,8 +68,8 @@ class TermOrder:
             object.__setattr__(self, "weights", ws)
             if all(w.is_rational() for w in ws):
                 # a positive rescaling to integers keeps the order and skips ExactScalar
-                scale = lcm(*(w.a.denominator for w in ws))
-                object.__setattr__(self, "_int_weights", tuple(int(w.a * scale) for w in ws))
+                scale = lcm(*(w.den for w in ws))
+                object.__setattr__(self, "_int_weights", tuple(w.num * (scale // w.den) for w in ws))
         object.__setattr__(self, "_cache", {})
 
     def key(self, m: Monomial):

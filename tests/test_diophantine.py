@@ -28,6 +28,7 @@ from conify.diophantine import (
     one_in_span,
     rational_matrix_rank,
     rational_rank,
+    solve_integral,
     solve_rational,
     verify_perturbation_bound,
 )
@@ -769,9 +770,9 @@ class TestRankBoundedMembership:
 
         def counted(columns, rhs_list):
             calls.append(len(columns))
-            return solve_rational(columns, rhs_list)
+            return solve_integral(columns, rhs_list)
 
-        monkeypatch.setattr("conify.diophantine.solve_rational", counted)
+        monkeypatch.setattr("conify.diophantine.solve_integral", counted)
         inside, certificate = cone.contains(v.entries)
         assert inside and calls == [4]
         assert certificate[0] == (0, "6524 - 2330*sqrt(2) - 1864*sqrt(3)")
