@@ -3,6 +3,10 @@
 Saturation by a variable needs no tag variable: Bayer's revlex trick reads it
 off one grevlex basis with that variable last (`revlex_basis`).
 
+Inside the kernel each monomial is one int that compares as the term order
+does (`_Packing`; Bachmann and Schoenemann, ISSAC 1998, as in Singular), so a
+shift is one add and a divisibility test one guard-bit test.
+
 Pairs are taken smallest lcm first (the normal strategy) and filtered once,
 when an element is inserted, by the Gebauer-Moller update (Becker and
 Weispfenning, *Groebner Bases*, 5.5): criteria M, F and B, and retirement of
@@ -21,9 +25,9 @@ import heapq
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, lru_cache
 from math import gcd, lcm as int_lcm
-from operator import add, le, sub
+from operator import mul, sub
 
 from .errors import ArityError, BudgetExceededError
 from .polyring import (
@@ -55,9 +59,75 @@ class IdealPresentation:
         return "<" + ", ".join(str(g) for g in self.generators) + ">"
 
 
+# -- packed monomials ------------------------------------------------------------
+
+class _Overflow(Exception):
+    """A packed monomial outgrew the field width."""
+
+
+class _Packing:
+    """Monomials packed into ints K(m) that compare as the order does.
+
+    From the top field down: the elimination block's degree and FMAX - e_i
+    for its variables, the integer weight w.m, the total degree, and
+    FMAX - e_i for every variable, the last most significant; a field only
+    where the order has it.  Fields below the top are `width` bits with a
+    zero guard bit, FMAX = 2^(width-1) - 1, so K(ab) = K(a) + K(b) - K(1),
+    a | b iff K(b) - K(a) + K(1) has no guard bit set, and a sum of codes
+    whose monomial outgrew the width has one set.  Irrational weights have
+    no field: their memoized `key` sorts instead."""
+
+    def __init__(self, order: TermOrder, width: int):
+        self.order, self.width, self.fmax = order, width, (1 << width - 1) - 1
+        self.one, self.steps, self.guard = _layout(order.nvars, order._int_weights, order.elim, width)
+        self.shifts, self.monomials = range(0, width * order.nvars, width), {}   # decoded or encoded so far
+        self.key = None
+        if order._int_weights is None and order.weights:
+            self.key = cache(lambda k: order.key(self.monomial(k)))
+
+    @classmethod
+    def fit(cls, order: TermOrder, polys) -> _Packing:
+        """Fields that hold twice the largest grade of the inputs' monomials."""
+        top = max(map(Polynomial.total_degree, polys), default=0) * max(order._int_weights or (1,))
+        return cls(order, top.bit_length() + 2)
+
+    def code(self, m: Monomial) -> int:
+        """K(m) for any m: the grade (weight, else degree) bounds every field."""
+        ws = self.order._int_weights
+        if (sum(m) if ws is None else sum(map(mul, ws, m))) > self.fmax:
+            raise _Overflow
+        k = self.one + sum(map(mul, self.steps, m))
+        self.monomials[k] = m
+        return k
+
+    def monomial(self, k: int) -> Monomial:
+        m = self.monomials.get(k)
+        if m is None:
+            fmax, mask = self.fmax, (1 << self.width) - 1
+            m = self.monomials[k] = tuple([fmax - (k >> s & mask) for s in self.shifts])
+        return m
+
+
+@lru_cache(maxsize=256)
+def _layout(n: int, ws: tuple[int, ...] | None, k: int, width: int) -> tuple[int, tuple[int, ...], int]:
+    """(K(1), K(x_i) - K(1) for each variable, the guard bits) of a packing."""
+    fmax, top = (1 << width - 1) - 1, width * n     # top: the offset of the degree field
+    one = fmax * ((1 << top) - 1) // ((1 << width) - 1)
+    steps = [(1 << top) - (1 << width * i) for i in range(n)]
+    if ws is not None:
+        top += width
+        steps = [s + (w << top) for s, w in zip(steps, ws)]
+    for i in range(k):
+        one += fmax << top + width * (i + 1)
+        steps[i] += (1 << top + width * (k + 1)) - (1 << top + width * (i + 1))
+    top += width * (k + 1) if k else 0
+    return one, tuple(steps), ((1 << top) - 1) // ((1 << width) - 1) << width - 1
+
+
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced Groebner basis together with its term order."""
+    """A reduced Groebner basis together with its term order.  `reducers`
+    holds the elements as packed primitive integer reducers."""
 
     ring: tuple[str, ...]
     elements: tuple[Polynomial, ...]
@@ -70,11 +140,32 @@ class GroebnerBasis:
         return len(self.elements)
 
     def leading_monomials(self) -> list[Monomial]:
-        return [r[0] for r in self.reducers]
+        return [self.packing.monomial(r[0]) for r in self.reducers]
+
+    @cached_property
+    def packing(self) -> _Packing:
+        return _Packing.fit(self.order, self.elements)
 
     @cached_property
     def reducers(self) -> list[Reducer]:
-        return [_reducer(_integral(g.terms)[0], self.order.key) for g in self.elements]
+        return [_reducer(_integral(g.terms, self.packing.code)[0], self.packing.key) for g in self.elements]
+
+    def reduce(self, work: dict[Monomial, int],
+               quotients: list[dict] | None = None) -> tuple[dict[Monomial, int], int]:
+        """`_reduce` by the elements on the terms in work: encode, reduce,
+        decode, at double width as often as a monomial overflows.  quotients[i],
+        if given, gets the terms the i-th element cancels over Q."""
+        while True:
+            p, found = self.packing, None if quotients is None else [{} for _ in quotients]
+            try:
+                remainder, scale = _reduce({p.code(m): c for m, c in work.items() if c}, self.reducers, p, found)
+                break
+            except _Overflow:
+                self.__dict__.pop("reducers", None)
+                self.__dict__["packing"] = _Packing(self.order, 2 * p.width)
+        for q, part in zip(quotients or (), found or ()):
+            q.update((p.monomial(k), c) for k, c in part.items())
+        return {p.monomial(m): c for m, c in remainder.items()}, scale
 
     def contains(self, f: Polynomial) -> bool:
         return normal_form(f, self).is_zero()
@@ -85,32 +176,33 @@ class GroebnerBasis:
 
 # -- reduction on integer term dicts ------------------------------------------
 
-Reducer = tuple[Monomial, int, list[tuple[Monomial, int]]]
+Reducer = tuple[int, int, list[tuple[int, int]]]
 
 
-def _integral(terms: dict[Monomial, Fraction]) -> tuple[dict[Monomial, int], int]:
-    """(d * terms, d) for d > 0 the lcm of the denominators."""
+def _integral(terms: dict[Monomial, Fraction], code=tuple) -> tuple[dict, int]:
+    """(d * terms, d) for d > 0 the lcm of the denominators, monomials mapped by code."""
     d = int_lcm(*(c.denominator for c in terms.values()))
-    return {m: c.numerator * (d // c.denominator) for m, c in terms.items()}, d
+    return {code(m): c.numerator * (d // c.denominator) for m, c in terms.items()}, d
 
 
-def _reducer(terms: dict[Monomial, int], key) -> Reducer:
+def _reducer(terms: dict[int, int], key) -> Reducer:
     """The primitive part with a positive lead, as (leading monomial, lc, tail)."""
     lm = max(terms, key=key)
     content = gcd(*terms.values()) if terms[lm] > 0 else -gcd(*terms.values())
     return lm, terms[lm] // content, [(m, c // content) for m, c in terms.items() if m != lm]
 
 
-def _reduce(work: dict[Monomial, int], reducers: list[Reducer], key,
-            quotients: list[dict] | None = None) -> tuple[dict[Monomial, int], int]:
-    """Fully pseudo-reduce the terms in `work` (consumed); return (r, s), s > 0
-    and r = s * the remainder over Q.
+def _reduce(work: dict[int, int], reducers: list[Reducer], packing: _Packing,
+            quotients: list[dict] | None = None) -> tuple[dict[int, int], int]:
+    """Fully pseudo-reduce the packed terms in `work` (consumed); return (r, s),
+    s > 0 and r = s * the remainder over Q.
 
-    Terms are taken largest first from a key-sorted pending list; a term that
+    Terms are taken largest first from a sorted pending list; a term that
     cancels stays in `work` with coefficient 0 until its turn.  The first
     reducer whose lead divides the term c is used: with g = gcd(c, lc), work
     and remainder are multiplied by lc/g and c/g times its shifted tail is
     subtracted; quotients[i], if given, records the terms it cancels over Q."""
+    key, one, guard = packing.key, packing.one, packing.guard
     pending = sorted(work, key=key)
     remainder = {}
     scale = 1
@@ -120,10 +212,10 @@ def _reduce(work: dict[Monomial, int], reducers: list[Reducer], key,
         if not c:
             continue
         for i, (lm, lc, tail) in enumerate(reducers):
-            if all(map(le, lm, m)):
-                factor = tuple(map(sub, m, lm))
+            shift = m - lm
+            if not (shift + one) & guard:
                 if quotients is not None:
-                    quotients[i][factor] = Fraction(c, scale)
+                    quotients[i][shift + one] = Fraction(c, scale)
                 g = gcd(c, lc)
                 c, a = c // g, lc // g
                 if a != 1:
@@ -132,9 +224,11 @@ def _reduce(work: dict[Monomial, int], reducers: list[Reducer], key,
                         for m2 in part:
                             part[m2] *= a
                 for m2, c2 in tail:
-                    target = tuple(map(add, m2, factor))
+                    target = m2 + shift
                     value = work.get(target)
                     if value is None:
+                        if target & guard:
+                            raise _Overflow
                         work[target] = -c * c2
                         insort(pending, target, key=key)
                     else:
@@ -145,31 +239,32 @@ def _reduce(work: dict[Monomial, int], reducers: list[Reducer], key,
     return remainder, scale
 
 
-def _spair(f: Reducer, g: Reducer, lcm: Monomial) -> dict[Monomial, int]:
+def _spair(f: Reducer, g: Reducer, lcm: int, guard: int) -> dict[int, int]:
     """The S-polynomial (lc_g/d) x^a f - (lc_f/d) x^b g, d = gcd(lc_f, lc_g)."""
     (lf, cf, tf), (lg, cg, tg) = f, g
     d = gcd(cf, cg)
     af, ag = cg // d, cf // d
-    sf, sg = tuple(map(sub, lcm, lf)), tuple(map(sub, lcm, lg))
-    work = {tuple(map(add, m, sf)): af * c for m, c in tf}
+    sf, sg = lcm - lf, lcm - lg
+    work = {m + sf: af * c for m, c in tf}
     for m, c in tg:
-        target = tuple(map(add, m, sg))
+        target = m + sg
         value = work.get(target)
         work[target] = -ag * c if value is None else value - ag * c
+    if any(m & guard for m in work):
+        raise _Overflow
     return work
 
 
 def division(f: Polynomial, divisors: list[Polynomial], order: TermOrder):
     """Full multivariate division: f = sum(q_i d_i) + r with no term of r
     divisible by any leading term of the divisors.  Returns (quotients, r)."""
-    key = order.key
     live = [i for i, d in enumerate(divisors) if not d.is_zero()]
-    reducers = [_reducer(_integral(divisors[i].terms)[0], key) for i in live]
+    basis = GroebnerBasis(f.ring, tuple(divisors[i] for i in live), order)
     found: list[dict] = [{} for _ in live]
     work, den = _integral(f.terms)
-    remainder, scale = _reduce(work, reducers, key, found)
+    remainder, scale = basis.reduce(work, found)
     quotients = [Polynomial.zero(f.ring) for _ in divisors]
-    for i, (lm, _, _), q in zip(live, reducers, found):
+    for i, lm, q in zip(live, basis.leading_monomials(), found):
         quotients[i] = Polynomial(f.ring, {m: c / (den * divisors[i].terms[lm]) for m, c in q.items()})
     return quotients, Polynomial(f.ring, {m: Fraction(c, den * scale) for m, c in remainder.items()})
 
@@ -178,10 +273,10 @@ def normal_form(f: Polynomial, basis: GroebnerBasis) -> Polynomial:
     """The unique remainder of f on division by a Groebner basis."""
     if f.ring != basis.ring:
         raise ArityError(f"ring mismatch: {f.ring} vs {basis.ring}")
-    if not basis.reducers:
+    if not basis.elements:
         return f
     work, den = _integral(f.terms)
-    remainder, scale = _reduce(work, basis.reducers, basis.order.key)
+    remainder, scale = basis.reduce(work)
     return Polynomial(f.ring, {m: Fraction(c, den * scale) for m, c in remainder.items()})
 
 
@@ -197,18 +292,36 @@ def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
 # -- Buchberger ----------------------------------------------------------------
 
 def spoly(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
-    rf, rg = _reducer(_integral(f.terms)[0], order.key), _reducer(_integral(g.terms)[0], order.key)
-    scale = Fraction(gcd(rf[1], rg[1]), rf[1] * rg[1])
-    return Polynomial(f.ring, {m: c * scale for m, c in _spair(rf, rg, mono_lcm(rf[0], rg[0])).items()})
+    """x^a f / lc(f) - x^b g / lc(g), where x^a lm(f) = x^b lm(g) is their lcm."""
+    lf, lg = f.leading_monomial(order), g.leading_monomial(order)
+    lcm = mono_lcm(lf, lg)
+    return (Polynomial(f.ring, {tuple(map(sub, lcm, lf)): 1 / f.terms[lf]}) * f
+            - Polynomial(f.ring, {tuple(map(sub, lcm, lg)): 1 / g.terms[lg]}) * g)
 
 
-def _buchberger(gens: list[Polynomial], order: TermOrder, max_steps: int | None) -> list[Reducer]:
+def _buchberger(gens: list[Polynomial], order: TermOrder, max_steps: int | None) -> GroebnerBasis:
+    """The reduced basis of the generators: `_minimal_basis` interreduced.  A
+    monomial that outgrows the packing reruns both at double width; the pair
+    order does not depend on the width, nor does the budget."""
+    packing = _Packing.fit(order, gens)
+    while True:
+        try:
+            elements, reducers = _interreduce(_minimal_basis(gens, packing, max_steps), packing, gens[0].ring)
+            break
+        except _Overflow:
+            packing = _Packing(order, 2 * packing.width)
+    basis = GroebnerBasis(gens[0].ring, tuple(elements), order)
+    basis.__dict__.update(packing=packing, reducers=reducers)
+    return basis
+
+
+def _minimal_basis(gens: list[Polynomial], p: _Packing, max_steps: int | None) -> list[Reducer]:
     """A minimal Groebner basis of the generators: the final active set."""
-    key = order.key
+    key, one, guard = p.key, p.one, p.guard
     elements: list[Reducer] = []   # every element ever inserted; pairs index it
     active: list[int] = []         # the current minimal basis
     reducers: list[Reducer] = []   # elements[k] for k in active
-    pairs: list = []               # heap of (key(lcm), i, j, lcm)
+    pairs: list = []               # heap of (rank of lcm, i, j, lcm, lcm as a tuple)
     reduced = dropped = 0
 
     def insert(terms):
@@ -217,67 +330,77 @@ def _buchberger(gens: list[Polynomial], order: TermOrder, max_steps: int | None)
         h = len(elements)
         elements.append(_reducer(terms, key))
         lh = elements[h][0]
+        th, lead = p.monomial(lh), p.monomial
         # criterion B: an old pair goes when lh divides its lcm properly
         old = []
         for pair in pairs:
-            lcm = pair[3]
-            if (all(map(le, lh, lcm)) and lcm != mono_lcm(elements[pair[1]][0], lh)
-                    and lcm != mono_lcm(elements[pair[2]][0], lh)):
+            if (not (pair[3] - lh + one) & guard and pair[4] != mono_lcm(lead(elements[pair[1]][0]), th)
+                    and pair[4] != mono_lcm(lead(elements[pair[2]][0]), th)):
                 dropped += 1
             else:
                 old.append(pair)
         if len(old) < len(pairs):
             heapq.heapify(old)
         pairs = old
-        # criteria M and F: one new pair per minimal lcm, coprime ones kept
-        # only to shadow the others
-        new = [(mono_lcm(elements[g][0], lh), g) for g in active]
+        # criteria M and F in one pass: a proper divisor of a lcm comes first in
+        # the order, so by (lcm, coprime first, later element first) each new
+        # pair meets every rival before it; coprime pairs are kept only to
+        # shadow the others
+        new = []
+        for g in active:
+            t = mono_lcm(lead(elements[g][0]), th)
+            lcm = one + sum(map(mul, p.steps, t))
+            if lcm & guard:   # no field exceeds the sum of two leads', so the guards see it
+                raise _Overflow
+            new.append((lcm, lcm != elements[g][0] + lh - one, -g, t))
         kept = []
-        for n, (lcm, g) in enumerate(new):
-            coprime = lcm == tuple(map(add, elements[g][0], lh))
-            rivals = [p[0] for p in kept] + [p[0] for p in new[n + 1:]]
-            if coprime or not any(all(map(le, other, lcm)) for other in rivals):
-                kept.append((lcm, g, coprime))
-        dropped += len(new)
-        for lcm, g, coprime in kept:
-            if not coprime:
-                dropped -= 1
-                heapq.heappush(pairs, (key(lcm), g, h, lcm))
+        for lcm, proper, later, t in sorted(new):
+            if not proper or not any(not (lcm - other + one) & guard for other in kept):
+                kept.append(lcm)
+                if proper:
+                    heapq.heappush(pairs, (lcm if key is None else key(lcm), -later, h, lcm, t))
+                    continue
+            dropped += 1
         # retire the elements whose leading monomial lh divides
-        active[:] = [g for g in active if not all(map(le, lh, elements[g][0]))] + [h]
+        active[:] = [g for g in active if (elements[g][0] - lh + one) & guard] + [h]
         reducers = [elements[g] for g in active]
-        if not any(lh):
+        if lh == one:
             pairs.clear()   # the unit ideal
 
     for g in gens:
-        r, _ = _reduce(_integral(g.terms)[0], reducers, key)
+        r, _ = _reduce(_integral(g.terms, p.code)[0], reducers, p)
         if r:
             insert(r)
     while pairs:
-        _, i, j, lcm = heapq.heappop(pairs)
+        _, i, j, lcm, _ = heapq.heappop(pairs)
         if reduced == max_steps:
             raise BudgetExceededError(
                 f"S-pair budget of {max_steps} exceeded: {reduced} pairs reduced, "
                 f"{dropped} dropped by the criteria, active basis of {len(active)}")
         reduced += 1
-        r, _ = _reduce(_spair(elements[i], elements[j], lcm), reducers, key)
+        r, _ = _reduce(_spair(elements[i], elements[j], lcm, guard), reducers, p)
         if r:
             insert(r)
     return reducers
 
 
-def _interreduce(basis: list[Reducer], order: TermOrder, ring: tuple[str, ...]) -> list[Polynomial]:
-    """The reduced basis from a minimal one, sorted by leading monomial.
+def _interreduce(basis: list[Reducer], packing: _Packing,
+                 ring: tuple[str, ...]) -> tuple[list[Polynomial], list[Reducer]]:
+    """The reduced basis from a minimal one, sorted by leading monomial, and
+    its elements as reducers.
 
     A tail term lies below its own lead, so no element reduces its own tail."""
-    key = order.key
-    out = []
-    for lm, lc, tail in sorted(basis, key=lambda r: key(r[0])):
-        terms = {lm: Fraction(1)}
-        remainder, scale = _reduce(dict(tail), basis, key)
-        terms.update((m, Fraction(c, lc * scale)) for m, c in remainder.items())
+    key, monomial = packing.key, packing.monomial
+    out, reducers = [], []
+    for lm, lc, tail in sorted(basis, key=None if key is None else lambda r: key(r[0])):
+        remainder, scale = _reduce(dict(tail), basis, packing)
+        lead = lc * scale
+        content = gcd(lead, *remainder.values())
+        reducers.append((lm, lead // content, [(m, c // content) for m, c in remainder.items()]))
+        terms = {monomial(lm): Fraction(1)}
+        terms.update((monomial(m), Fraction(c, lead)) for m, c in remainder.items())
         out.append(Polynomial(ring, terms))
-    return out
+    return out, reducers
 
 
 def reduced_basis(ideal: IdealPresentation, order: TermOrder | None = None,
@@ -294,8 +417,7 @@ def reduced_basis(ideal: IdealPresentation, order: TermOrder | None = None,
         raise ArityError("order arity does not match ring")
     if not ideal.generators:
         return GroebnerBasis(ideal.ring, (), order)
-    raw = _buchberger(list(ideal.generators), order, max_steps)
-    return GroebnerBasis(ideal.ring, tuple(_interreduce(raw, order, ideal.ring)), order)
+    return _buchberger(list(ideal.generators), order, max_steps)
 
 
 def ideals_equal(a: IdealPresentation, b: IdealPresentation) -> bool:

@@ -19,7 +19,7 @@ from math import ceil, lcm
 
 from .errors import ArityError
 from .exactnum import ExactScalar
-from .groebner import GroebnerBasis, IdealPresentation, _integral, _reduce, normal_form, reduced_basis
+from .groebner import GroebnerBasis, IdealPresentation, _integral, normal_form, reduced_basis
 from .polyring import (
     Monomial,
     Polynomial,
@@ -104,7 +104,7 @@ def _reduced(ring: tuple[str, ...], work: dict[Monomial, int], den: int, basis: 
     """work / den, pseudo-reduced mod the basis on integers; no Fraction for 0."""
     scale = 1
     if basis is not None:
-        work, scale = _reduce(work, basis.reducers, basis.order.key)
+        work, scale = basis.reduce(work)
     return Polynomial(ring, {m: Fraction(c, den * scale) for m, c in work.items() if c})
 
 
@@ -135,7 +135,7 @@ def preserves_ideal(table: PoissonTable, ideal: IdealPresentation) -> bool:
     basis = table.quotient_basis() if ideal == table.ideal else reduced_basis(ideal)
     for gi in (_integral(g.terms)[0] for g in ideal.generators):
         for l in range(len(table.ring)):
-            if _reduce(table._coordinate(l, gi, {}), basis.reducers, basis.order.key)[0]:
+            if basis.reduce(table._coordinate(l, gi, {}))[0]:
                 return False
     return True
 

@@ -48,9 +48,11 @@ class TermOrder:
     Comparison: (1) total degree in the first `elim` variables, grevlex within
     the block as tie-break; (2) weight of the full monomial, larger first;
     (3) grevlex over all variables.  Weights must all be positive so the order
-    is global.  Keys are memoized per monomial on the order itself, so the
-    memo lives as long as the order (and the basis holding it); larger key =
-    larger monomial.
+    is global.  Larger key = larger monomial.  Keys are memoized per monomial
+    on the order itself, so the memo lives as long as the order (and the basis
+    holding it).  The Buchberger kernel packs monomials into ints that compare
+    in this order (`groebner._Packing`), so the memo serves printing,
+    `leading_monomial` and orders with irrational weights only.
     """
 
     nvars: int

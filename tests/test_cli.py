@@ -293,6 +293,19 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["central_fiber"] == ["y^3 - x^2"]
 
+    def test_exponent_past_two_to_the_31(self, tmp_path):
+        # 2^31 needs a 34-bit field in the packed Buchberger kernel
+        path = tmp_path / "big.txt"
+        path.write_text("ring x y\nweights 1 1\nideal\nx^2147483648 - y\n")
+        code, out, err = run_cli("initial-ideal", "--input", str(path))
+        assert code == 0, err
+        assert json.loads(out) == {"schema": "conify/1", "central_fiber": ["y"]}
+        code, out, err = run_cli("testconfig", "--input", str(path))
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["family"] == ["x^2147483648*t^2147483647 - y"]
+        assert payload["ring"] == ["x", "y", "t"] and payload["saturated"] is True
+
     def test_coinciding_approximants_need_no_second_one(self, tmp_path):
         text = "field quad 5\nring x y\nweights 1/2*s s\nideal\n3*y^4 - 3*y^3 - 2*x^3\n"
         # (sqrt5/2, sqrt5) has one Dirichlet approximant at N = 16, 32 and 64;

@@ -1,20 +1,32 @@
-"""Differential test of the integer Buchberger kernel against a Fraction kernel.
+"""Differential tests of the packed integer Buchberger kernel against two oracles.
 
-conify.groebner reduces primitive integer polynomials by pseudo-reduction and
-makes Fractions only where a result leaves the kernel.  The oracle below is
-the kernel it replaced: monic reducers over Q, reduced term by term with
-Fraction arithmetic, with the same pair selection and Gebauer-Moller update.
-The two must agree on
+conify.groebner packs each monomial into one int that compares as the term
+order does, and reduces primitive integer polynomials by pseudo-reduction,
+making Fractions only where a result leaves the kernel.  The oracles below are
+the kernels it replaced:
+
+- the Fraction kernel: monic reducers over Q, reduced term by term with
+  Fraction arithmetic;
+- the tuple kernel: the same integer pseudo-reduction on exponent tuples,
+  sorted by `TermOrder.key`, with criterion M rebuilding each new pair's
+  rivals (the pairs kept so far and the later new pairs).
+
+Both use the same pair selection and Gebauer-Moller update.  The packed
+kernel must agree with them on
 
 - the minimal basis before interreduction, element by element: each integer
   reducer is the primitive multiple, with positive leading coefficient, of
-  the monic Fraction reducer;
-- the reduced bases under grevlex, weighted and elimination orders;
+  the monic Fraction reducer, and decodes to the tuple kernel's reducer;
+- the reduced bases under grevlex, weighted, irrationally weighted and
+  elimination orders;
 - the budget message, so the pair trajectory and its counters are the same;
 - normal forms, and division quotients and remainders.
 
 The inputs are seeded ideals with rational coefficients of denominators 2-7
-and non-monic leading coefficients, and the 20 criterion-1 ideals.
+and non-monic leading coefficients, the 20 criterion-1 ideals, and seeded
+ideals in the 14-variable ring of the `ogrady_weights` catalogue entry.  The
+packing itself is checked at exponents 0 and FMAX, on divisibility that fails
+in one field only, and with a field width too small for the inputs.
 """
 
 import heapq
@@ -36,7 +48,8 @@ from conify.groebner import (
     normal_form,
     reduced_basis,
 )
-from conify.polyring import Polynomial, TermOrder, mono_lcm
+from conify.catalogue import ENTRIES
+from conify.polyring import Polynomial, TermOrder, mono_divides, mono_lcm
 from test_acceptance import _degeneration_cases
 
 CASES = _degeneration_cases()
@@ -183,6 +196,156 @@ def primitive(lm, tail):
     return lm, ints[0] // content, [(m, c // content) for (m, _), c in zip(tail, ints[1:])]
 
 
+# -- the tuple kernel, the oracle the packing replaced -------------------------------
+
+def tuple_integral(terms):
+    d = lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (d // c.denominator) for m, c in terms.items()}, d
+
+
+def tuple_reducer(terms, key):
+    lm = max(terms, key=key)
+    content = gcd(*terms.values()) if terms[lm] > 0 else -gcd(*terms.values())
+    return lm, terms[lm] // content, [(m, c // content) for m, c in terms.items() if m != lm]
+
+
+def tuple_reduce(work, reducers, key, quotients=None):
+    """Fully pseudo-reduce `work` (consumed) on exponent tuples; return (r, s)."""
+    pending = sorted(work, key=key)
+    remainder = {}
+    scale = 1
+    while pending:
+        m = pending.pop()
+        c = work.pop(m)
+        if not c:
+            continue
+        for i, (lm, lc, tail) in enumerate(reducers):
+            if all(map(le, lm, m)):
+                factor = tuple(map(sub, m, lm))
+                if quotients is not None:
+                    quotients[i][factor] = Fraction(c, scale)
+                g = gcd(c, lc)
+                c, a = c // g, lc // g
+                if a != 1:
+                    scale *= a
+                    for part in (work, remainder):
+                        for m2 in part:
+                            part[m2] *= a
+                for m2, c2 in tail:
+                    target = tuple(map(add, m2, factor))
+                    value = work.get(target)
+                    if value is None:
+                        work[target] = -c * c2
+                        insort(pending, target, key=key)
+                    else:
+                        work[target] = value - c * c2
+                break
+        else:
+            remainder[m] = c
+    return remainder, scale
+
+
+def tuple_spair(f, g, lcm_):
+    (lf, cf, tf), (lg, cg, tg) = f, g
+    d = gcd(cf, cg)
+    af, ag = cg // d, cf // d
+    sf, sg = tuple(map(sub, lcm_, lf)), tuple(map(sub, lcm_, lg))
+    work = {tuple(map(add, m, sf)): af * c for m, c in tf}
+    for m, c in tg:
+        target = tuple(map(add, m, sg))
+        value = work.get(target)
+        work[target] = -ag * c if value is None else value - ag * c
+    return work
+
+
+def tuple_buchberger(gens, order, max_steps=None):
+    """The minimal basis of the tuple kernel, criterion M rival by rival."""
+    key = order.key
+    elements, active, reducers, pairs = [], [], [], []
+    reduced = dropped = 0
+
+    def insert(terms):
+        nonlocal pairs, reducers, dropped
+        h = len(elements)
+        elements.append(tuple_reducer(terms, key))
+        lh = elements[h][0]
+        old = []
+        for pair in pairs:
+            lcm_ = pair[3]
+            if (all(map(le, lh, lcm_)) and lcm_ != mono_lcm(elements[pair[1]][0], lh)
+                    and lcm_ != mono_lcm(elements[pair[2]][0], lh)):
+                dropped += 1
+            else:
+                old.append(pair)
+        if len(old) < len(pairs):
+            heapq.heapify(old)
+        pairs = old
+        new = [(mono_lcm(elements[g][0], lh), g) for g in active]
+        kept = []
+        for n, (lcm_, g) in enumerate(new):
+            coprime = lcm_ == tuple(map(add, elements[g][0], lh))
+            rivals = [p[0] for p in kept] + [p[0] for p in new[n + 1:]]
+            if coprime or not any(all(map(le, other, lcm_)) for other in rivals):
+                kept.append((lcm_, g, coprime))
+        dropped += len(new)
+        for lcm_, g, coprime in kept:
+            if not coprime:
+                dropped -= 1
+                heapq.heappush(pairs, (key(lcm_), g, h, lcm_))
+        active[:] = [g for g in active if not all(map(le, lh, elements[g][0]))] + [h]
+        reducers = [elements[g] for g in active]
+        if not any(lh):
+            pairs.clear()
+
+    for g in gens:
+        r, _ = tuple_reduce(tuple_integral(g.terms)[0], reducers, key)
+        if r:
+            insert(r)
+    while pairs:
+        _, i, j, lcm_ = heapq.heappop(pairs)
+        if reduced == max_steps:
+            raise BudgetExceededError(
+                f"S-pair budget of {max_steps} exceeded: {reduced} pairs reduced, "
+                f"{dropped} dropped by the criteria, active basis of {len(active)}")
+        reduced += 1
+        r, _ = tuple_reduce(tuple_spair(elements[i], elements[j], lcm_), reducers, key)
+        if r:
+            insert(r)
+    return reducers
+
+
+def tuple_reduced_basis(ideal, order):
+    key = order.key
+    basis = tuple_buchberger(list(ideal.generators), order)
+    out = []
+    for lm, lc, tail in sorted(basis, key=lambda r: key(r[0])):
+        terms = {lm: Fraction(1)}
+        remainder, scale = tuple_reduce(dict(tail), basis, key)
+        terms.update((m, Fraction(c, lc * scale)) for m, c in remainder.items())
+        out.append(Polynomial(ideal.ring, terms))
+    return tuple(out)
+
+
+def tuple_normal_form(f, basis):
+    reducers = [tuple_reducer(tuple_integral(g.terms)[0], basis.order.key) for g in basis.elements]
+    work, den = tuple_integral(f.terms)
+    remainder, scale = tuple_reduce(work, reducers, basis.order.key)
+    return Polynomial(f.ring, {m: Fraction(c, den * scale) for m, c in remainder.items()})
+
+
+def tuple_division(f, divisors, order):
+    key = order.key
+    live = [i for i, d in enumerate(divisors) if not d.is_zero()]
+    reducers = [tuple_reducer(tuple_integral(divisors[i].terms)[0], key) for i in live]
+    found = [{} for _ in live]
+    work, den = tuple_integral(f.terms)
+    remainder, scale = tuple_reduce(work, reducers, key, found)
+    quotients = [Polynomial.zero(f.ring) for _ in divisors]
+    for i, (lm, _, _), q in zip(live, reducers, found):
+        quotients[i] = Polynomial(f.ring, {m: c / (den * divisors[i].terms[lm]) for m, c in q.items()})
+    return quotients, Polynomial(f.ring, {m: Fraction(c, den * scale) for m, c in remainder.items()})
+
+
 # -- seeded inputs ----------------------------------------------------------------
 
 def rational_poly(rng, ring, max_deg=3, max_terms=4):
@@ -208,8 +371,31 @@ def rational_ideals(count, seed, ring=XYZ):
     return out
 
 
+def sparse_ideals(count, seed, ring):
+    """Generators of 2-4 terms of degree at most 3, each term in at most three
+    variables, coefficients as in rational_poly."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        gens = []
+        for _ in range(rng.randint(2, 3)):
+            terms = {}
+            for _ in range(rng.randint(2, 4)):
+                mono = [0] * len(ring)
+                for _ in range(rng.randint(0, 3)):
+                    mono[rng.randrange(len(ring))] += 1
+                q = rng.randint(2, 7)
+                terms[tuple(mono)] = Fraction(rng.choice([p for p in range(-9, 10) if gcd(p, q) == 1]), q)
+            gens.append(Polynomial(ring, terms))
+        out.append(IdealPresentation(ring, tuple(gens)))
+    return out
+
+
 SEEDED = rational_ideals(12, seed=1729)
 SEEDED4 = rational_ideals(6, seed=2718, ring=XYZW)
+OGRADY = ENTRIES["ogrady_weights"].document()
+FOURTEEN = sparse_ideals(6, seed=1414, ring=OGRADY.ring)
+KINDS = ["grevlex", "weighted", "irrational", "elimination"]
 
 
 def orders(n):
@@ -226,6 +412,130 @@ def both_kernels(ideal, order):
     return reduced_basis(ideal, order).elements, frac_reduced_basis(ideal, order)
 
 
+def packed_minimal_basis(gens, order):
+    """The packed kernel's minimal basis, decoded, at the width reduced_basis reaches."""
+    packing = groebner._Packing.fit(order, gens)
+    while True:
+        try:
+            packed = groebner._minimal_basis(gens, packing, None)
+            break
+        except groebner._Overflow:
+            packing = groebner._Packing(order, 2 * packing.width)
+    decode = groebner._Packing(order, packing.width).monomial    # no memo of the encoded monomials
+    return [(decode(lm), lc, [(decode(m), c) for m, c in tail]) for lm, lc, tail in packed]
+
+
+def budget_message(run, *args):
+    try:
+        run(*args)
+    except BudgetExceededError as error:
+        return str(error)
+    return None
+
+
+# -- the packing --------------------------------------------------------------------
+
+def fits(packing, m):
+    """Whether every field of K(m) below the top one holds its value."""
+    order, fmax = packing.order, packing.fmax
+    bounded = list(m)
+    if order._int_weights is not None or order.elim:
+        bounded.append(sum(m))      # the degree field is not the top one
+    if order._int_weights is not None and order.elim:
+        bounded.append(sum(w * e for w, e in zip(order._int_weights, m)))
+    return max(bounded) <= fmax
+
+
+def edge_monomials(packing):
+    """Exponents 0, 1 and the largest each variable carries alone."""
+    ws = packing.order._int_weights or (1, 1, 1)
+    tops = [packing.fmax // w for w in ws]
+    monos = [(a, b, c) for a in (0, 1, tops[0]) for b in (0, 1, tops[1]) for c in (0, 1, tops[2])]
+    return [m for m in monos if sum(w * e for w, e in zip(ws, m)) <= packing.fmax]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_packing_at_exponents_zero_and_fmax(kind):
+    order = orders(3)[kind]
+    p, fresh = groebner._Packing(order, 6), groebner._Packing(order, 6)
+    monos = edge_monomials(p)
+    assert max(max(m) for m in monos) == p.fmax == 31
+    codes = {m: p.code(m) for m in monos}
+    assert all(fresh.monomial(k) == m for m, k in codes.items())
+    rank = (lambda m: codes[m]) if p.key is None else (lambda m: p.key(codes[m]))
+    assert sorted(monos, key=rank) == sorted(monos, key=order.key)
+    for a in monos:
+        for b in monos:
+            quotient = codes[b] - codes[a] + p.one
+            assert (not quotient & p.guard) == mono_divides(a, b)
+            product = codes[a] + codes[b] - p.one
+            ab = tuple(map(add, a, b))
+            assert (not product & p.guard) == fits(p, ab)
+            if fits(p, ab):
+                assert fresh.monomial(product) == ab
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_divisibility_failing_in_one_field(kind):
+    order = orders(3)[kind]
+    p = groebner._Packing(order, 6)
+    b = (2, 2, 2)
+    for a in ((3, 2, 2), (2, 2, 3), (0, 0, 3), (3, 0, 0)):   # least, then most significant variable
+        assert (p.code(b) - p.code(a) + p.one) & p.guard
+    for a in ((2, 2, 2), (0, 2, 2), (2, 2, 0), (0, 0, 0)):
+        assert not (p.code(b) - p.code(a) + p.one) & p.guard
+    # reduction by a lead that exceeds the term in one field only leaves it alone
+    for lead in ((3, 2, 2), (2, 2, 3)):
+        reducer = p.code(lead), 1, [(p.code((0, 0, 0)), -1)]
+        remainder, scale = groebner._reduce({p.code(b): 5}, [reducer], p)
+        assert remainder == {p.code(b): 5} and scale == 1
+
+
+def test_codes_beyond_the_width_overflow():
+    p = groebner._Packing(TermOrder(3), 6)
+    with pytest.raises(groebner._Overflow):
+        p.code((32, 0, 0))
+    with pytest.raises(groebner._Overflow):
+        p.code((11, 11, 10))      # each exponent fits, the degree does not
+    weighted = groebner._Packing(TermOrder(3, weights=(3, 2, 1)), 6)
+    with pytest.raises(groebner._Overflow):
+        weighted.code((0, 16, 0))
+
+
+def test_too_narrow_a_width_reruns_at_double_width(monkeypatch):
+    widths = []
+    init = groebner._Packing.__init__
+
+    def spy(self, order, width):
+        widths.append(width)
+        init(self, order, width)
+    monkeypatch.setattr(groebner._Packing, "__init__", spy)
+    monkeypatch.setattr(groebner._Packing, "fit", classmethod(lambda cls, order, polys: cls(order, 2)))
+    rng = random.Random(5)
+    for kind in KINDS:
+        order = orders(3)[kind]
+        for ideal in SEEDED[:6]:
+            basis = reduced_basis(ideal, order)
+            assert basis.elements == tuple_reduced_basis(ideal, order)
+            assert budget_message(reduced_basis, ideal, order, 3) == budget_message(
+                tuple_buchberger, list(ideal.generators), order, 3)
+            hand_built = GroebnerBasis(XYZ, basis.elements, order)
+            f = rational_poly(rng, XYZ, max_deg=9, max_terms=6)
+            assert normal_form(f, hand_built) == tuple_normal_form(f, basis)
+            assert hand_built.packing.width > 2
+    assert {2, 4, 8} <= set(widths)
+
+
+def test_exponents_past_two_to_the_31():
+    ring = ("x", "y")
+    x = Polynomial(ring, {(2**31 + 1, 0): Fraction(1)})
+    ideal = IdealPresentation(ring, (Polynomial(ring, {(2**31, 0): Fraction(1), (0, 1): Fraction(-1)}),))
+    for order in (TermOrder(2), TermOrder(2, weights=(1, 1)), TermOrder(2, elim=1)):
+        basis = reduced_basis(ideal, order)
+        assert basis.elements == tuple_reduced_basis(ideal, order)
+        assert normal_form(x, basis) == tuple_normal_form(x, basis)
+
+
 # -- tests --------------------------------------------------------------------------
 
 def test_seeded_inputs_have_rational_coefficients_and_non_monic_leads():
@@ -236,18 +546,20 @@ def test_seeded_inputs_have_rational_coefficients_and_non_monic_leads():
     assert not any(c == 1 for c in leads)
 
 
-@pytest.mark.parametrize("kind", ["grevlex", "weighted", "irrational", "elimination"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_reduced_bases_agree_on_seeded_ideals(kind):
     for ideal in SEEDED + SEEDED4:
         new, old = both_kernels(ideal, orders(len(ideal.ring))[kind])
         assert new == old
+        assert new == tuple_reduced_basis(ideal, orders(len(ideal.ring))[kind])
 
 
-@pytest.mark.parametrize("kind", ["grevlex", "weighted", "elimination"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_minimal_bases_are_the_primitive_parts(kind):
-    for ideal in SEEDED:
-        order = orders(3)[kind]
-        new = groebner._buchberger(list(ideal.generators), order, None)
+    for ideal in SEEDED + SEEDED4:
+        order = orders(len(ideal.ring))[kind]
+        new = packed_minimal_basis(list(ideal.generators), order)
+        assert new == tuple_buchberger(list(ideal.generators), order)
         old = frac_buchberger(list(ideal.generators), order)
         assert new == [primitive(lm, tail) for lm, tail in old]
         for lm, lc, tail in new:
@@ -261,25 +573,36 @@ def test_reduced_bases_agree_on_criterion_1_ideals(index):
     for order in (TermOrder(n), TermOrder(n, weights=weights), TermOrder(n, elim=1)):
         new, old = both_kernels(ideal, order)
         assert new == old
+        assert new == tuple_reduced_basis(ideal, order)
 
 
-def budget_message(run, *args):
-    try:
-        run(*args)
-    except BudgetExceededError as error:
-        return str(error)
-    return None
+@pytest.mark.parametrize("kind", KINDS + ["catalogue"])
+def test_fourteen_variables_agree_with_the_tuple_kernel(kind):
+    order = TermOrder(14, weights=OGRADY.weights) if kind == "catalogue" else orders(14)[kind]
+    rng = random.Random(kind)
+    for ideal in FOURTEEN:
+        gens = list(ideal.generators)
+        assert packed_minimal_basis(gens, order) == tuple_buchberger(gens, order)
+        basis = reduced_basis(ideal, order)
+        assert basis.elements == tuple_reduced_basis(ideal, order)
+        for f in sparse_ideals(1, rng.random(), OGRADY.ring)[0].generators:
+            assert normal_form(f, basis) == tuple_normal_form(f, basis)
+        for steps in range(3):
+            assert budget_message(reduced_basis, ideal, order, steps) == budget_message(
+                tuple_buchberger, gens, order, steps)
 
 
 def test_budget_messages_agree():
-    stopped = 0
-    for ideal in SEEDED + [case[0] for case in CASES]:
-        order = TermOrder(len(ideal.ring))
-        for steps in range(6):
-            message = budget_message(reduced_basis, ideal, order, steps)
-            assert message == budget_message(frac_buchberger, list(ideal.generators), order, steps)
-            stopped += message is not None
-    assert stopped > 50
+    for kind in KINDS:
+        stopped = 0
+        for ideal in SEEDED + SEEDED4 + ([case[0] for case in CASES] if kind == "grevlex" else []):
+            order = orders(len(ideal.ring))[kind]
+            for steps in range(6):
+                message = budget_message(reduced_basis, ideal, order, steps)
+                assert message == budget_message(frac_buchberger, list(ideal.generators), order, steps)
+                assert message == budget_message(tuple_buchberger, list(ideal.generators), order, steps)
+                stopped += message is not None
+        assert stopped > 25
 
 
 def test_normal_forms_agree():
@@ -294,6 +617,7 @@ def test_normal_forms_agree():
                 f = rational_poly(rng, XYZ, max_deg=5, max_terms=6)
                 expected = Polynomial(XYZ, frac_reduce(dict(f.terms), monic, order.key))
                 assert normal_form(f, basis) == expected
+                assert tuple_normal_form(f, basis) == expected
     assert len(leads) > 3
 
 
@@ -318,6 +642,7 @@ def test_division_agrees():
                 expected_q, expected_r = frac_division(f, divisors, order)
                 assert quotients == expected_q
                 assert remainder == expected_r
+                assert (quotients, remainder) == tuple_division(f, divisors, order)
                 total = remainder
                 for q, d in zip(quotients, divisors):
                     total = total + q * d
