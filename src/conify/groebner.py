@@ -5,7 +5,8 @@ off one grevlex basis with that variable last (`revlex_basis`).
 
 Inside the kernel each monomial is one int that compares as the term order
 does (`_Packing`; Bachmann and Schoenemann, ISSAC 1998, as in Singular), so a
-shift is one add and a divisibility test one guard-bit test.
+shift is one add and a divisibility test one guard-bit test; a step in which a
+monomial outgrows the field width reruns at double width (`_widening`).
 
 Pairs are taken smallest lcm first (the normal strategy) and filtered once,
 when an element is inserted, by the Gebauer-Moller update (Becker and
@@ -23,9 +24,9 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, lcm as int_lcm
 from operator import mul, sub
 
@@ -66,30 +67,30 @@ class _Overflow(Exception):
 
 
 class _Packing:
-    """Monomials packed into ints K(m) that compare as the order does.
-
-    From the top field down: the elimination block's degree and FMAX - e_i
-    for its variables, the integer weight w.m, the total degree, and
-    FMAX - e_i for every variable, the last most significant; a field only
-    where the order has it.  Fields below the top are `width` bits with a
-    zero guard bit, FMAX = 2^(width-1) - 1, so K(ab) = K(a) + K(b) - K(1),
-    a | b iff K(b) - K(a) + K(1) has no guard bit set, and a sum of codes
-    whose monomial outgrew the width has one set.  Irrational weights have
-    no field: their memoized `key` sorts instead."""
+    """Monomials as ints K(m) that compare as the order does.  From the top
+    field down: the elimination block's degree and FMAX - e_i for its
+    variables, the integer weight w.m, the total degree, and FMAX - e_i for
+    every variable, the last most significant; a field only where the order
+    has it.  Fields below the top are `width` bits with a zero guard bit,
+    FMAX = 2^(width-1) - 1, so K(ab) = K(a) + K(b) - K(1), a | b iff
+    K(b) - K(a) + K(1) has no guard bit set, and a sum of codes whose monomial
+    outgrew the width has one set.  Irrational weights have no field; `key`
+    (the order's key of the decoded monomial) sorts instead."""
 
     def __init__(self, order: TermOrder, width: int):
         self.order, self.width, self.fmax = order, width, (1 << width - 1) - 1
         self.one, self.steps, self.guard = _layout(order.nvars, order._int_weights, order.elim, width)
         self.shifts, self.monomials = range(0, width * order.nvars, width), {}   # decoded or encoded so far
-        self.key = None
-        if order._int_weights is None and order.weights:
-            self.key = cache(lambda k: order.key(self.monomial(k)))
+        irrational = order._int_weights is None and order.weights
+        self.key = (lambda k: order.key(self.monomial(k))) if irrational else None
 
     @classmethod
     def fit(cls, order: TermOrder, polys) -> _Packing:
-        """Fields that hold twice the largest grade of the inputs' monomials."""
+        """Fields that hold twice the largest grade of the inputs' monomials,
+        or twice its square under an elimination order, whose reductions
+        raise the degree outside the block past the inputs'."""
         top = max(map(Polynomial.total_degree, polys), default=0) * max(order._int_weights or (1,))
-        return cls(order, top.bit_length() + 2)
+        return cls(order, (top * top if order.elim else top).bit_length() + 2)
 
     def code(self, m: Monomial) -> int:
         """K(m) for any m: the grade (weight, else degree) bounds every field."""
@@ -107,31 +108,48 @@ class _Packing:
             m = self.monomials[k] = tuple([fmax - (k >> s & mask) for s in self.shifts])
         return m
 
+    def pack(self, polys) -> list[Reducer]:
+        return [_reducer(_integral(g.terms, self.code)[0], self.key) for g in polys]
+
 
 @lru_cache(maxsize=256)
 def _layout(n: int, ws: tuple[int, ...] | None, k: int, width: int) -> tuple[int, tuple[int, ...], int]:
-    """(K(1), K(x_i) - K(1) for each variable, the guard bits) of a packing."""
-    fmax, top = (1 << width - 1) - 1, width * n     # top: the offset of the degree field
-    one = fmax * ((1 << top) - 1) // ((1 << width) - 1)
-    steps = [(1 << top) - (1 << width * i) for i in range(n)]
-    if ws is not None:
-        top += width
-        steps = [s + (w << top) for s, w in zip(steps, ws)]
-    for i in range(k):
-        one += fmax << top + width * (i + 1)
-        steps[i] += (1 << top + width * (k + 1)) - (1 << top + width * (i + 1))
-    top += width * (k + 1) if k else 0
-    return one, tuple(steps), ((1 << top) - 1) // ((1 << width) - 1) << width - 1
+    """(K(1), K(x_i) - K(1) for each variable, the guard bits) of a packing,
+    from its fields (base, linear form in the exponents), lowest first."""
+    fmax = (1 << width - 1) - 1
+    exponents = [(fmax, [-int(i == j) for j in range(n)]) for i in range(n)]     # FMAX - e_i
+    fields = exponents + [(0, [1] * n)] + ([(0, list(ws))] if ws else [])
+    if k:
+        fields += exponents[:k] + [(0, [1] * k + [0] * (n - k))]
+    one = sum(base << width * f for f, (base, _) in enumerate(fields))
+    steps = tuple(sum(form[j] << width * f for f, (_, form) in enumerate(fields)) for j in range(n))
+    return one, steps, sum(1 << width * f + width - 1 for f in range(len(fields) - 1))
+
+
+def _widening(packing: _Packing, run):
+    """(p, run(p)) for the first p of packing and its doublings that holds every monomial."""
+    while True:
+        try:
+            return packing, run(packing)
+        except _Overflow:
+            packing = _Packing(packing.order, 2 * packing.width)
 
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced Groebner basis together with its term order.  `reducers`
-    holds the elements as packed primitive integer reducers."""
+    """A reduced Groebner basis, its term order, and its elements as packed reducers."""
 
     ring: tuple[str, ...]
     elements: tuple[Polynomial, ...]
     order: TermOrder
+    packing: _Packing | None = field(default=None, repr=False, compare=False)
+    reducers: list[Reducer] | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.packing is None:
+            packed = _widening(_Packing.fit(self.order, self.elements), lambda p: p.pack(self.elements))
+            object.__setattr__(self, "packing", packed[0])
+            object.__setattr__(self, "reducers", packed[1])
 
     def __iter__(self):
         return iter(self.elements)
@@ -142,30 +160,9 @@ class GroebnerBasis:
     def leading_monomials(self) -> list[Monomial]:
         return [self.packing.monomial(r[0]) for r in self.reducers]
 
-    @cached_property
-    def packing(self) -> _Packing:
-        return _Packing.fit(self.order, self.elements)
-
-    @cached_property
-    def reducers(self) -> list[Reducer]:
-        return [_reducer(_integral(g.terms, self.packing.code)[0], self.packing.key) for g in self.elements]
-
-    def reduce(self, work: dict[Monomial, int],
-               quotients: list[dict] | None = None) -> tuple[dict[Monomial, int], int]:
-        """`_reduce` by the elements on the terms in work: encode, reduce,
-        decode, at double width as often as a monomial overflows.  quotients[i],
-        if given, gets the terms the i-th element cancels over Q."""
-        while True:
-            p, found = self.packing, None if quotients is None else [{} for _ in quotients]
-            try:
-                remainder, scale = _reduce({p.code(m): c for m, c in work.items() if c}, self.reducers, p, found)
-                break
-            except _Overflow:
-                self.__dict__.pop("reducers", None)
-                self.__dict__["packing"] = _Packing(self.order, 2 * p.width)
-        for q, part in zip(quotients or (), found or ()):
-            q.update((p.monomial(k), c) for k, c in part.items())
-        return {p.monomial(m): c for m, c in remainder.items()}, scale
+    def reduce(self, work: dict[Monomial, int]) -> tuple[dict[Monomial, int], int]:
+        """(r, s), s > 0 and r = s * the remainder of the terms in work over Q."""
+        return _divide(work, self.elements, self.packing, self.reducers)
 
     def contains(self, f: Polynomial) -> bool:
         return normal_form(f, self).is_zero()
@@ -255,17 +252,33 @@ def _spair(f: Reducer, g: Reducer, lcm: int, guard: int) -> dict[int, int]:
     return work
 
 
+def _divide(work: dict[Monomial, int], polys, packing: _Packing, reducers: list[Reducer] | None,
+            quotients: list[dict] | None = None) -> tuple[dict[Monomial, int], int]:
+    """`_reduce` by the polynomials (reducers: packed by packing, if known) on
+    the terms in work: encode, reduce and decode, repacking at double width as
+    often as a monomial overflows; quotients[i] gets what polys[i] cancels."""
+    def run(p):
+        found = None if quotients is None else [{} for _ in polys]
+        packed = reducers if p is packing and reducers is not None else p.pack(polys)
+        return found, _reduce({p.code(m): c for m, c in work.items() if c}, packed, p, found)
+    p, (found, (remainder, scale)) = _widening(packing, run)
+    for q, part in zip(quotients or (), found or ()):
+        q.update((p.monomial(k), c) for k, c in part.items())
+    return {p.monomial(m): c for m, c in remainder.items()}, scale
+
+
 def division(f: Polynomial, divisors: list[Polynomial], order: TermOrder):
     """Full multivariate division: f = sum(q_i d_i) + r with no term of r
     divisible by any leading term of the divisors.  Returns (quotients, r)."""
     live = [i for i, d in enumerate(divisors) if not d.is_zero()]
-    basis = GroebnerBasis(f.ring, tuple(divisors[i] for i in live), order)
+    polys = [divisors[i] for i in live]
     found: list[dict] = [{} for _ in live]
     work, den = _integral(f.terms)
-    remainder, scale = basis.reduce(work, found)
+    remainder, scale = _divide(work, polys, _Packing.fit(order, polys + [f]), None, found)
     quotients = [Polynomial.zero(f.ring) for _ in divisors]
-    for i, lm, q in zip(live, basis.leading_monomials(), found):
-        quotients[i] = Polynomial(f.ring, {m: c / (den * divisors[i].terms[lm]) for m, c in q.items()})
+    for i, g, q in zip(live, polys, found):
+        lc = g.terms[g.leading_monomial(order)]
+        quotients[i] = Polynomial(f.ring, {m: c / (den * lc) for m, c in q.items()})
     return quotients, Polynomial(f.ring, {m: Fraction(c, den * scale) for m, c in remainder.items()})
 
 
@@ -303,16 +316,10 @@ def _buchberger(gens: list[Polynomial], order: TermOrder, max_steps: int | None)
     """The reduced basis of the generators: `_minimal_basis` interreduced.  A
     monomial that outgrows the packing reruns both at double width; the pair
     order does not depend on the width, nor does the budget."""
-    packing = _Packing.fit(order, gens)
-    while True:
-        try:
-            elements, reducers = _interreduce(_minimal_basis(gens, packing, max_steps), packing, gens[0].ring)
-            break
-        except _Overflow:
-            packing = _Packing(order, 2 * packing.width)
-    basis = GroebnerBasis(gens[0].ring, tuple(elements), order)
-    basis.__dict__.update(packing=packing, reducers=reducers)
-    return basis
+    ring = gens[0].ring
+    packing, (elements, reducers) = _widening(
+        _Packing.fit(order, gens), lambda p: _interreduce(_minimal_basis(gens, p, max_steps), p, ring))
+    return GroebnerBasis(ring, tuple(elements), order, packing, reducers)
 
 
 def _minimal_basis(gens: list[Polynomial], p: _Packing, max_steps: int | None) -> list[Reducer]:

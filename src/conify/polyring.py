@@ -48,11 +48,9 @@ class TermOrder:
     Comparison: (1) total degree in the first `elim` variables, grevlex within
     the block as tie-break; (2) weight of the full monomial, larger first;
     (3) grevlex over all variables.  Weights must all be positive so the order
-    is global.  Larger key = larger monomial.  Keys are memoized per monomial
-    on the order itself, so the memo lives as long as the order (and the basis
-    holding it).  The Buchberger kernel packs monomials into ints that compare
-    in this order (`groebner._Packing`), so the memo serves printing,
-    `leading_monomial` and orders with irrational weights only.
+    is global; larger key = larger monomial.  Keys are memoized on the order,
+    for printing, `leading_monomial` and irrational weights: the Buchberger
+    kernel compares packed ints instead (`groebner._Packing`).
     """
 
     nvars: int
