@@ -12,11 +12,14 @@ build_test_configuration substitutes z_i -> t^{w_i} z_i in each flat and
 strips the common t power; for a standard basis these generate the
 t-saturated family (Eisenbud, Commutative Algebra, Thm. 15.17), kept as its
 reduced grevlex basis.  Its fiber at t = 0 is the degeneration, at t = 1 the
-original variety.  flatness_witness reads t-torsion off one revlex basis,
-independently of the flats.  weighted_initial_ideal is the reduced basis of
-the flats' initial forms; stable_initial_ideal builds an irrational xi's
-family from the same flats along the first integer point of xi's rational
-span in its Groebner cone, certified by its central fiber.
+original variety.  flatness_witness reads t-torsion off the leads of one
+minimal revlex basis, independently of the flats.  weighted_initial_ideal is
+the reduced basis of the flats' initial forms; stable_initial_ideal builds an
+irrational xi's family from the same flats along the first integer point of
+xi's rational span in its Groebner cone, certified by its central fiber.
+
+The stages pass each other primitive integer rows (`groebner.Row`); only the
+family, the fibers and the initial ideals are made into Polynomials.
 """
 
 from __future__ import annotations
@@ -25,20 +28,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, count, islice
 from math import gcd
+from operator import mul
 
 from .diophantine import ReebVector, _gauss_jordan
 from .errors import ArityError, CertificateError, InhomogeneousError
 from .exactnum import ExactScalar
-from .groebner import GroebnerBasis, IdealPresentation, reduced_basis, revlex_basis
-from .polyring import (
-    Monomial,
-    Polynomial,
-    TermOrder,
-    WeightData,
-    initial_form,
-    is_homogeneous,
-    mono_divides,
-)
+from .groebner import (GroebnerBasis, IdealPresentation, Row, _integral, basis_of_rows, reduced_basis,
+                       reduced_rows, revlex_leads)
+from .polyring import Monomial, TermOrder, WeightData, is_homogeneous, least_weight, mono_divides
 
 T_NAME = "t"
 
@@ -63,10 +60,20 @@ class TestConfiguration:
         return self.ring[:-1]
 
 
-def _homogenize_by_t(g: Polynomial, big_ring: tuple[str, ...], wvec: tuple[int, ...]) -> Polynomial:
-    weights = {mono: sum(w * e for w, e in zip(wvec, mono)) for mono in g.terms}
+def _homogenize_by_t(terms: dict, wvec: tuple[int, ...]) -> dict:
+    """The terms times t^(w.m - least w.m), t appended last."""
+    weights = {mono: sum(map(mul, wvec, mono)) for mono in terms}
     m = min(weights.values())
-    return Polynomial(big_ring, {mono + (weights[mono] - m,): c for mono, c in g.terms.items()})
+    return {mono + (weights[mono] - m,): c for mono, c in terms.items()}
+
+
+def _at(row: Row, value: int) -> Row:
+    """The row with its last variable set to 0 or 1 and dropped."""
+    out: Row = {}
+    for m, c in row.items():
+        if value or not m[-1]:
+            out[m[:-1]] = out.get(m[:-1], 0) + c
+    return out
 
 
 def build_test_configuration(ideal: IdealPresentation, wvec: tuple[int, ...],
@@ -82,26 +89,25 @@ def build_test_configuration(ideal: IdealPresentation, wvec: tuple[int, ...],
                    wvec, max_steps)
 
 
-def _family(ring: tuple[str, ...], flats: list[Polynomial], wvec: tuple[int, ...],
+def _family(ring: tuple[str, ...], flats: list[Row], wvec: tuple[int, ...],
             max_steps: int | None) -> TestConfiguration:
     """The reduced grevlex basis of the flats homogenized by t along wvec."""
     if T_NAME in ring:
         raise ArityError(f"ring already contains the family variable {T_NAME!r}")
     big_ring = ring + (T_NAME,)
-    gens = tuple(_homogenize_by_t(f, big_ring, wvec) for f in flats)
+    gens = [_homogenize_by_t(f, wvec) for f in flats]
     wd = WeightData(tuple(map(ExactScalar.of, wvec)), t_weight=Fraction(1))
-    return TestConfiguration(reduced_basis(IdealPresentation(big_ring, gens), max_steps=max_steps), wd)
+    return TestConfiguration(basis_of_rows(big_ring, gens, TermOrder(len(big_ring)), max_steps), wd)
 
 
-def _canonical(ring: tuple[str, ...], gens, max_steps: int | None) -> IdealPresentation:
-    """The ideal of gens, presented by its reduced grevlex basis."""
-    basis = reduced_basis(IdealPresentation(ring, tuple(gens)), max_steps=max_steps)
-    return IdealPresentation(ring, basis.elements)
+def _canonical(ring: tuple[str, ...], rows: list[Row], max_steps: int | None) -> IdealPresentation:
+    """The ideal of the integer rows, presented by its reduced grevlex basis."""
+    return IdealPresentation(ring, basis_of_rows(ring, rows, TermOrder(len(ring)), max_steps).elements)
 
 
 def _fiber(tc: TestConfiguration, t_value: int, max_steps: int | None = None) -> IdealPresentation:
     """The reduced basis of the family with t set to t_value, in the z-ring."""
-    return _canonical(tc.z_ring(), (g.evaluate(len(tc.ring) - 1, t_value) for g in tc.family), max_steps)
+    return _canonical(tc.z_ring(), [_at(row, t_value) for row in tc.family.rows()], max_steps)
 
 
 def central_fiber(tc: TestConfiguration) -> IdealPresentation:
@@ -119,14 +125,14 @@ def flatness_witness(tc: TestConfiguration, max_steps: int | None = None) -> boo
 
     The family is J's reduced grevlex basis, which is degree-compatible, so its
     h-homogenization generates J^h, and (J : t) = J iff (J^h : t) = J^h.  With
-    t last in revlex, in(J^h : t) = in(J^h) : t (`groebner.revlex_basis`), so J
+    t last in revlex, in(J^h : t) = in(J^h) : t (`groebner._revlex_rows`), so J
     is flat iff no leading monomial of the revlex basis of J^h is divisible by
-    t.  A family basis for any other order raises ValueError."""
+    t; a minimal basis has those leads (`groebner.revlex_leads`).  A family
+    basis for any other order raises ValueError."""
     family = tc.family
     if family.order != TermOrder(len(family.ring)):
         raise ValueError("flatness_witness needs the family's reduced grevlex basis")
-    leads = revlex_basis(IdealPresentation(family.ring, family.elements), T_NAME, max_steps)
-    return not any(m[-1] for m in leads.leading_monomials())
+    return not any(m[-1] for m in revlex_leads(family.ring, family.rows(), T_NAME, max_steps))
 
 
 # -- graded dimensions -----------------------------------------------------------
@@ -210,34 +216,29 @@ def _series_numerator(gens: list[Monomial], wvec: tuple[int, ...], cap: int) -> 
 
 # -- the initial ideal and irrational weights --------------------------------------
 
-H_NAME = "_h"
 CONE_CANDIDATES = 10**5  # small span points stable_initial_ideal tries before rounding xi
 
 
 def weighted_initial_ideal(ideal: IdealPresentation, wd: WeightData,
                            max_steps: int | None = None) -> IdealPresentation:
     """Minimal-weight initial ideal without the t-family: the flats' initial forms."""
-    return _canonical(ideal.ring, (initial_form(f, wd) for f in _flats(ideal, wd, max_steps)), max_steps)
+    return _canonical(ideal.ring, [least_weight(f, wd.weights) for f in _flats(ideal, wd, max_steps)], max_steps)
 
 
-def _flats(ideal: IdealPresentation, wd: WeightData, max_steps: int | None) -> list[Polynomial]:
-    """The refined reduced basis of I^h at h = 1: [] for <0>, [1] for <1>."""
+def _flats(ideal: IdealPresentation, wd: WeightData, max_steps: int | None) -> list[Row]:
+    """The refined reduced basis of I^h at h = 1, as primitive integer rows:
+    [] for <0>, [1] for <1>."""
     if len(wd.weights) != len(ideal.ring):
         raise ArityError("weights do not match ring")
-    if not ideal.generators:
-        return []
-    base = reduced_basis(ideal, max_steps=max_steps)
-    if any(g.total_degree() == 0 for g in base.elements):
-        return list(base.elements)
-    big_ring = ideal.ring + (H_NAME,)
-    homogenized = []
-    for g in base.elements:
-        deg = g.total_degree()
-        homogenized.append(Polynomial(big_ring, {m + (deg - sum(m),): c for m, c in g.terms.items()}))
+    n = len(ideal.ring)
+    base = reduced_rows([_integral(g.terms)[0] for g in ideal.generators], TermOrder(n), max_steps)
+    if base[:1] == [{(0,) * n: 1}]:
+        return base
+    degrees = [max(map(sum, g)) for g in base]
+    homogenized = [{m + (d - sum(m),): c for m, c in g.items()} for g, d in zip(base, degrees)]
     c = ExactScalar.of(max(w.floor() for w in wd.weights) + 1)
-    refined = TermOrder(len(big_ring), weights=tuple(c - w for w in wd.weights) + (c,))
-    basis = reduced_basis(IdealPresentation(big_ring, tuple(homogenized)), refined, max_steps)
-    return [b.evaluate(len(big_ring) - 1, 1) for b in basis.elements]
+    refined = TermOrder(n + 1, weights=tuple(c - w for w in wd.weights) + (c,))
+    return [_at(b, 1) for b in reduced_rows(homogenized, refined, max_steps)]
 
 
 def stable_initial_ideal(ideal: IdealPresentation, xi: tuple[ExactScalar, ...],
@@ -256,12 +257,12 @@ def stable_initial_ideal(ideal: IdealPresentation, xi: tuple[ExactScalar, ...],
     """
     wd = WeightData(tuple(xi))
     flats = _flats(ideal, wd, max_steps)
-    initials = [initial_form(f, wd) for f in flats]
+    initials = [least_weight(f, wd.weights) for f in flats]
     target = _canonical(ideal.ring, initials, max_steps)
     greater = []
     for f, lead in zip(flats, initials):
-        a = next(iter(lead.terms))
-        greater += [tuple(x - y for x, y in zip(m, a)) for m in f.terms if m not in lead.terms]
+        a = next(iter(lead))
+        greater += [tuple(x - y for x, y in zip(m, a)) for m in f if m not in lead]
     basis = [list(col) for col in zip(*ReebVector(wd.weights).coordinate_rows())]
     pivots, d = _gauss_jordan(basis, len(xi))
     basis = [[x if d > 0 else -x for x in row] for row in basis[:len(pivots)]]

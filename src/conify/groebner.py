@@ -1,7 +1,7 @@
 """Buchberger's algorithm with reduced bases, elimination, saturation, quotients.
 
 Saturation by a variable needs no tag variable: Bayer's revlex trick reads it
-off one grevlex basis with that variable last (`revlex_basis`).
+off one grevlex basis with that variable last (`_revlex_rows`).
 
 Inside the kernel each monomial is one int that compares as the term order
 does (`_Packing`; Bachmann and Schoenemann, ISSAC 1998, as in Singular), so a
@@ -85,11 +85,11 @@ class _Packing:
         self.key = (lambda k: order.key(self.monomial(k))) if irrational else None
 
     @classmethod
-    def fit(cls, order: TermOrder, polys) -> _Packing:
-        """Fields that hold twice the largest grade of the inputs' monomials,
-        or twice its square under an elimination order, whose reductions
-        raise the degree outside the block past the inputs'."""
-        top = max(map(Polynomial.total_degree, polys), default=0) * max(order._int_weights or (1,))
+    def fit(cls, order: TermOrder, rows) -> _Packing:
+        """Fields that hold twice the largest grade of the monomials of the
+        term dicts, or twice its square under an elimination order, whose
+        reductions raise the degree outside the block past the inputs'."""
+        top = max((sum(m) for row in rows for m in row), default=0) * max(order._int_weights or (1,))
         return cls(order, (top * top if order.elim else top).bit_length() + 2)
 
     def code(self, m: Monomial) -> int:
@@ -147,7 +147,8 @@ class GroebnerBasis:
 
     def __post_init__(self):
         if self.packing is None:
-            packed = _widening(_Packing.fit(self.order, self.elements), lambda p: p.pack(self.elements))
+            packed = _widening(_Packing.fit(self.order, [g.terms for g in self.elements]),
+                               lambda p: p.pack(self.elements))
             object.__setattr__(self, "packing", packed[0])
             object.__setattr__(self, "reducers", packed[1])
 
@@ -159,6 +160,9 @@ class GroebnerBasis:
 
     def leading_monomials(self) -> list[Monomial]:
         return [self.packing.monomial(r[0]) for r in self.reducers]
+
+    def rows(self) -> list[Row]:
+        return _rows(self.packing, self.reducers)
 
     def reduce(self, work: dict[Monomial, int]) -> tuple[dict[Monomial, int], int]:
         """(r, s), s > 0 and r = s * the remainder of the terms in work over Q."""
@@ -174,6 +178,7 @@ class GroebnerBasis:
 # -- reduction on integer term dicts ------------------------------------------
 
 Reducer = tuple[int, int, list[tuple[int, int]]]
+Row = dict[Monomial, int]   # a polynomial as an integer term dict
 
 
 def _integral(terms: dict[Monomial, Fraction], code=tuple) -> tuple[dict, int]:
@@ -274,7 +279,7 @@ def division(f: Polynomial, divisors: list[Polynomial], order: TermOrder):
     polys = [divisors[i] for i in live]
     found: list[dict] = [{} for _ in live]
     work, den = _integral(f.terms)
-    remainder, scale = _divide(work, polys, _Packing.fit(order, polys + [f]), None, found)
+    remainder, scale = _divide(work, polys, _Packing.fit(order, [g.terms for g in polys + [f]]), None, found)
     quotients = [Polynomial.zero(f.ring) for _ in divisors]
     for i, g, q in zip(live, polys, found):
         lc = g.terms[g.leading_monomial(order)]
@@ -312,18 +317,22 @@ def spoly(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
             - Polynomial(f.ring, {tuple(map(sub, lcm, lg)): 1 / g.terms[lg]}) * g)
 
 
-def _buchberger(gens: list[Polynomial], order: TermOrder, max_steps: int | None) -> GroebnerBasis:
-    """The reduced basis of the generators: `_minimal_basis` interreduced.  A
-    monomial that outgrows the packing reruns both at double width; the pair
-    order does not depend on the width, nor does the budget."""
-    ring = gens[0].ring
-    packing, (elements, reducers) = _widening(
-        _Packing.fit(order, gens), lambda p: _interreduce(_minimal_basis(gens, p, max_steps), p, ring))
-    return GroebnerBasis(ring, tuple(elements), order, packing, reducers)
+def _buchberger(rows: list[Row], order: TermOrder, max_steps: int | None,
+                finish=None) -> tuple[_Packing | None, list[Reducer]]:
+    """The reduced basis of the integer rows: its packing and `_minimal_basis`
+    interreduced (or passed to finish(basis, packing)), or (None, []) for no
+    rows.  A monomial that outgrows the packing reruns both at double width;
+    the pair order does not depend on the width, nor does the budget."""
+    if max_steps is not None and max_steps < 0:
+        raise ValueError(f"max_steps must be at least 0, not {max_steps}")
+    if not rows:
+        return None, []
+    finish = finish or _interreduce
+    return _widening(_Packing.fit(order, rows), lambda p: finish(_minimal_basis(rows, p, max_steps), p))
 
 
-def _minimal_basis(gens: list[Polynomial], p: _Packing, max_steps: int | None) -> list[Reducer]:
-    """A minimal Groebner basis of the generators: the final active set."""
+def _minimal_basis(rows: list[Row], p: _Packing, max_steps: int | None) -> list[Reducer]:
+    """A minimal Groebner basis of the integer rows: the final active set."""
     key, one, guard = p.key, p.one, p.guard
     elements: list[Reducer] = []   # every element ever inserted; pairs index it
     active: list[int] = []         # the current minimal basis
@@ -374,8 +383,8 @@ def _minimal_basis(gens: list[Polynomial], p: _Packing, max_steps: int | None) -
         if lh == one:
             pairs.clear()   # the unit ideal
 
-    for g in gens:
-        r, _ = _reduce(_integral(g.terms, p.code)[0], reducers, p)
+    for row in rows:
+        r, _ = _reduce({p.code(m): c for m, c in row.items()}, reducers, p)
         if r:
             insert(r)
     while pairs:
@@ -391,23 +400,37 @@ def _minimal_basis(gens: list[Polynomial], p: _Packing, max_steps: int | None) -
     return reducers
 
 
-def _interreduce(basis: list[Reducer], packing: _Packing,
-                 ring: tuple[str, ...]) -> tuple[list[Polynomial], list[Reducer]]:
-    """The reduced basis from a minimal one, sorted by leading monomial, and
-    its elements as reducers.
-
-    A tail term lies below its own lead, so no element reduces its own tail."""
-    key, monomial = packing.key, packing.monomial
-    out, reducers = [], []
+def _interreduce(basis: list[Reducer], packing: _Packing) -> list[Reducer]:
+    """The reduced basis from a minimal one, as primitive reducers sorted by
+    leading monomial.  A tail term lies below its own lead and every later one,
+    none of which divides it, so each tail is reduced by the elements before it."""
+    key = packing.key
+    reduced = []
     for lm, lc, tail in sorted(basis, key=None if key is None else lambda r: key(r[0])):
-        remainder, scale = _reduce(dict(tail), basis, packing)
+        remainder, scale = _reduce(dict(tail), reduced, packing)
         lead = lc * scale
         content = gcd(lead, *remainder.values())
-        reducers.append((lm, lead // content, [(m, c // content) for m, c in remainder.items()]))
-        terms = {monomial(lm): Fraction(1)}
-        terms.update((monomial(m), Fraction(c, lead)) for m, c in remainder.items())
-        out.append(Polynomial(ring, terms))
-    return out, reducers
+        reduced.append((lm, lead // content, [(m, c // content) for m, c in remainder.items()]))
+    return reduced
+
+
+def _rows(packing: _Packing, reducers: list[Reducer]) -> list[Row]:
+    """Reducers as primitive integer term dicts with positive leads, lead first."""
+    return [{packing.monomial(m): c for m, c in [(lm, lc), *tail]} for lm, lc, tail in reducers]
+
+
+def reduced_rows(rows: list[Row], order: TermOrder, max_steps: int | None = None) -> list[Row]:
+    """The reduced basis of the integer rows as `_rows`, sorted by leading monomial."""
+    return _rows(*_buchberger(rows, order, max_steps))
+
+
+def basis_of_rows(ring: tuple[str, ...], rows: list[Row], order: TermOrder,
+                  max_steps: int | None = None) -> GroebnerBasis:
+    """The reduced basis of the integer rows as a GroebnerBasis in the ring."""
+    packing, reducers = _buchberger(rows, order, max_steps)
+    elements = tuple(Polynomial(ring, {m: Fraction(c, lc) for m, c in row.items()})
+                     for row, (_, lc, _) in zip(_rows(packing, reducers), reducers))
+    return GroebnerBasis(ring, elements, order, packing, reducers)
 
 
 def reduced_basis(ideal: IdealPresentation, order: TermOrder | None = None,
@@ -417,14 +440,10 @@ def reduced_basis(ideal: IdealPresentation, order: TermOrder | None = None,
     `max_steps` >= 0 bounds the number of S-pairs reduced, counted after
     the Gebauer-Moller criteria have dropped theirs; BudgetExceededError
     reports the pairs reduced and dropped and the active basis size."""
-    if max_steps is not None and max_steps < 0:
-        raise ValueError(f"max_steps must be at least 0, not {max_steps}")
     order = order or TermOrder(len(ideal.ring))
     if order.nvars != len(ideal.ring):
         raise ArityError("order arity does not match ring")
-    if not ideal.generators:
-        return GroebnerBasis(ideal.ring, (), order)
-    return _buchberger(list(ideal.generators), order, max_steps)
+    return basis_of_rows(ideal.ring, [_integral(g.terms)[0] for g in ideal.generators], order, max_steps)
 
 
 def ideals_equal(a: IdealPresentation, b: IdealPresentation) -> bool:
@@ -443,36 +462,41 @@ def _fresh_name(ring: tuple[str, ...], base: str) -> str:
     return name
 
 
-def revlex_basis(ideal: IdealPresentation, var: str,
-                 max_steps: int | None = None) -> GroebnerBasis:
-    """Reduced grevlex basis of the generators homogenized by a fresh h, in the
-    ring (other variables..., h, var).  With var last, in(K : var) = in(K) : var
-    for homogeneous K (Bayer, thesis, Harvard 1982; Bayer and Stillman, Invent.
-    Math. 1987; Eisenbud, Prop. 15.12)."""
-    if var not in ideal.ring:
+def revlex_leads(ring: tuple[str, ...], rows: list[Row], var: str,
+                 max_steps: int | None = None) -> list[Monomial]:
+    """The leading monomials of the reduced grevlex basis of `_revlex_rows`,
+    read off a minimal basis, which has the same leads, without interreducing."""
+    ring, rows = _revlex_rows(ring, rows, var)
+    p, basis = _buchberger(rows, TermOrder(len(ring)), max_steps, lambda basis, p: basis)
+    return [p.monomial(r[0]) for r in basis]
+
+
+def _revlex_rows(ring: tuple[str, ...], rows: list[Row], var: str) -> tuple[tuple[str, ...], list[Row]]:
+    """The rows homogenized by a fresh h, in the ring (other variables..., h, var).
+    For the ideal K they generate, with var last in grevlex, in(K : var) =
+    in(K) : var (Bayer, thesis, Harvard 1982; Bayer and Stillman, Invent. Math.
+    1987; Eisenbud, Prop. 15.12)."""
+    if var not in ring:
         raise ArityError(f"{var!r} is not a ring variable")
-    k = ideal.ring.index(var)
-    ring = ideal.ring[:k] + ideal.ring[k + 1:] + (_fresh_name(ideal.ring, "_h"), var)
-    gens = []
-    for g in ideal.generators:
-        deg = g.total_degree()
-        gens.append(Polynomial(ring, {m[:k] + m[k + 1:] + (deg - sum(m), m[k]): c for m, c in g.terms.items()}))
-    return reduced_basis(IdealPresentation(ring, tuple(gens)), max_steps=max_steps)
+    k, degrees = ring.index(var), [max(map(sum, row)) for row in rows]
+    out = [{m[:k] + m[k + 1:] + (d - sum(m), m[k]): c for m, c in row.items()} for row, d in zip(rows, degrees)]
+    return ring[:k] + ring[k + 1:] + (_fresh_name(ring, "_h"), var), out
 
 
 def saturate_by_variable(ideal: IdealPresentation, var: str,
                          max_steps: int | None = None) -> IdealPresentation:
     """(I : var^infinity) as its reduced grevlex basis, by Bayer's trick: divide
-    each element of `revlex_basis` by its largest power of var, set h = 1, and
-    reduce in the ring of I (setting h = 1 commutes with saturating by var).
-    Only the tests (its oracle for the t-families) and the benchmark tracer
-    use it; it leaves with `intersect` and `ideal_quotient`."""
-    basis, k = revlex_basis(ideal, var, max_steps), ideal.ring.index(var)
-    flat = []
-    for g in basis:
-        low = min(m[-1] for m in g.terms)
-        flat.append(Polynomial(ideal.ring, {m[:k] + (m[-1] - low,) + m[k:-2]: c for m, c in g.terms.items()}))
-    result = reduced_basis(IdealPresentation(ideal.ring, tuple(flat)), max_steps=max_steps)
+    each element of the reduced grevlex basis of `_revlex_rows` by its largest
+    power of var, set h = 1, and reduce in the ring of I (setting h = 1
+    commutes with saturating by var).  Only the tests (its oracle for the
+    t-families) and the benchmark tracer use it; it leaves with `intersect`
+    and `ideal_quotient`."""
+    ring, rows = _revlex_rows(ideal.ring, [_integral(g.terms)[0] for g in ideal.generators], var)
+    k, flat = ideal.ring.index(var), []
+    for g in reduced_rows(rows, TermOrder(len(ring)), max_steps):
+        low = min(m[-1] for m in g)
+        flat.append({m[:k] + (m[-1] - low,) + m[k:-2]: c for m, c in g.items()})
+    result = basis_of_rows(ideal.ring, flat, TermOrder(len(ideal.ring)), max_steps)
     return IdealPresentation(ideal.ring, result.elements)
 
 

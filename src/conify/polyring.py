@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from operator import add, le
+from operator import add, le, mul
 from typing import Iterable, Iterator
 
 from .errors import ArityError, ParseError
@@ -39,6 +39,27 @@ def mono_lcm(m1: Monomial, m2: Monomial) -> Monomial:
 
 def _grevlex_key(m: Monomial):
     return (sum(m), tuple(-e for e in reversed(m)))
+
+
+def _rescaled(ws: tuple[ExactScalar, ...]) -> tuple[int, ...] | None:
+    """Rational weights times the lcm of their denominators, which keeps every
+    comparison of weights and skips ExactScalar; None if one is irrational."""
+    if all(w.is_rational() for w in ws):
+        scale = lcm(*(w.den for w in ws))
+        return tuple(w.num * (scale // w.den) for w in ws)
+    return None
+
+
+def least_weight(terms: dict, ws: tuple[ExactScalar, ...]) -> dict:
+    """The terms of least weight under ws: on integers for rational weights."""
+    ints = _rescaled(ws)
+    if ints is None:
+        zero = ExactScalar.of(0)
+        graded = {m: sum((w * e for w, e in zip(ws, m) if e), zero) for m in terms}
+    else:
+        graded = {m: sum(map(mul, ints, m)) for m in terms}
+    low = min(graded.values())
+    return {m: c for m, c in terms.items() if graded[m] == low}
 
 
 @dataclass(frozen=True)
@@ -66,10 +87,7 @@ class TermOrder:
             if any(w.sign() <= 0 for w in ws):
                 raise ValueError("order weights must be strictly positive")
             object.__setattr__(self, "weights", ws)
-            if all(w.is_rational() for w in ws):
-                # a positive rescaling to integers keeps the order and skips ExactScalar
-                scale = lcm(*(w.den for w in ws))
-                object.__setattr__(self, "_int_weights", tuple(w.num * (scale // w.den) for w in ws))
+            object.__setattr__(self, "_int_weights", _rescaled(ws))
         object.__setattr__(self, "_cache", {})
 
     def key(self, m: Monomial):
@@ -200,9 +218,6 @@ class Polynomial:
             out[key] = out.get(key, Fraction(0)) + c * e
         return Polynomial(self.ring, out)
 
-    def total_degree(self) -> int:
-        return max(map(sum, self.terms), default=0)
-
     # order-dependent views
     def leading_monomial(self, order: TermOrder) -> Monomial:
         if not self.terms:
@@ -220,18 +235,7 @@ class Polynomial:
     def __iter__(self) -> Iterator[tuple[Monomial, Fraction]]:
         return iter(self.sorted_terms())
 
-    # substitution helpers used by the degeneration machinery
-    def evaluate(self, var_index: int, value) -> "Polynomial":
-        """Substitute a rational constant for one variable and drop it from the ring."""
-        value = Fraction(value)
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            coeff = c * value ** m[var_index]
-            if coeff:
-                key = m[:var_index] + m[var_index + 1:]
-                out[key] = out.get(key, Fraction(0)) + coeff
-        return Polynomial(self.ring[:var_index] + self.ring[var_index + 1:], out)
-
+    # ring changes used by elimination (`groebner.intersect`)
     def drop_variable(self, var_index: int) -> "Polynomial":
         """Remove a variable that no term uses."""
         ring = self.ring[:var_index] + self.ring[var_index + 1:]
@@ -346,16 +350,7 @@ def initial_form(f: Polynomial, wd: WeightData) -> Polynomial:
     """Sum of the terms of minimal weight."""
     if f.is_zero():
         raise ValueError("zero polynomial has no initial form")
-    best: ExactScalar | None = None
-    picked: dict[Monomial, Fraction] = {}
-    for mono, coeff in f.terms.items():
-        w = term_weight(mono, wd)
-        if best is None or (w - best).sign() < 0:
-            best = w
-            picked = {mono: coeff}
-        elif (w - best).sign() == 0:
-            picked[mono] = coeff
-    return Polynomial(f.ring, picked)
+    return Polynomial(f.ring, least_weight(f.terms, wd.full_vector(len(f.ring))))
 
 
 def homogeneous_weight(f: Polynomial, wd: WeightData) -> ExactScalar | None:
@@ -364,14 +359,10 @@ def homogeneous_weight(f: Polynomial, wd: WeightData) -> ExactScalar | None:
     The zero polynomial is homogeneous of every weight; use is_homogeneous
     to distinguish that case from a genuine disagreement.
     """
-    value: ExactScalar | None = None
-    for mono in f.terms:
-        w = term_weight(mono, wd)
-        if value is None:
-            value = w
-        elif (w - value).sign() != 0:
-            return None
-    return value
+    n = len(f.terms)
+    if not n or n > 1 and len(least_weight(f.terms, wd.full_vector(len(f.ring)))) < n:
+        return None
+    return term_weight(next(iter(f.terms)), wd)
 
 
 def is_homogeneous(f: Polynomial, wd: WeightData) -> bool:

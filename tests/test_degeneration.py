@@ -113,6 +113,16 @@ class TestFibers:
         tc = build_test_configuration(source, (2, 2, 2))
         assert ideals_equal(general_fiber(tc), source)
 
+    def test_setting_t_sums_the_terms_it_merges(self):
+        # a hand-built family {y*t - y, x*t^2 + y^2 - x, y^3}: at t = 1 the
+        # first element cancels to zero and the x-terms of the second cancel;
+        # at t = 0 only the t-free terms are left
+        ring = ("x", "y", "t")
+        family = reduced_basis(ideal(ring, "x*t^2 - x + y^2", "y*t - y"), TermOrder(3))
+        tc = degeneration.TestConfiguration(family, WeightData((ExactScalar.of(1),) * 2, t_weight=Fraction(1)))
+        assert [str(g) for g in general_fiber(tc).generators] == ["y^2"]
+        assert [str(g) for g in central_fiber(tc).generators] == ["y", "x"]
+
 
 class TestFlatness:
     def test_saturated_families_are_flat(self):

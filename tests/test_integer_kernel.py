@@ -414,10 +414,11 @@ def both_kernels(ideal, order):
 
 def packed_minimal_basis(gens, order):
     """The packed kernel's minimal basis, decoded, at the width reduced_basis reaches."""
-    packing = groebner._Packing.fit(order, gens)
+    rows = [groebner._integral(g.terms)[0] for g in gens]
+    packing = groebner._Packing.fit(order, rows)
     while True:
         try:
-            packed = groebner._minimal_basis(gens, packing, None)
+            packed = groebner._minimal_basis(rows, packing, None)
             break
         except groebner._Overflow:
             packing = groebner._Packing(order, 2 * packing.width)
@@ -581,6 +582,21 @@ def test_minimal_bases_are_the_primitive_parts(kind):
         assert new == [primitive(lm, tail) for lm, tail in old]
         for lm, lc, tail in new:
             assert lc > 0 and gcd(lc, *(c for _, c in tail)) == 1
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_reduced_bases_hand_over_primitive_rows(kind):
+    # each element times the lcm of its denominators, leading term first: the
+    # integer rows the degeneration stages pass each other
+    for ideal in SEEDED + SEEDED4:
+        order = orders(len(ideal.ring))[kind]
+        basis = reduced_basis(ideal, order)
+        rows = groebner.reduced_rows([groebner._integral(g.terms)[0] for g in ideal.generators], order)
+        assert rows == basis.rows()
+        for g, row in zip(basis.elements, rows):
+            d = lcm(*(c.denominator for c in g.terms.values()))
+            assert row == {m: int(c * d) for m, c in g.terms.items()}
+            assert next(iter(row)) == g.leading_monomial(order)
 
 
 @pytest.mark.parametrize("index", range(len(CASES)))

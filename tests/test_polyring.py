@@ -175,14 +175,3 @@ class TestParsePrint:
             P("x +")
         with pytest.raises(ParseError):
             P("x * ")
-
-
-class TestEvaluate:
-    def test_substitutes_and_drops_the_variable(self):
-        f = P("x^2*z - 3*y*z^2 + x - y")
-        assert f.evaluate(2, 2) == P("2*x^2 - 12*y + x - y", ("x", "y"))
-        assert f.evaluate(2, 0) == P("x - y", ("x", "y"))
-        assert f.evaluate(0, Fraction(1, 2)) == P("1/4*z - 3*y*z^2 + 1/2 - y", ("y", "z"))
-
-    def test_cancellation_leaves_zero(self):
-        assert P("x*z - x").evaluate(2, 1).is_zero()

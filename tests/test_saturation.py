@@ -69,13 +69,25 @@ def quotient_is_flat(family: IdealPresentation) -> bool:
 def raw_family(ideal: IdealPresentation, wvec) -> IdealPresentation:
     """The t-homogenized generators, before saturation."""
     ring = ideal.ring + (T_NAME,)
-    return IdealPresentation(ring, tuple(_homogenize_by_t(g, ring, wvec) for g in ideal.generators))
+    return IdealPresentation(ring, tuple(Polynomial(ring, _homogenize_by_t(g.terms, wvec))
+                                         for g in ideal.generators))
 
 
 def family_config(family: IdealPresentation, wvec):
     """A hand-built configuration: the reduced grevlex basis of any family."""
     wd = WeightData(tuple(ExactScalar.of(w) for w in wvec), t_weight=Fraction(1))
     return degeneration.TestConfiguration(reduced_basis(family, TermOrder(len(family.ring))), wd)
+
+
+def revlex_basis(family) -> groebner.GroebnerBasis:
+    """The reduced grevlex basis, interreduced in full, of the family's
+    elements homogenized by h in the ring (z..., h, t), t last."""
+    ring = family.ring[:-1] + ("_h", T_NAME)
+    gens = []
+    for g in family.elements:
+        deg = max(map(sum, g.terms))
+        gens.append(Polynomial(ring, {m[:-1] + (deg - sum(m), m[-1]): c for m, c in g.terms.items()}))
+    return reduced_basis(IdealPresentation(ring, tuple(gens)))
 
 
 def template_cases(count: int, seed: int):
@@ -222,6 +234,40 @@ class TestFlatnessAgainstQuotient:
             flatness_witness(tc)
 
 
+class TestFlatnessAgainstRevlexBasis:
+    """flatness_witness reads the leads of a minimal revlex basis, which are
+    the leads of the reduced one: the verdict and the leads must agree with
+    the full reduced basis on every family, flat or not."""
+
+    @staticmethod
+    def verdicts(tc):
+        oracle = revlex_basis(tc.family).leading_monomials()
+        leads = groebner.revlex_leads(tc.ring, tc.family.rows(), T_NAME)
+        assert sorted(leads) == sorted(oracle)
+        return flatness_witness(tc), not any(m[-1] for m in oracle)
+
+    def test_criterion_1_families(self):
+        for ideal, weights in CASES:
+            tc = build_test_configuration(ideal, weights)
+            assert self.verdicts(tc) == (True, True)
+            witness, oracle = self.verdicts(family_config(raw_family(ideal, weights), weights))
+            assert witness == oracle, str(ideal)
+
+    def test_benchmark_template_families(self):
+        rejected = 0
+        for ideal, weights in TEMPLATES:
+            assert self.verdicts(build_test_configuration(ideal, weights)) == (True, True)
+            witness, oracle = self.verdicts(family_config(raw_family(ideal, weights), weights))
+            assert witness == oracle, str(ideal)
+            rejected += not witness
+        assert rejected == 9
+
+    def test_hand_built_non_flat_family(self):
+        # the family of tests/test_degeneration.py's test_unsaturated_family_fails
+        raw = IdealPresentation(("x", T_NAME), (parse_polynomial("t*x", ("x", T_NAME)),))
+        assert self.verdicts(family_config(raw, (1,))) == (False, False)
+
+
 class TestBudgets:
     def test_flatness_budget(self):
         tc = build_test_configuration(HARD, (1, 2, 3))
@@ -234,43 +280,63 @@ class TestBudgets:
         with pytest.raises(BudgetExceededError):
             saturate_by_variable(raw, T_NAME, max_steps=1)
 
+    @staticmethod
+    def spy_on_buchberger(monkeypatch):
+        """The (term order, budget) of every Buchberger run, in order.  Every
+        basis, the leads-only revlex basis of flatness_witness included, is
+        one `_minimal_basis` call per width tried on the same rows; the reruns
+        at double width count once."""
+        seen, inputs = [], []
+        inner = groebner._minimal_basis
+
+        def spy(rows, packing, max_steps):
+            if not inputs or inputs[-1] is not rows:
+                inputs.append(rows)
+                seen.append((packing.order, max_steps))
+            return inner(rows, packing, max_steps)
+
+        monkeypatch.setattr(groebner, "_minimal_basis", spy)
+        return seen
+
     def test_budget_reaches_every_basis(self, monkeypatch):
-        seen = []
-        inner = groebner.reduced_basis
-
-        def spy(ideal, order=None, max_steps=None):
-            seen.append((ideal.ring, max_steps))
-            return inner(ideal, order, max_steps)
-
-        monkeypatch.setattr(groebner, "reduced_basis", spy)
-        monkeypatch.setattr(degeneration, "reduced_basis", spy)
+        seen = self.spy_on_buchberger(monkeypatch)
         budget = 10**6
-        base, refined, family = (HARD.ring, budget), (HARD.ring + ("_h",), budget), (HARD.ring + (T_NAME,), budget)
+        # grevlex in (x, y, z), in (x, y, z, t) and in (x, y, z, _h, t); the
+        # refined order on (x, y, z, _h) weighs c - w_i and c, c = max floor(w_i) + 1
+        base, family, revlex = (TermOrder(3), budget), (TermOrder(4), budget), (TermOrder(5), budget)
+
+        def refined(*weights):
+            return TermOrder(4, weights=weights), budget
         tc = build_test_configuration(HARD, (1, 2, 3), max_steps=budget)
-        assert seen == [base, refined, family]
+        assert seen == [base, refined(3, 2, 1, 4), family]
         seen.clear()
         assert flatness_witness(tc, max_steps=budget)
-        assert seen == [(("x", "y", "z", "_h", T_NAME), budget)]
+        assert seen == [revlex]
         seen.clear()
         weighted_initial_ideal(HARD, WeightData((ExactScalar.of(1), ExactScalar.of(2), ExactScalar.root(3, 2))),
                                max_steps=budget)
-        assert seen == [base, refined, base]
+        assert seen == [base, refined(3, 2, 4 - ExactScalar.root(3, 2), 4), base]
         seen.clear()
         # base, refined, the canonical basis of in_xi(I), family, central fiber
         stable_initial_ideal(HARD, (ExactScalar.root(2, 2), ExactScalar.of(1), ExactScalar.of(3)), max_steps=budget)
-        assert seen == [base, refined, base, family, base]
+        assert seen == [base, refined(4 - ExactScalar.root(2, 2), 3, 1, 4), base, family, base]
+
+    @pytest.mark.parametrize("steps", [-1, -5])
+    def test_negative_budget_is_rejected(self, steps):
+        # the degeneration stages call the kernel directly, not reduced_basis
+        tc = build_test_configuration(HARD, (1, 2, 3))
+        xi = (ExactScalar.root(2, 2), ExactScalar.of(1), ExactScalar.of(3))
+        for run in (lambda: build_test_configuration(HARD, (1, 2, 3), max_steps=steps),
+                    lambda: flatness_witness(tc, max_steps=steps),
+                    lambda: weighted_initial_ideal(HARD, WeightData(xi), max_steps=steps),
+                    lambda: stable_initial_ideal(HARD, xi, max_steps=steps)):
+            with pytest.raises(ValueError, match="max_steps must be at least 0"):
+                run()
 
     def test_unit_and_zero_ideals_skip_the_refined_basis(self, monkeypatch):
-        seen = []
-        inner = groebner._buchberger
-
-        def spy(gens, order, max_steps):
-            seen.append((gens[0].ring, max_steps))
-            return inner(gens, order, max_steps)
-
-        monkeypatch.setattr(groebner, "_buchberger", spy)
+        seen = self.spy_on_buchberger(monkeypatch)
         build_test_configuration(UNIT, (1,), max_steps=5)
-        assert seen == [(("x",), 5), (("x", T_NAME), 5)]
+        assert seen == [(TermOrder(1), 5), (TermOrder(2), 5)]
         seen.clear()
         build_test_configuration(IdealPresentation(("x",), ()), (1,), max_steps=5)
         assert seen == []
