@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from fractions import Fraction
 
@@ -49,7 +48,7 @@ from .poisson import (
     jacobi_holds,
     preserves_ideal,
 )
-from .polyring import WeightData
+from .polyring import WeightData, _rescaled
 
 SCHEMA = "conify/1"
 
@@ -170,19 +169,12 @@ def _read_document(path: str) -> InputDocument:
         raise ConifyError(f"cannot read {path}: {exc.strerror}")
 
 
-def _integer_weight_vector(doc: InputDocument) -> tuple[int, ...]:
-    wd = doc.weight_data()
-    fracs = [w.as_fraction() for w in wd.weights]
-    scale = math.lcm(*(f.denominator for f in fracs))
-    return tuple(int(f * scale) for f in fracs)
-
-
 def _family_payload(doc: InputDocument):
     """The degeneration family; irrational weights take the certified
     weight vector of `stable_initial_ideal`."""
-    ideal = doc.ideal()
-    if all(w.is_rational() for w in doc.weights):
-        return build_test_configuration(ideal, _integer_weight_vector(doc))
+    ideal, ints = doc.ideal(), _rescaled(doc.weights)
+    if ints is not None:
+        return build_test_configuration(ideal, ints)
     return stable_initial_ideal(ideal, doc.weights)
 
 

@@ -33,8 +33,8 @@ from operator import mul
 from .diophantine import ReebVector, _gauss_jordan
 from .errors import ArityError, CertificateError, InhomogeneousError
 from .exactnum import ExactScalar
-from .groebner import (GroebnerBasis, IdealPresentation, Row, _integral, basis_of_rows, reduced_basis,
-                       reduced_rows, revlex_leads)
+from .groebner import (GroebnerBasis, IdealPresentation, Row, _integral, _revlex_rows, basis_of_rows,
+                       minimal_leads, reduced_rows)
 from .polyring import Monomial, TermOrder, WeightData, is_homogeneous, least_weight, mono_divides
 
 T_NAME = "t"
@@ -46,8 +46,9 @@ class TestConfiguration:
 
     `family` is the reduced grevlex basis of the t-saturated family ideal in
     the ring (z_1, ..., z_n, t), t last; `weights` grades the z-variables, and
-    t has weight -1.  A hand-built family must come from `reduced_basis` with
-    the grevlex order; flatness_witness checks the order."""
+    t has weight -1.  A family from elsewhere must be the `reduced_basis` of
+    its ideal for the grevlex order, since a GroebnerBasis cannot be built by
+    hand; flatness_witness checks the order."""
 
     family: GroebnerBasis
     weights: WeightData
@@ -127,12 +128,13 @@ def flatness_witness(tc: TestConfiguration, max_steps: int | None = None) -> boo
     h-homogenization generates J^h, and (J : t) = J iff (J^h : t) = J^h.  With
     t last in revlex, in(J^h : t) = in(J^h) : t (`groebner._revlex_rows`), so J
     is flat iff no leading monomial of the revlex basis of J^h is divisible by
-    t; a minimal basis has those leads (`groebner.revlex_leads`).  A family
+    t; a minimal basis has those leads (`groebner.minimal_leads`).  A family
     basis for any other order raises ValueError."""
     family = tc.family
     if family.order != TermOrder(len(family.ring)):
         raise ValueError("flatness_witness needs the family's reduced grevlex basis")
-    return not any(m[-1] for m in revlex_leads(family.ring, family.rows(), T_NAME, max_steps))
+    ring, rows = _revlex_rows(family.ring, family.rows(), T_NAME)
+    return not any(m[-1] for m in minimal_leads(rows, TermOrder(len(ring)), max_steps))
 
 
 # -- graded dimensions -----------------------------------------------------------
@@ -142,10 +144,11 @@ def hilbert_function(ideal: IdealPresentation, wd: WeightData, cap: int) -> dict
 
     Requires a weighted-homogeneous ideal with positive integer weights w_i,
     so the quotient has the graded dimensions of R / M, M the ideal of the
-    leading monomials of the reduced basis.  Its Hilbert-Poincare series is
-    K(t) / prod(1 - t^{w_i}); the numerator K comes from Bigatti's pivot
-    recursion (`_series_numerator`), and dividing by each 1 - t^{w_i} is one
-    exact integer prefix sum with stride w_i over the coefficients up to cap.
+    leading monomials of the grevlex basis (`groebner.minimal_leads`).  Its
+    Hilbert-Poincare series is K(t) / prod(1 - t^{w_i}); the numerator K comes
+    from Bigatti's pivot recursion (`_series_numerator`), and dividing by each
+    1 - t^{w_i} is one exact integer prefix sum with stride w_i over the
+    coefficients up to cap.
     Only weights with a nonzero dimension appear, in increasing order.
     """
     wvec = wd.integer_weights()
@@ -158,7 +161,7 @@ def hilbert_function(ideal: IdealPresentation, wd: WeightData, cap: int) -> dict
             raise InhomogeneousError(f"generator {g} is not homogeneous")
     if cap < 0:
         return {}
-    leads = reduced_basis(ideal).leading_monomials()
+    leads = minimal_leads([_integral(g.terms)[0] for g in ideal.generators], TermOrder(len(ideal.ring)))
     coeffs = _series_numerator(leads, wvec, cap)
     for w in wvec:
         for d in range(w, cap + 1):
@@ -232,7 +235,7 @@ def _flats(ideal: IdealPresentation, wd: WeightData, max_steps: int | None) -> l
         raise ArityError("weights do not match ring")
     n = len(ideal.ring)
     base = reduced_rows([_integral(g.terms)[0] for g in ideal.generators], TermOrder(n), max_steps)
-    if base[:1] == [{(0,) * n: 1}]:
+    if base in ([], [{(0,) * n: 1}]):
         return base
     degrees = [max(map(sum, g)) for g in base]
     homogenized = [{m + (d - sum(m),): c for m, c in g.items()} for g, d in zip(base, degrees)]

@@ -81,13 +81,6 @@ def solve_integral(columns: Sequence[Sequence[Fraction]],
     return [[aug[j][k + t] for j in range(k)] for t in range(len(rhs_list))], d
 
 
-def solve_rational(columns: Sequence[Sequence[Fraction]],
-                   rhs_list: Sequence[Sequence[Fraction]]) -> list[list[Fraction]] | None:
-    """The unique x with sum(x_j * columns[j]) = rhs, for each rhs; None as in solve_integral."""
-    solved = solve_integral(columns, rhs_list)
-    return None if solved is None else [[Fraction(x, solved[1]) for x in row] for row in solved[0]]
-
-
 # -- weight vectors ------------------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -349,7 +349,3 @@ def parse_scalar(text: str, d: int = 0) -> ExactScalar:
     """One scalar in the syntax of `parse_scalars`."""
     return parse_scalars([text], d)[0]
 
-
-def sign(q: ExactScalar) -> int:
-    """Module-level alias for ExactScalar.sign."""
-    return ExactScalar.of(q).sign()

@@ -137,20 +137,14 @@ def _widening(packing: _Packing, run):
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced Groebner basis, its term order, and its elements as packed reducers."""
+    """A reduced Groebner basis, its term order, and its elements as packed
+    reducers; only `basis_of_rows` builds one."""
 
     ring: tuple[str, ...]
     elements: tuple[Polynomial, ...]
     order: TermOrder
-    packing: _Packing | None = field(default=None, repr=False, compare=False)
-    reducers: list[Reducer] | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.packing is None:
-            packed = _widening(_Packing.fit(self.order, [g.terms for g in self.elements]),
-                               lambda p: p.pack(self.elements))
-            object.__setattr__(self, "packing", packed[0])
-            object.__setattr__(self, "reducers", packed[1])
+    packing: _Packing = field(repr=False, compare=False)
+    reducers: list[Reducer] = field(repr=False, compare=False)
 
     def __iter__(self):
         return iter(self.elements)
@@ -158,18 +152,12 @@ class GroebnerBasis:
     def __len__(self):
         return len(self.elements)
 
-    def leading_monomials(self) -> list[Monomial]:
-        return [self.packing.monomial(r[0]) for r in self.reducers]
-
     def rows(self) -> list[Row]:
         return _rows(self.packing, self.reducers)
 
     def reduce(self, work: dict[Monomial, int]) -> tuple[dict[Monomial, int], int]:
         """(r, s), s > 0 and r = s * the remainder of the terms in work over Q."""
         return _divide(work, self.elements, self.packing, self.reducers)
-
-    def contains(self, f: Polynomial) -> bool:
-        return normal_form(f, self).is_zero()
 
     def __str__(self):
         return "{" + ", ".join(str(g) for g in self.elements) + "}"
@@ -318,15 +306,13 @@ def spoly(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
 
 
 def _buchberger(rows: list[Row], order: TermOrder, max_steps: int | None,
-                finish=None) -> tuple[_Packing | None, list[Reducer]]:
+                finish=None) -> tuple[_Packing, list[Reducer]]:
     """The reduced basis of the integer rows: its packing and `_minimal_basis`
-    interreduced (or passed to finish(basis, packing)), or (None, []) for no
-    rows.  A monomial that outgrows the packing reruns both at double width;
-    the pair order does not depend on the width, nor does the budget."""
+    interreduced (or passed to finish(basis, packing)).  A monomial that
+    outgrows the packing reruns both at double width; the pair order does not
+    depend on the width, nor does the budget."""
     if max_steps is not None and max_steps < 0:
         raise ValueError(f"max_steps must be at least 0, not {max_steps}")
-    if not rows:
-        return None, []
     finish = finish or _interreduce
     return _widening(_Packing.fit(order, rows), lambda p: finish(_minimal_basis(rows, p, max_steps), p))
 
@@ -419,6 +405,13 @@ def _rows(packing: _Packing, reducers: list[Reducer]) -> list[Row]:
     return [{packing.monomial(m): c for m, c in [(lm, lc), *tail]} for lm, lc, tail in reducers]
 
 
+def minimal_leads(rows: list[Row], order: TermOrder, max_steps: int | None = None) -> list[Monomial]:
+    """The leading monomials of the reduced basis of the integer rows, read off
+    a minimal basis, which has the same ones, without interreducing."""
+    p, basis = _buchberger(rows, order, max_steps, lambda basis, p: basis)
+    return [p.monomial(r[0]) for r in basis]
+
+
 def reduced_rows(rows: list[Row], order: TermOrder, max_steps: int | None = None) -> list[Row]:
     """The reduced basis of the integer rows as `_rows`, sorted by leading monomial."""
     return _rows(*_buchberger(rows, order, max_steps))
@@ -462,15 +455,6 @@ def _fresh_name(ring: tuple[str, ...], base: str) -> str:
     return name
 
 
-def revlex_leads(ring: tuple[str, ...], rows: list[Row], var: str,
-                 max_steps: int | None = None) -> list[Monomial]:
-    """The leading monomials of the reduced grevlex basis of `_revlex_rows`,
-    read off a minimal basis, which has the same leads, without interreducing."""
-    ring, rows = _revlex_rows(ring, rows, var)
-    p, basis = _buchberger(rows, TermOrder(len(ring)), max_steps, lambda basis, p: basis)
-    return [p.monomial(r[0]) for r in basis]
-
-
 def _revlex_rows(ring: tuple[str, ...], rows: list[Row], var: str) -> tuple[tuple[str, ...], list[Row]]:
     """The rows homogenized by a fresh h, in the ring (other variables..., h, var).
     For the ideal K they generate, with var last in grevlex, in(K : var) =
@@ -488,9 +472,8 @@ def saturate_by_variable(ideal: IdealPresentation, var: str,
     """(I : var^infinity) as its reduced grevlex basis, by Bayer's trick: divide
     each element of the reduced grevlex basis of `_revlex_rows` by its largest
     power of var, set h = 1, and reduce in the ring of I (setting h = 1
-    commutes with saturating by var).  Only the tests (its oracle for the
-    t-families) and the benchmark tracer use it; it leaves with `intersect`
-    and `ideal_quotient`."""
+    commutes with saturating by var).  Only the tests call it, as the oracle
+    of the t-families; it stays while the benchmark tracer wraps it by name."""
     ring, rows = _revlex_rows(ideal.ring, [_integral(g.terms)[0] for g in ideal.generators], var)
     k, flat = ideal.ring.index(var), []
     for g in reduced_rows(rows, TermOrder(len(ring)), max_steps):
@@ -509,11 +492,14 @@ def intersect(a: IdealPresentation, b: IdealPresentation,
     big_ring = (u,) + a.ring
     order = TermOrder(len(big_ring), elim=1)
     tag = Polynomial.variable(big_ring, u)
-    one_minus = Polynomial.constant(big_ring, 1) - tag
-    gens = [tag * g.extend_ring(big_ring) for g in a.generators]
-    gens += [one_minus * g.extend_ring(big_ring) for g in b.generators]
+    gens = []
+    for factor, ideal in ((tag, a), (Polynomial.constant(big_ring, 1) - tag, b)):
+        gens += [factor * Polynomial(big_ring, {(0,) + m: c for m, c in g.terms.items()})
+                 for g in ideal.generators]
     basis = reduced_basis(IdealPresentation(big_ring, tuple(gens)), order, max_steps)
-    kept = [g.drop_variable(0) for g in basis if g.leading_monomial(order)[0] == 0]
+    # the tag is the eliminated block, so an element with a tag-free lead has no tag
+    kept = [Polynomial(a.ring, {m[1:]: c for m, c in g.terms.items()})
+            for g in basis if g.leading_monomial(order)[0] == 0]
     return IdealPresentation(a.ring, tuple(kept))
 
 

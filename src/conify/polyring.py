@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import add, le, mul
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import ArityError, ParseError
 from .exactnum import ExactScalar
@@ -110,12 +110,6 @@ class TermOrder:
         result = tuple(parts)
         cache[m] = result
         return result
-
-    def cmp(self, m1: Monomial, m2: Monomial) -> int:
-        k1, k2 = self.key(m1), self.key(m2)
-        if k1 == k2:
-            return 0
-        return 1 if k1 > k2 else -1
 
 
 # -- polynomials --------------------------------------------------------------
@@ -224,45 +218,13 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading term")
         return max(self.terms, key=order.key)
 
-    def leading_coeff(self, order: TermOrder) -> Fraction:
-        return self.terms[self.leading_monomial(order)]
-
-    def sorted_terms(self, order: TermOrder | None = None) -> list[tuple[Monomial, Fraction]]:
-        order = order or TermOrder(len(self.ring))
-        key = order.key
-        return sorted(self.terms.items(), key=lambda item: key(item[0]), reverse=True)
-
-    def __iter__(self) -> Iterator[tuple[Monomial, Fraction]]:
-        return iter(self.sorted_terms())
-
-    # ring changes used by elimination (`groebner.intersect`)
-    def drop_variable(self, var_index: int) -> "Polynomial":
-        """Remove a variable that no term uses."""
-        ring = self.ring[:var_index] + self.ring[var_index + 1:]
-        out = {}
-        for m, c in self.terms.items():
-            if m[var_index] != 0:
-                raise ValueError(f"variable {self.ring[var_index]} still occurs")
-            out[m[:var_index] + m[var_index + 1:]] = c
-        return Polynomial(ring, out)
-
-    def extend_ring(self, ring: tuple[str, ...]) -> "Polynomial":
-        """Reinterpret in a larger ring containing the current variables."""
-        pos = [ring.index(v) for v in self.ring]
-        out = {}
-        for m, c in self.terms.items():
-            nm = [0] * len(ring)
-            for p, e in zip(pos, m):
-                nm[p] = e
-            out[tuple(nm)] = c
-        return Polynomial(ring, out)
-
     # printing
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for mono, coeff in self.sorted_terms():
+        key = TermOrder(len(self.ring)).key
+        for mono, coeff in sorted(self.terms.items(), key=lambda item: key(item[0]), reverse=True):
             factors = []
             for name, e in zip(self.ring, mono):
                 if e == 1:

@@ -184,7 +184,8 @@ def box_hilbert_function(ideal, wd, cap):
     """Reference: count the standard monomials of the reduced basis one by one
     over the box prod range(cap // w_i + 1)."""
     wvec = wd.integer_weights()
-    leads = reduced_basis(ideal).leading_monomials()
+    basis = reduced_basis(ideal)
+    leads = [g.leading_monomial(basis.order) for g in basis]
     counts = {}
     for mono in product(*(range(cap // w + 1) for w in wvec)):
         weight = sum(w * e for w, e in zip(wvec, mono))

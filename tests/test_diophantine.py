@@ -29,7 +29,6 @@ from conify.diophantine import (
     rational_matrix_rank,
     rational_rank,
     solve_integral,
-    solve_rational,
     verify_perturbation_bound,
 )
 from conify.errors import ContainmentError, OutsideConeError, SearchExhaustedError
@@ -37,6 +36,12 @@ from conify.exactnum import ExactScalar
 
 R2 = ExactScalar.root(2)
 R3 = ExactScalar.root(3)
+
+
+def solve_rational(columns, rhs_list):
+    """solve_integral's numerators over its diagonal d, as Fractions; None as it gives."""
+    solved = solve_integral(columns, rhs_list)
+    return None if solved is None else [[Fraction(x, solved[1]) for x in row] for row in solved[0]]
 
 
 def vec(*entries, n=None):
@@ -124,7 +129,7 @@ class TestRankAndSpan:
         assert solve_rational([[F(1), F(1)]], [[F(1), F(2)]]) is None
 
 
-# The Fraction elimination that solve_rational and rational_matrix_rank used
+# The Fraction elimination that rational_matrix_rank and the rational solve used
 # before the fraction-free kernel, kept as its oracle.
 
 def fraction_gauss_jordan(mat, ncols):

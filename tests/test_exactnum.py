@@ -10,7 +10,7 @@ import pytest
 
 from conify import exactnum
 from conify.errors import ParseError
-from conify.exactnum import ExactScalar, parse_scalar, sign
+from conify.exactnum import ExactScalar, parse_scalar
 
 R2 = ExactScalar.root(2)
 R3 = ExactScalar.root(3)
@@ -41,7 +41,7 @@ def decimal_value(x: ExactScalar, prec: int = 60) -> Decimal:
 
 class TestSign:
     def test_zero(self):
-        assert sign(ExactScalar(Fraction(0), Fraction(0), 2)) == 0
+        assert ExactScalar(Fraction(0), Fraction(0), 2).sign() == 0
 
     def test_negative_rational_dominates(self):
         # -3 + 2*sqrt(2): compare 2^2*2 = 8 against 3^2 = 9

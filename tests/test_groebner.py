@@ -60,7 +60,7 @@ def assert_groebner(basis: GroebnerBasis, source: IdealPresentation):
         assert normal_form(g, basis).is_zero()
     # reducedness: monic, and no term divisible by another leading term
     for i, f in enumerate(basis.elements):
-        assert f.leading_coeff(basis.order) == 1
+        assert f.terms[f.leading_monomial(basis.order)] == 1
         others = [g.leading_monomial(basis.order)
                   for j, g in enumerate(basis.elements) if j != i]
         for mono in f.terms:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from conify.groebner import IdealPresentation, intersect, reduced_basis, saturate_by_variable
+from conify.groebner import IdealPresentation, _fresh_name, intersect, reduced_basis, saturate_by_variable
 from conify.polyring import Polynomial, TermOrder, parse_polynomial
 from test_acceptance import _degeneration_cases
 
@@ -44,7 +44,8 @@ def sympy_eliminate(exprs, tag, ring, symbols) -> set[Polynomial]:
     """The tag-free part of a reduced lex basis with the tag first: the
     reduced lex basis of the elimination ideal."""
     lex = sympy_basis(exprs, (str(tag),) + ring, (tag,) + tuple(symbols), "lex")
-    return {g.drop_variable(0) for g in lex if not any(m[0] for m in g.terms)}
+    return {Polynomial(ring, {m[1:]: c for m, c in g.terms.items()})
+            for g in lex if not any(m[0] for m in g.terms)}
 
 
 def sympy_lex(ideal: IdealPresentation, symbols) -> set[Polynomial]:
@@ -97,3 +98,22 @@ def test_intersection_matches_sympy(index):
     exprs += [(1 - tag) * to_sympy(g, symbols) for g in other.generators]
     expected = sympy_eliminate(exprs, tag, ring, symbols)
     assert sympy_lex(intersect(ideal, other), symbols) == expected
+
+
+def test_intersection_beside_a_ring_variable_named_u_matches_sympy():
+    """intersect's tag is first in its ring; a ring that holds `_u` makes it
+    `_u_`, and rational coefficients survive adding and stripping it."""
+    ring = ("x", "_u", "y")
+    assert _fresh_name(ring, "_u") == "_u_"
+    a = IdealPresentation(ring, tuple(parse_polynomial(t, ring) for t in (
+        "2/3*x*_u - y^2", "x^2 - 1/2*_u*y")))
+    b = IdealPresentation(ring, (parse_polynomial("3/5*x*y - 7/4*_u + 1", ring),))
+    symbols = sympy.symbols(ring)
+    tag = sympy.Symbol("_tag")
+    exprs = [tag * to_sympy(g, symbols) for g in a.generators]
+    exprs += [(1 - tag) * to_sympy(g, symbols) for g in b.generators]
+    expected = sympy_eliminate(exprs, tag, ring, symbols)
+    meet = intersect(a, b)
+    assert meet.ring == ring and meet.generators
+    assert any(c.denominator != 1 for g in meet.generators for c in g.terms.values())
+    assert sympy_lex(meet, symbols) == expected

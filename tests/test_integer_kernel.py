@@ -42,7 +42,6 @@ from conify import groebner
 from conify.errors import BudgetExceededError
 from conify.exactnum import ExactScalar
 from conify.groebner import (
-    GroebnerBasis,
     IdealPresentation,
     division,
     normal_form,
@@ -520,10 +519,9 @@ def test_too_narrow_a_width_reruns_at_double_width(monkeypatch):
             assert basis.elements == tuple_reduced_basis(ideal, order)
             assert budget_message(reduced_basis, ideal, order, 3) == budget_message(
                 tuple_buchberger, list(ideal.generators), order, 3)
-            hand_built = GroebnerBasis(XYZ, basis.elements, order)
             f = rational_poly(rng, XYZ, max_deg=9, max_terms=6)
-            assert normal_form(f, hand_built) == tuple_normal_form(f, basis)
-            assert hand_built.packing.width > 2
+            assert normal_form(f, basis) == tuple_normal_form(f, basis)
+            assert basis.packing.width > 2
             divisors = list(ideal.generators)
             assert division(f, divisors, order) == tuple_division(f, divisors, order)
     assert {2, 4, 8} <= set(widths)
@@ -560,7 +558,7 @@ def test_seeded_inputs_have_rational_coefficients_and_non_monic_leads():
     order = TermOrder(3)
     coeffs = [c for ideal in SEEDED for g in ideal.generators for c in g.terms.values()]
     assert all(c.denominator > 1 for c in coeffs)
-    leads = [g.leading_coeff(order) for ideal in SEEDED for g in ideal.generators]
+    leads = [g.terms[g.leading_monomial(order)] for ideal in SEEDED for g in ideal.generators]
     assert not any(c == 1 for c in leads)
 
 
@@ -597,6 +595,20 @@ def test_reduced_bases_hand_over_primitive_rows(kind):
             d = lcm(*(c.denominator for c in g.terms.values()))
             assert row == {m: int(c * d) for m, c in g.terms.items()}
             assert next(iter(row)) == g.leading_monomial(order)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_minimal_leads_are_the_reduced_basis_leads(kind):
+    # a minimal basis has one element per leading monomial of the reduced one
+    for ideal in SEEDED + SEEDED4:
+        order = orders(len(ideal.ring))[kind]
+        leads = groebner.minimal_leads([groebner._integral(g.terms)[0] for g in ideal.generators], order)
+        basis = reduced_basis(ideal, order)
+        assert len(leads) == len(basis)
+        assert set(leads) == {g.leading_monomial(order) for g in basis}
+    order = orders(3)[kind]
+    assert groebner.minimal_leads([{(1, 0, 0): 2, (0, 0, 0): -1}, {(1, 0, 0): 1}], order) == [(0, 0, 0)]
+    assert groebner.minimal_leads([], order) == []
 
 
 @pytest.mark.parametrize("index", range(len(CASES)))
@@ -656,8 +668,9 @@ def test_normal_forms_agree():
 
 def test_normal_form_divides_by_the_scale():
     # the reducer of x - 2/3*y is 3x - 2y, so reducing x^2 scales by 9
-    basis = GroebnerBasis(XYZ, (Polynomial(XYZ, {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(-2, 3)}),),
-                          TermOrder(3))
+    g = Polynomial(XYZ, {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(-2, 3)})
+    basis = reduced_basis(IdealPresentation(XYZ, (g,)), TermOrder(3))
+    assert basis.elements == (g,)
     f = Polynomial(XYZ, {(2, 0, 0): Fraction(1, 5), (0, 0, 1): Fraction(1, 2)})
     assert normal_form(f, basis) == Polynomial(
         XYZ, {(0, 2, 0): Fraction(4, 45), (0, 0, 1): Fraction(1, 2)})
