@@ -34,7 +34,6 @@ from .degeneration import (
 from .diophantine import (
     AffineHull,
     ApproximantReport,
-    BoxCone,
     ConeDescription,
     ReebVector,
     affine_hull,

@@ -154,8 +154,6 @@ def hilbert_function(ideal: IdealPresentation, wd: WeightData, cap: int) -> dict
     wvec = wd.integer_weights()
     if len(wvec) != len(ideal.ring):
         raise ArityError("weights do not match ring")
-    if any(w <= 0 for w in wvec):
-        raise ValueError("weights must be positive integers")
     for g in ideal.generators:
         if not is_homogeneous(g, wd):
             raise InhomogeneousError(f"generator {g} is not homogeneous")

@@ -6,15 +6,18 @@ values, which may mix radicands; linear algebra happens on their rational
 coordinates over the basis {1, sqrt(k_1), sqrt(k_2), ...}, and every sign,
 floor and comparison is the scalar type's own exact one.  Elimination is
 fraction-free: rows are scaled to integers and reduced by Bareiss's method.
-Cone membership scales its equations to integers once per call, tries no
-subset smaller than the rank of the target's coordinates, and builds each
-coefficient from the Bareiss numerators over the diagonal.  The corner test
+A nice approximant is the first Dirichlet candidate whose rational vector
+lies in the cone over a fixed box around the weights, tested on Fractions.
+ConeDescription is the convex-hull cone of its generators; membership
+scales its equations to integers once per call, tries no subset smaller
+than the rank of the target's coordinates, and builds each coefficient from
+the Bareiss numerators over the diagonal.  The corner test
 takes one integer floor, floor(C*res*w), per multiplier and entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
@@ -241,43 +244,55 @@ def _candidate(v: ReebVector, D: int, N: int) -> ApproximantReport | None:
     return ApproximantReport(D, tuple(w_tilde), N, tuple(errors), nice=False, xi=v)
 
 
+def _candidates(v: ReebVector, N: int, cap: int):
+    """Every D <= cap with all |D w_i - nearest integer| < 1/N, as a report, in increasing D."""
+    for D in range(1, cap + 1):
+        report = _candidate(v, D, N)
+        if report is not None:
+            yield report
+
+
 def dirichlet_approximant(v: ReebVector, N: int, cap: int) -> ApproximantReport:
     """Smallest D <= cap with every |D w_i - nearest integer| < 1/N."""
     if N < 2:
         raise ValueError("N must be at least 2")
     if cap < N:
         raise ValueError("cap must be at least N")
-    for D in range(1, cap + 1):
-        report = _candidate(v, D, N)
-        if report is not None:
-            return report
+    for report in _candidates(v, N, cap):
+        return report
     raise SearchExhaustedError(f"no approximant with denominator <= {cap} at threshold 1/{N}")
 
 
-def nice_approximant(v: ReebVector, sigma=None, N: int | None = None,
-                     cap: int = 10**6) -> ApproximantReport:
-    """Dirichlet approximant whose rational vector lies in the reference cone."""
+def _reference_box(v: ReebVector) -> tuple[list[Fraction], list[Fraction]]:
+    """The box [3r/4, 5r/4] around v, r_i the floor of w_i to a multiple of 1/k
+    for the least power of two k with k*w_i >= 8: 7w_i/8 < r_i <= w_i, so v is in it."""
+    lower, upper = [], []
+    for w in v.entries:
+        k = 1
+        while (f := w.floor(k)) < 8:
+            k *= 2
+        r = Fraction(f, k)
+        lower.append(Fraction(3, 4) * r)
+        upper.append(Fraction(5, 4) * r)
+    return lower, upper
+
+
+def nice_approximant(v: ReebVector, N: int | None = None, cap: int = 10**6) -> ApproximantReport:
+    """The first Dirichlet approximant u = w_tilde/D in the cone over the reference box."""
     if N is None:
         N = default_N(v)
     if v.n is not None and N < default_N(v):
         raise ValueError(f"N={N} is below the default threshold {default_N(v)}")
     if N < 2:
         raise ValueError("N must be at least 2")
-    if sigma is None:
-        sigma = default_box_cone(v)
-    contained, _ = sigma.contains(v.entries)
-    if not contained:
-        raise ValueError("reference cone does not contain the weight vector")
+    lower, upper = _reference_box(v)
     found_candidate = False
-    for D in range(1, cap + 1):
-        report = _candidate(v, D, N)
-        if report is None:
-            continue
+    for report in _candidates(v, N, cap):
         found_candidate = True
-        inside, _ = sigma.contains(report.approximation())
-        if inside:
-            return ApproximantReport(report.D, report.w_tilde, N, report.errors,
-                                     nice=True, xi=v)
+        u = report.approximation()
+        # u > 0, and some lam > 0 has lower <= lam*u <= upper iff lower_i*u_j <= upper_j*u_i
+        if all(lo * uj <= up * ui for lo, ui in zip(lower, u) for up, uj in zip(upper, u)):
+            return replace(report, nice=True)
     if found_candidate:
         raise OutsideConeError(f"all approximants with denominator <= {cap} fall outside the cone")
     raise SearchExhaustedError(f"no approximant with denominator <= {cap} at threshold 1/{N}")
@@ -307,20 +322,13 @@ def verify_perturbation_bound(report: ApproximantReport, p: int, eps_prime) -> b
 
 @dataclass(frozen=True)
 class ConeDescription:
-    """A cone spanned by rational generators with exact membership.
-
-    With homogenized=True the generators are read as points: membership of v
-    asks for nonnegative lambda with sum(lambda_k (1, g_k)) = (1, v), i.e. a
-    convex combination of the generators equal to v.
+    """The convex-hull cone of rational points: v is a member when nonnegative
+    lambda solve sum(lambda_k (1, g_k)) = (1, v), i.e. v is a convex
+    combination of the generators.
     """
 
     generators: tuple[tuple[Fraction, ...], ...]
     simplicial: bool
-    homogenized: bool = False
-
-    def _matrix(self) -> list[list[Fraction]]:
-        head = [Fraction(1)] if self.homogenized else []
-        return [head + list(map(Fraction, g)) for g in self.generators]
 
     def contains(self, v: Sequence) -> tuple[bool, list[tuple[int, str]] | None]:
         """Exact membership with a nonnegative-coefficient certificate.
@@ -332,10 +340,8 @@ class ConeDescription:
         Sizes start at the rank of the target's coordinate matrix T, one column
         per radicand: independent columns G with G*X = T number at least rank T.
         """
-        target = [ExactScalar.of(x) for x in v]
-        if self.homogenized:
-            target = [ExactScalar.of(1)] + target
-        columns = self._matrix()
+        target = [ExactScalar.of(1)] + [ExactScalar.of(x) for x in v]
+        columns = [[Fraction(1)] + list(map(Fraction, g)) for g in self.generators]
         if columns and len(columns[0]) != len(target):
             raise ArityError("dimension mismatch in cone membership")
         coords = [{1: x.num, **dict(x.surds)} for x in target]
@@ -362,49 +368,6 @@ class ConeDescription:
             "generators": [[str(x) for x in g] for g in self.generators],
             "simplicial": self.simplicial,
         }
-
-
-@dataclass(frozen=True)
-class BoxCone:
-    """The cone over an axis-aligned rational box; membership is exact."""
-
-    lower: tuple[Fraction, ...]
-    upper: tuple[Fraction, ...]
-
-    def contains(self, v: Sequence) -> tuple[bool, list[tuple[int, str]] | None]:
-        u = [ExactScalar.of(x) for x in v]
-        if len(u) != len(self.lower):
-            raise ArityError("dimension mismatch in box-cone membership")
-        if any(x.sign() <= 0 for x in u):
-            return False, None
-        # exists lam > 0 with lower <= lam*u <= upper, iff for all i, j:
-        # lower_i * u_j <= upper_j * u_i
-        for i in range(len(u)):
-            for j in range(len(u)):
-                if u[j] * self.lower[i] > u[i] * self.upper[j]:
-                    return False, None
-        return True, None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "box_lower": [str(x) for x in self.lower],
-            "box_upper": [str(x) for x in self.upper],
-        }
-
-
-def default_box_cone(v: ReebVector) -> BoxCone:
-    """The cone over the box [3r/4, 5r/4] around a rational approximation of v."""
-    lower = []
-    upper = []
-    for w in v.entries:
-        k = 1
-        # need 1/k <= w/8 so the dyadic floor stays within 12.5 percent
-        while ExactScalar.of(Fraction(8, k)) > w:
-            k *= 2
-        r = Fraction((w * k).floor(), k)
-        lower.append(Fraction(3, 4) * r)
-        upper.append(Fraction(5, 4) * r)
-    return BoxCone(tuple(lower), tuple(upper))
 
 
 def cone_contains(sigma, v: ReebVector | Sequence) -> tuple[bool, list | None]:
@@ -484,9 +447,10 @@ def approximant_cone(v: ReebVector, corners: CornerSearchResult | None = None,
 
     For rational v this is the ray through v itself.  Otherwise each corner
     hit is lifted through the affine-hull relations to a full-length rational
-    vector, and every one is verified against the 1/N approximation bound.
-    The returned cone is spanned by the smallest subset of them, first in
-    lexicographic order, whose convex hull contains v.
+    vector, and every one is verified against the 1/N approximation bound,
+    N = default_N(v) unless given (the corners default to the search at the
+    default resolution for N).  The returned cone is spanned by the smallest
+    subset of them, first in lexicographic order, whose convex hull contains v.
 
     One membership certificate over all the lifted vectors finds that subset.
     By Caratheodory's theorem a smallest subset S with v in its convex hull
@@ -498,16 +462,13 @@ def approximant_cone(v: ReebVector, corners: CornerSearchResult | None = None,
     """
     if v.is_rational():
         generators = (tuple(e.as_fraction() for e in v.entries),)
-        return ConeDescription(generators, simplicial=True, homogenized=True)
+        return ConeDescription(generators, simplicial=True)
+    if N is None:
+        N = default_N(v)
     if corners is None:
         hull = affine_hull(v)
-        if N is None:
-            N = default_N(v)
         corners = kronecker_corner_search(v, default_corner_resolution(hull, N), hull=hull)
     hull = corners.hull
-    if N is None:
-        N = default_N(v) if v.n is not None else max(
-            2, (corners.resolution - 1) // hull.resolution_scale())
     l = len(v)
     generators = []
     for hit in corners.hits:
@@ -528,10 +489,10 @@ def approximant_cone(v: ReebVector, corners: CornerSearchResult | None = None,
                 raise ContainmentError(
                     f"corner approximant misses the 1/{N} bound; raise the resolution")
         generators.append(tuple(Fraction(x, D) for x in full))
-    all_corners = ConeDescription(tuple(generators), simplicial=False, homogenized=True)
+    all_corners = ConeDescription(tuple(generators), simplicial=False)
     inside, certificate = all_corners.contains(v.entries)
     if not inside:
         raise ContainmentError("no subset of corner approximants contains the vector; "
                                "raise the resolution or the cap")
     return ConeDescription(tuple(generators[i] for i, _ in certificate),
-                           simplicial=True, homogenized=True)
+                           simplicial=True)

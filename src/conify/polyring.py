@@ -223,8 +223,7 @@ class Polynomial:
         if not self.terms:
             return "0"
         parts = []
-        key = TermOrder(len(self.ring)).key
-        for mono, coeff in sorted(self.terms.items(), key=lambda item: key(item[0]), reverse=True):
+        for mono, coeff in sorted(self.terms.items(), key=lambda item: _grevlex_key(item[0]), reverse=True):
             factors = []
             for name, e in zip(self.ring, mono):
                 if e == 1:
@@ -401,8 +400,6 @@ def parse_polynomial(text: str, ring: Iterable[str], line: int | None = None) ->
         expect_factor = True
         while i < n:
             kind, value, col = tokens[i]
-            if kind in "+-" and not expect_factor:
-                break
             if kind == "num":
                 coeff *= value
                 i += 1
@@ -417,8 +414,6 @@ def parse_polynomial(text: str, ring: Iterable[str], line: int | None = None) ->
                     if i >= n or tokens[i][0] != "num" or tokens[i][1].denominator != 1:
                         raise ParseError("exponent must be an integer", line, col)
                     power = tokens[i][1].numerator
-                    if power < 0:
-                        raise ParseError("negative exponent", line, col)
                     i += 1
                 expo[idx] += power
             else:
@@ -428,10 +423,9 @@ def parse_polynomial(text: str, ring: Iterable[str], line: int | None = None) ->
                 i += 1
                 expect_factor = True
                 continue
-            if i < n and tokens[i][0] in "+-":
-                break
             if i < n and tokens[i][0] not in "+-":
                 raise ParseError("missing '*' between factors", line, tokens[i][2])
+            break
         if expect_factor:
             raise ParseError("dangling '*'", line)
         key = tuple(expo)

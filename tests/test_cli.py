@@ -13,6 +13,7 @@ from conify.cli import SUBCOMMANDS, build_parser, main
 from conify.diophantine import ReebVector, dirichlet_approximant
 from conify.errors import ParseError
 from conify.inputdoc import parse_input
+from conify.polyring import parse_polynomial
 
 A1_DEFORMED = """\
 field rational
@@ -100,6 +101,71 @@ class TestParseInput:
     def test_comments_and_blank_lines(self):
         doc = parse_input("# header\nring x\n\nweights 1  # inline\n")
         assert doc.ring == ("x",)
+
+
+def _on_line_3(text):
+    return parse_polynomial(text, ("x", "y"), line=3)
+
+
+# (parser, input, line, column, message) of each parse error the CLI can print
+PARSE_ERRORS = [
+    (_on_line_3, "3/x", 3, 2, "missing denominator"),
+    (_on_line_3, "x%y", 3, 2, "unexpected character '%'"),
+    (_on_line_3, "", 3, None, "empty polynomial"),
+    (_on_line_3, "x^-1", 3, 1, "exponent must be an integer"),
+    (_on_line_3, "x^", 3, 1, "exponent must be an integer"),
+    (_on_line_3, "y*x^1/2", 3, 3, "exponent must be an integer"),
+    (_on_line_3, "x^y", 3, 1, "exponent must be an integer"),
+    (_on_line_3, "*x", 3, 1, "unexpected token '*'"),
+    (_on_line_3, "x*+y", 3, 3, "unexpected token '+'"),
+    (parse_input, "field quad\n", 1, None, "bad field declaration 'quad'"),
+    (parse_input, "ring\n", 1, None, "ring declaration needs variable names"),
+    (parse_input, "ring x y x\n", 1, None, "duplicate ring variable"),
+    (parse_input, "ring x\nweights\n", 2, None, "weights declaration is empty"),
+    (parse_input, "ring x\nweights 1\nideal x\n", 3, None, "unexpected text after 'ideal'"),
+    (parse_input, "weights 1\nideal\nx\n", 3, None, "ring required before the ideal block"),
+    (parse_input, "weights 1\nform\nx y : 1\n", 3, None, "ring required before the form block"),
+    (parse_input, "ring x y\nweights 1 1\nbracket\nx y : 1\ny x : 2\n", 5, None,
+     "duplicate bracket entry for (0, 1)"),
+    (parse_input, "ring x\nweights 1\nhessian 2\n", 3, None, "unknown declaration 'hessian'"),
+    (parse_input, "ring x\nweights 1\ntweight 1/0\n", 3, None, "bad tweight value '1/0'"),
+    (parse_input, "ring x\nsympweight -2\n", 2, None, "sympweight must be positive"),
+    (parse_input, "ring x y\nweights 1 1\nbracket\nx y 1\n", 4, None,
+     "expected `var var : polynomial`"),
+    (parse_input, "ring x y\nweights 1 1\nbracket\nx : 1\n", 4, None,
+     "expected exactly two variables before ':'"),
+    (parse_input, "ring x y\nweights 1 1\nform\nx w : 1\n", 4, None, "unknown variable 'w'"),
+    (parse_input, "ring x y\nweights 1 1\nbracket\ny y : 1\n", 4, None,
+     "bracket pair must use two distinct variables"),
+]
+
+# (argv, input document or None, message) of each CLI-level input error
+CLI_ERRORS = [
+    (["rank", "--weights", "1,,2"], None, "empty entry in weight list"),
+    (["approximate", "--weights", "sqrt(2), 1"], None,
+     "give --N or --n to fix the approximation threshold"),
+    (["poisson-check", "--input"], "ring x y\nweights 1 1\n", "input document has no bracket block"),
+    (["rotate", "--target", "1,2"], None, "--target needs exactly three components"),
+]
+
+
+class TestInputErrors:
+    """The message, line and column of every input error, as printed."""
+
+    @pytest.mark.parametrize("parse, text, line, column, message", PARSE_ERRORS)
+    def test_parse_error(self, parse, text, line, column, message):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        where = f"line {line}" if column is None else f"line {line}, column {column}"
+        assert (str(info.value), info.value.line, info.value.column) == (f"{message} ({where})", line, column)
+
+    @pytest.mark.parametrize("argv, document, message", CLI_ERRORS)
+    def test_cli_error(self, argv, document, message, tmp_path):
+        if document is not None:
+            path = tmp_path / "input.txt"
+            path.write_text(document)
+            argv = argv + [str(path)]
+        assert run_cli(*argv) == (2, "", f"error: {message}\n")
 
 
 class TestExitCodes:

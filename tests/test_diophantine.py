@@ -11,15 +11,14 @@ import pytest
 from conify import diophantine
 from conify.diophantine import (
     ApproximantReport,
-    BoxCone,
     ConeDescription,
     ReebVector,
     _gauss_jordan,
+    _reference_box,
     affine_hull,
     approximant_cone,
     combo_sign,
     cone_contains,
-    default_box_cone,
     default_corner_resolution,
     default_N,
     dirichlet_approximant,
@@ -328,15 +327,17 @@ class TestNiceApproximant:
         assert report.errors[0] == report.errors[1] == 5 * R2 - 7
 
     def test_narrow_cone_rejects_all_candidates(self):
-        sigma = BoxCone((Fraction(1414, 1000), Fraction(585, 1000)),
-                        (Fraction(1415, 1000), Fraction(586, 1000)))
-        contained, _ = sigma.contains((R2, 2 - R2))
-        assert contained
-        with pytest.raises(OutsideConeError):
-            nice_approximant(vec(R2, 2 - R2, n=2), sigma, N=14, cap=20)
-        # a larger budget eventually lands inside the narrow cone
-        report = nice_approximant(vec(R2, 2 - R2, n=2), sigma, N=14, cap=100)
-        assert report.D == 41 and report.nice
+        # the box is [3r/4, 5r/4] with r = (11/8, 3/2); the D = 1 candidate
+        # (1, 2) needs 3r_1/4 * 2 <= 5r_2/4 * 1, but 33/16 > 15/8
+        v = vec(R2, 3 - R2)
+        assert _reference_box(v) == ([Fraction(33, 32), Fraction(9, 8)],
+                                     [Fraction(55, 32), Fraction(15, 8)])
+        assert dirichlet_approximant(v, 2, 2).w_tilde == (1, 2)
+        with pytest.raises(OutsideConeError, match="denominator <= 1 fall outside the cone"):
+            nice_approximant(v, N=2, cap=1)
+        # a larger budget reaches the next candidate, inside the box
+        report = nice_approximant(v, N=2, cap=2)
+        assert (report.D, report.w_tilde, report.nice) == (2, (3, 3), True)
 
     def test_perturbation_bound(self):
         report = nice_approximant(vec(R2, 2 - R2, n=2), N=14)
@@ -362,6 +363,20 @@ def reference_candidate(v, D, N):
         w_tilde.append(nearest)
         errors.append(err)
     return ApproximantReport(D, tuple(w_tilde), N, tuple(errors), nice=False, xi=v)
+
+
+def reference_nice_approximant(v, N, cap):
+    """The first reference_candidate in the cone over the reference box: some
+    scale lam has lower <= lam*u <= upper iff max lower_i/u_i <= min upper_j/u_j."""
+    lower, upper = _reference_box(v)
+    for D in range(1, cap + 1):
+        report = reference_candidate(v, D, N)
+        if report is None:
+            continue
+        u = report.approximation()
+        if max(lo / x for lo, x in zip(lower, u)) <= min(up / x for up, x in zip(upper, u)):
+            return ApproximantReport(D, report.w_tilde, N, report.errors, nice=True, xi=v)
+    return None
 
 
 def reference_perturbation_bound(report, p, eps_prime):
@@ -546,11 +561,15 @@ class TestMixedRadicands:
         for i, w in enumerate(v.entries):
             assert sum((lam * cone.generators[j][i] for j, lam in lambdas), ExactScalar.of(0)) == w
 
-    def test_box_cone_across_fields(self):
+    def test_nice_approximant_across_fields(self):
+        # at N = 2 the D = 1 candidate (1, 2) of (sqrt 2, sqrt 3) falls outside the box
         v = ReebVector((R2, R3))
-        box = default_box_cone(v)
-        assert box.contains(v.entries)[0]
-        assert not box.contains((R2, 3 * R3))[0]
+        assert dirichlet_approximant(v, 2, 2).w_tilde == (1, 2)
+        report = nice_approximant(v, N=2)
+        assert (report.D, report.w_tilde) == (2, (3, 3))
+        for v in (v, ReebVector((R2, 3 * R3)), ReebVector((2 - R2, 3 - R3))):
+            for N in (2, 3, 5, 8):
+                assert nice_approximant(v, N=N, cap=400) == reference_nice_approximant(v, N, 400)
 
 
 class TestApproximantCone:
@@ -650,7 +669,7 @@ class TestApproximantCone:
                        for inner in combinations(subset, k)):
                     points = [gens[i] for i in subset]
                     simplicial = cls.det(cls.gram(points)[1]) != 0
-                    return ConeDescription(tuple(points), simplicial, homogenized=True)
+                    return ConeDescription(tuple(points), simplicial)
         return None
 
     def test_differential_against_nested_search(self):
@@ -670,13 +689,14 @@ class TestApproximantCone:
             vectors.append(ReebVector(tuple(entry(d) for d in (2, 3, 5))))
         for v in vectors:
             hull = affine_hull(v)
-            corners = kronecker_corner_search(v, hull.resolution_scale() * rng.randint(2, 4) + 1)
+            N = rng.randint(2, 4)
+            corners = kronecker_corner_search(v, default_corner_resolution(hull, N))
             want = self.reference_cone(v, corners)
             if want is None:
                 with pytest.raises(ContainmentError):
-                    approximant_cone(v, corners)
+                    approximant_cone(v, corners, N)
                 continue
-            got = approximant_cone(v, corners)
+            got = approximant_cone(v, corners, N)
             assert (got.generators, got.simplicial) == (want.generators, want.simplicial)
             assert cone_contains(got, v) == cone_contains(want, v)
 
@@ -687,13 +707,14 @@ class TestApproximantCone:
 
 class TestConeMembership:
     def test_generic_two_generator_solve(self):
-        cone = ConeDescription(((Fraction(1), Fraction(7, 5)), (Fraction(2), Fraction(3))),
+        # (1, sqrt 2) on the segment from (1, 7/5) to (1, 3/2)
+        cone = ConeDescription(((Fraction(1), Fraction(7, 5)), (Fraction(1), Fraction(3, 2))),
                                simplicial=True)
         inside, certificate = cone.contains((ExactScalar.of(1), R2))
         assert inside
         labels = dict(certificate)
         assert labels[0] == "15 - 10*sqrt(2)"
-        assert labels[1] == "-7 + 5*sqrt(2)"
+        assert labels[1] == "-14 + 10*sqrt(2)"
 
     def test_outside(self):
         cone = ConeDescription(((Fraction(0), Fraction(1)), (Fraction(1), Fraction(1))),
@@ -709,10 +730,8 @@ class TestConeMembership:
 
 def contains_from_size_one(cone, v):
     """ConeDescription.contains as it was: sizes from 1, Fraction elimination."""
-    target = [ExactScalar.of(x).coordinates() for x in v]
-    if cone.homogenized:
-        target = [{1: Fraction(1)}] + target
-    columns = cone._matrix()
+    target = [{1: Fraction(1)}] + [ExactScalar.of(x).coordinates() for x in v]
+    columns = [(1, *g) for g in cone.generators]
     radicands = sorted({k for coords in target for k in coords}) or [1]
     rhs_list = [[coords.get(k, Fraction(0)) for coords in target] for k in radicands]
     for size in range(1, len(columns) + 1):
@@ -743,10 +762,9 @@ class TestRankBoundedMembership:
         verdicts = set()
         for trial in range(300):
             dim = rng.randint(1, 3)
-            homogenized = trial % 2 == 1
             gens = tuple(tuple(Fraction(rng.randint(0, 9), rng.randint(1, 5)) for _ in range(dim))
                          for _ in range(rng.randint(1, 6)))
-            cone = ConeDescription(gens, simplicial=False, homogenized=homogenized)
+            cone = ConeDescription(gens, simplicial=False)
             kind = rng.choice(["rational", "irrational", "zero", "outside"])
             if kind == "zero":
                 v = [ExactScalar.of(0)] * dim
@@ -758,9 +776,8 @@ class TestRankBoundedMembership:
                 lams = [self.weight(rng, radicands) for _ in used]
                 if lams and all(lam.is_zero() for lam in lams):
                     lams[0] = ExactScalar.of(1)
-                if homogenized:
-                    total = sum(lams, ExactScalar.of(0))
-                    lams = [lam / total for lam in lams]
+                total = sum(lams, ExactScalar.of(0))
+                lams = [lam / total for lam in lams]
                 v = [sum((lam * gens[i][c] for lam, i in zip(lams, used)), ExactScalar.of(0))
                      for c in range(dim)]
             want = contains_from_size_one(cone, v)
@@ -783,13 +800,17 @@ class TestRankBoundedMembership:
         assert certificate[0] == (0, "6524 - 2330*sqrt(2) - 1864*sqrt(3)")
 
 
-class TestBoxCone:
-    def test_default_contains_vector_and_scalings(self):
-        v = vec(R2, 2 - R2)
-        box = default_box_cone(v)
-        assert box.contains(v.entries)[0]
-        assert box.contains([3 * e for e in v.entries])[0]   # cones are scale-invariant
+class TestReferenceBox:
+    """The box [3r/4, 5r/4] of nice_approximant: r dyadic, 7w/8 < r <= w, so v is inside."""
 
-    def test_rejects_othogonal_direction(self):
-        box = default_box_cone(vec(1, 1))
-        assert not box.contains((ExactScalar.of(1), ExactScalar.of(100)))[0]
+    def test_seeded_boxes_contain_their_vectors(self):
+        rng = random.Random(83)
+        for _ in range(60):
+            v = ReebVector(tuple(random_weight(rng) for _ in range(rng.randint(1, 3))))
+            lower, upper = _reference_box(v)
+            for w, lo, up in zip(v.entries, lower, upper):
+                r = lo * Fraction(4, 3)
+                assert up == r * Fraction(5, 4) and r.denominator & (r.denominator - 1) == 0
+                assert 7 * w < 8 * r and not w < r
+            # lam = 1 puts v in the box, so v is in the cone over it
+            assert all(lo <= w <= up for w, lo, up in zip(v.entries, lower, upper))

@@ -527,6 +527,25 @@ def test_too_narrow_a_width_reruns_at_double_width(monkeypatch):
     assert {2, 4, 8} <= set(widths)
 
 
+def test_a_shifted_tail_past_the_width_reruns_the_reduction(monkeypatch):
+    # x - y^5 packs at width 7 (FMAX 63) and x*y^60 (degree 61) encodes, but
+    # reducing it by x shifts the tail y^5 to y^65: a guard bit inside _reduce
+    ring = ("x", "y")
+    g = Polynomial(ring, {(1, 0): Fraction(1), (0, 5): Fraction(-1)})
+    basis = reduced_basis(IdealPresentation(ring, (g,)), TermOrder(2, elim=1))
+    assert (basis.packing.width, basis.packing.fmax) == (7, 63)
+    widths = []
+    init = groebner._Packing.__init__
+
+    def spy(self, order, width):
+        widths.append(width)
+        init(self, order, width)
+    monkeypatch.setattr(groebner._Packing, "__init__", spy)
+    f = Polynomial(ring, {(1, 60): Fraction(1)})
+    assert normal_form(f, basis) == Polynomial(ring, {(0, 65): Fraction(1)})
+    assert widths == [14]
+
+
 def test_elimination_orders_fit_without_a_rerun(monkeypatch):
     # fields fitted to the inputs' grade alone made 10 of the 18 seeded bases run twice
     widths = []

@@ -24,7 +24,7 @@ from conify.degeneration import (
     flatness_witness,
     weighted_initial_ideal,
 )
-from conify.diophantine import ReebVector, default_box_cone, dirichlet_approximant
+from conify.diophantine import ReebVector, _reference_box, dirichlet_approximant
 from conify.inputdoc import parse_input
 from test_degeneration import in_rational_span, in_span_homogeneous
 
@@ -59,11 +59,12 @@ def two_sample_outputs(text, N=16, cap=10**6):
     while second.approximation() == first.approximation():
         N *= 2
         second = dirichlet_approximant(vector, N, cap)
-    box = default_box_cone(vector)
+    lower, upper = _reference_box(vector)
     fibers = []
     for report in (first, second):
         fracs = report.approximation()
-        if not box.contains(fracs)[0]:
+        # in the cone over the box: some scale lam has lower <= lam*fracs <= upper
+        if max(lo / a for lo, a in zip(lower, fracs)) > min(up / a for up, a in zip(upper, fracs)):
             raise ValueError("approximant falls outside the reference cone around the weights")
         scale = math.lcm(*(a.denominator for a in fracs))
         tc = build_test_configuration(ideal, tuple(int(a * scale) for a in fracs))
