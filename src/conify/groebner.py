@@ -11,13 +11,16 @@ monomial outgrows the field width reruns at double width (`_widening`).
 Pairs are taken smallest lcm first (the normal strategy) and filtered once,
 when an element is inserted, by the Gebauer-Moller update (Becker and
 Weispfenning, *Groebner Bases*, 5.5): criteria M, F and B, and retirement of
-the elements whose leading monomial the new one divides.  S-polynomials are
-pseudo-reduced (Greuel and Pfister, *A Singular Introduction to Commutative
-Algebra*, ch. 1) on primitive integer term dicts against the remaining active
-set, a minimal basis whose interreduction is the result.  A Fraction is made
-only where a result leaves the kernel, by dividing out the reduction's scale.
-All results are unique reduced bases sorted by leading monomial, so equal
-ideals compare equal.
+the elements whose leading monomial the new one divides.  An insert forms the
+new lead's lcm with each active lead once, as a packed int (`_lcm_code`), for
+criteria M and F and the new pairs; criterion B reuses them, forming one
+afresh only for an element already retired.  S-polynomials are pseudo-reduced
+(Greuel and Pfister, *A Singular Introduction to Commutative Algebra*, ch. 1)
+on primitive integer term dicts against the remaining active set, a minimal
+basis whose interreduction is the result.  A Fraction is made only where a
+result leaves the kernel, by dividing out the reduction's scale.  All results
+are unique reduced bases sorted by leading monomial, so equal ideals compare
+equal.
 """
 
 from __future__ import annotations
@@ -317,13 +320,24 @@ def _buchberger(rows: list[Row], order: TermOrder, max_steps: int | None,
     return _widening(_Packing.fit(order, rows), lambda p: finish(_minimal_basis(rows, p, max_steps), p))
 
 
+def _lcm_code(k: int, a: Monomial, b: Monomial, steps: tuple[int, ...]) -> int:
+    """K(lcm(a, b)) from k = K(a), one add per exponent b raises above a's:
+    K is linear in the exponents, so this is K(1) + sum(steps * lcm(a, b)),
+    and a lcm that outgrows the width sets a guard bit as its code would."""
+    for s, t, e in zip(steps, b, a):
+        if t > e:
+            k += s * (t - e)
+    return k
+
+
 def _minimal_basis(rows: list[Row], p: _Packing, max_steps: int | None) -> list[Reducer]:
     """A minimal Groebner basis of the integer rows: the final active set."""
-    key, one, guard = p.key, p.one, p.guard
+    key, one, guard, steps = p.key, p.one, p.guard, p.steps
     elements: list[Reducer] = []   # every element ever inserted; pairs index it
+    leads: list[Monomial] = []     # leads[k]: the leading monomial of elements[k], decoded
     active: list[int] = []         # the current minimal basis
     reducers: list[Reducer] = []   # elements[k] for k in active
-    pairs: list = []               # heap of (rank of lcm, i, j, lcm, lcm as a tuple)
+    pairs: list = []               # heap of (rank of lcm, i, j, lcm) for i < j
     reduced = dropped = 0
 
     def insert(terms):
@@ -332,12 +346,23 @@ def _minimal_basis(rows: list[Row], p: _Packing, max_steps: int | None) -> list[
         h = len(elements)
         elements.append(_reducer(terms, key))
         lh = elements[h][0]
-        th, lead = p.monomial(lh), p.monomial
-        # criterion B: an old pair goes when lh divides its lcm properly
+        th = p.monomial(lh)
+        leads.append(th)
+        # lh's lcm with each active lead, formed once for criteria B, M and F;
+        # no field exceeds the sum of two leads', so the guards see an overflow
+        lcms = {}
+        for g in active:
+            lcm = lcms[g] = _lcm_code(elements[g][0], leads[g], th, steps)
+            if lcm & guard:
+                raise _Overflow
+        # criterion B: an old pair goes when lh divides its lcm properly; lh's
+        # lcm with a retired lead, not in lcms, divides the pair's, so it fits
         old = []
         for pair in pairs:
-            if (not (pair[3] - lh + one) & guard and pair[4] != mono_lcm(lead(elements[pair[1]][0]), th)
-                    and pair[4] != mono_lcm(lead(elements[pair[2]][0]), th)):
+            _, i, j, lcm = pair
+            if (not (lcm - lh + one) & guard
+                    and lcm != (lcms.get(i) or _lcm_code(elements[i][0], leads[i], th, steps))
+                    and lcm != (lcms.get(j) or _lcm_code(elements[j][0], leads[j], th, steps))):
                 dropped += 1
             else:
                 old.append(pair)
@@ -348,19 +373,16 @@ def _minimal_basis(rows: list[Row], p: _Packing, max_steps: int | None) -> list[
         # the order, so by (lcm, coprime first, later element first) each new
         # pair meets every rival before it; coprime pairs are kept only to
         # shadow the others
-        new = []
-        for g in active:
-            t = mono_lcm(lead(elements[g][0]), th)
-            lcm = one + sum(map(mul, p.steps, t))
-            if lcm & guard:   # no field exceeds the sum of two leads', so the guards see it
-                raise _Overflow
-            new.append((lcm, lcm != elements[g][0] + lh - one, -g, t))
         kept = []
-        for lcm, proper, later, t in sorted(new):
-            if not proper or not any(not (lcm - other + one) & guard for other in kept):
+        new = [(lcm, lcm != elements[g][0] + lh - one, -g) for g, lcm in lcms.items()]
+        for lcm, proper, later in sorted(new):
+            for other in kept if proper else ():
+                if not (lcm - other + one) & guard:
+                    break
+            else:
                 kept.append(lcm)
                 if proper:
-                    heapq.heappush(pairs, (lcm if key is None else key(lcm), -later, h, lcm, t))
+                    heapq.heappush(pairs, (lcm if key is None else key(lcm), -later, h, lcm))
                     continue
             dropped += 1
         # retire the elements whose leading monomial lh divides
@@ -374,7 +396,7 @@ def _minimal_basis(rows: list[Row], p: _Packing, max_steps: int | None) -> list[
         if r:
             insert(r)
     while pairs:
-        _, i, j, lcm, _ = heapq.heappop(pairs)
+        _, i, j, lcm = heapq.heappop(pairs)
         if reduced == max_steps:
             raise BudgetExceededError(
                 f"S-pair budget of {max_steps} exceeded: {reduced} pairs reduced, "
