@@ -4,8 +4,11 @@ A scalar a + sum(c_k * sqrt(k)) over distinct squarefree radicands k >= 2 is
 stored as integers over one denominator, (P + sum(Q_k*sqrt(k))) / R, as in
 FLINT's nf_elem; rationals have no radicand terms, and radicands mix freely.
 Field operations run on the integers with one gcd per result.  Decisions are
-exact: floors and signs bracket R*times*x by integer square roots (signs at
-times = 2^64); only a bracket that holds 0 goes to the fallback combo_sign.
+exact: floors and signs bracket R*times*x by integer square roots.  A sign
+reads the bracket at times = 2^64, and only one that holds 0 goes to the
+fallback combo_sign, the sign of the floor; a floor refines its bracket by
+2^64 until it lies in one integer cell, which ends because a scalar with a
+surd is irrational (Besicovitch, J. London Math. Soc. 15, 1940).
 """
 
 from __future__ import annotations
@@ -237,14 +240,16 @@ class ExactScalar:
         return lo
 
     def floor(self, times: int = 1) -> int:
-        """floor(times * self) for every integer times, without forming the product."""
+        """floor(times * self) for every integer times, without forming the product:
+        the bracket (lo, lo + t) of scale*times*self, scale = R*2^s for s = 0, 64,
+        128, ..., until its floor's bounds lo // scale and (lo + t - 1) // scale agree."""
         if not self.surds or not times:
             return self.num * times // self.den
-        lo, R = self._bracket(times), self.den
-        top = (lo + len(self.surds) - 1) // R    # R*times*self < lo + t
-        while top > lo // R and (self * times - top).sign() < 0:
-            top -= 1
-        return top
+        lo, scale, t = self._bracket(times), self.den, len(self.surds)
+        while lo // scale != (lo + t - 1) // scale:
+            times, scale = times << 64, scale << 64
+            lo = self._bracket(times)
+        return lo // scale
 
     def ceil(self) -> int:
         return -(-self).floor()
@@ -278,21 +283,11 @@ class ExactScalar:
 
 
 def combo_sign(x: ExactScalar) -> int:
-    """Exact sign of a scalar, the fallback of ExactScalar.sign near 0.
-
-    With p the least prime of the first radicand, x = A + sqrt(p)*C where
-    neither A nor C has a radicand divisible by p.  When A and C have opposite
-    signs, sign(x) = sign(A) * sign(A^2 - p*C^2), and A^2 - p*C^2 =
-    x * conj_p(x): each squaring eliminates one prime.
-    """
+    """Exact sign of a scalar, the fallback of ExactScalar.sign near 0: a scalar
+    with a surd is irrational, so it is positive iff its floor is at least 0."""
     if not x.surds:
         return x.sign()
-    p = _least_prime(x.surds[0][0])
-    sa = _new(x.num, tuple(t for t in x.surds if t[0] % p), x.den).sign()
-    sb = _from_dict({k // p: q for k, q in x.surds if k % p == 0}, x.den).sign()
-    if sa * sb >= 0:
-        return sa or sb
-    return sa * (x * x._conjugate(p)).sign()
+    return 1 if x.floor() >= 0 else -1
 
 
 _TERM_START = re.compile(r"(?<=[^-+*/(])(?=[-+])")

@@ -78,14 +78,14 @@ class _Packing:
     FMAX = 2^(width-1) - 1, so K(ab) = K(a) + K(b) - K(1), a | b iff
     K(b) - K(a) + K(1) has no guard bit set, and a sum of codes whose monomial
     outgrew the width has one set.  Irrational weights have no field; `key`
-    (the order's key of the decoded monomial) sorts instead."""
+    (the order's key of the decoded monomial, memoized per code) sorts instead."""
 
     def __init__(self, order: TermOrder, width: int):
         self.order, self.width, self.fmax = order, width, (1 << width - 1) - 1
         self.one, self.steps, self.guard = _layout(order.nvars, order._int_weights, order.elim, width)
         self.shifts, self.monomials = range(0, width * order.nvars, width), {}   # decoded or encoded so far
         irrational = order._int_weights is None and order.weights
-        self.key = (lambda k: order.key(self.monomial(k))) if irrational else None
+        self.key = lru_cache(maxsize=None)(lambda k: order.key(self.monomial(k))) if irrational else None
 
     @classmethod
     def fit(cls, order: TermOrder, rows) -> _Packing:

@@ -20,13 +20,7 @@ from math import ceil, lcm
 from .errors import ArityError
 from .exactnum import ExactScalar
 from .groebner import GroebnerBasis, IdealPresentation, _integral, normal_form, reduced_basis
-from .polyring import (
-    Monomial,
-    Polynomial,
-    WeightData,
-    homogeneous_weight,
-    mono_mul,
-)
+from .polyring import Monomial, Polynomial, WeightData, _partial, _product, homogeneous_weight
 
 
 @dataclass(frozen=True)
@@ -68,16 +62,11 @@ class PoissonTable:
             rows[j][i] = {m: -c for m, c in rows[i][j].items()}
         return d, rows
 
-    def _coordinate(self, l: int, p: dict[Monomial, int], out: dict[Monomial, int]) -> dict[Monomial, int]:
-        """Add D * {z_l, p} = sum over k of D * {z_l, z_k} * d_k p into out."""
+    def _coordinate(self, l: int, dp: dict[int, dict[Monomial, int]], out: dict[Monomial, int]) -> dict[Monomial, int]:
+        """Add D * {z_l, p} = sum over k of D * {z_l, z_k} * d_k p into out, given
+        dp[k] = d_k p for every k with {z_l, z_k} != 0."""
         for k, row in self.rows[1][l].items():
-            for m2, c2 in p.items():
-                e = m2[k]
-                if e:
-                    m2, c2 = m2[:k] + (e - 1,) + m2[k + 1:], c2 * e
-                    for m1, c1 in row.items():
-                        m = mono_mul(m1, m2)
-                        out[m] = out.get(m, 0) + c1 * c2
+            _product(dp[k], row, out)
         return out
 
     def bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
@@ -85,14 +74,12 @@ class PoissonTable:
         if f.ring != self.ring or g.ring != self.ring:
             raise ArityError("bracket argument lives in the wrong ring")
         (fi, a), (gi, b) = _integral(f.terms), _integral(g.terms)
+        dg = {k: _partial(gi, k) for k in range(len(self.ring))}
         out: dict[Monomial, int] = {}
         for l in range(len(self.ring)):
-            df = [(m[:l] + (m[l] - 1,) + m[l + 1:], c * m[l]) for m, c in fi.items() if m[l]]
+            df = _partial(fi, l)
             if df:
-                for m2, c2 in self._coordinate(l, gi, {}).items():
-                    for m1, c1 in df:
-                        m = mono_mul(m1, m2)
-                        out[m] = out.get(m, 0) + c1 * c2
+                _product(self._coordinate(l, dg, {}), df, out)
         return _reduced(self.ring, out, a * b * self.rows[0], None)
 
     def quotient_basis(self) -> GroebnerBasis | None:
@@ -117,7 +104,8 @@ def jacobi_defect(table: PoissonTable) -> dict[tuple[int, int, int], Polynomial]
     for i, j, k in combinations(range(len(table.ring)), 3):
         total: dict[Monomial, int] = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            table._coordinate(a, rows[b].get(c, {}), total)
+            if c in rows[b]:
+                table._coordinate(a, {v: _partial(rows[b][c], v) for v in rows[a]}, total)
         out[(i, j, k)] = _reduced(table.ring, total, d * d, basis)
     return out
 
@@ -133,9 +121,11 @@ def preserves_ideal(table: PoissonTable, ideal: IdealPresentation) -> bool:
     if not ideal.generators:
         return True
     basis = table.quotient_basis() if ideal == table.ideal else reduced_basis(ideal)
+    n = len(table.ring)
     for gi in (_integral(g.terms)[0] for g in ideal.generators):
-        for l in range(len(table.ring)):
-            if basis.reduce(table._coordinate(l, gi, {}))[0]:
+        dg = {k: _partial(gi, k) for k in range(n)}
+        for l in range(n):
+            if basis.reduce(table._coordinate(l, dg, {}))[0]:
                 return False
     return True
 

@@ -27,14 +27,25 @@ Monomial = tuple[int, ...]
 
 # -- monomial helpers --------------------------------------------------------
 
-def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(map(add, m1, m2))
-
 def mono_divides(m1: Monomial, m2: Monomial) -> bool:
     return all(map(le, m1, m2))
 
 def mono_lcm(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(map(max, m1, m2))
+
+
+def _partial(terms: dict, k: int) -> dict:
+    """The partial derivative by the k-th variable of a term dict."""
+    return {m[:k] + (m[k] - 1,) + m[k + 1:]: c * m[k] for m, c in terms.items() if m[k]}
+
+
+def _product(f: dict, g: dict, out: dict) -> dict:
+    """Add the product of two term dicts into out."""
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = tuple(map(add, m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
 
 
 def _grevlex_key(m: Monomial):
@@ -50,12 +61,16 @@ def _rescaled(ws: tuple[ExactScalar, ...]) -> tuple[int, ...] | None:
     return None
 
 
+def _weight_sum(ws: tuple[ExactScalar, ...], m: Monomial) -> ExactScalar:
+    """The weight sum(w_i * e_i) of a monomial, over its nonzero exponents."""
+    return ExactScalar.of(sum((w * e for w, e in zip(ws, m) if e), 0))
+
+
 def least_weight(terms: dict, ws: tuple[ExactScalar, ...]) -> dict:
     """The terms of least weight under ws: on integers for rational weights."""
     ints = _rescaled(ws)
     if ints is None:
-        zero = ExactScalar.of(0)
-        graded = {m: sum((w * e for w, e in zip(ws, m) if e), zero) for m in terms}
+        graded = {m: _weight_sum(ws, m) for m in terms}
     else:
         graded = {m: sum(map(mul, ints, m)) for m in terms}
     low = min(graded.values())
@@ -69,9 +84,9 @@ class TermOrder:
     Comparison: (1) total degree in the first `elim` variables, grevlex within
     the block as tie-break; (2) weight of the full monomial, larger first;
     (3) grevlex over all variables.  Weights must all be positive so the order
-    is global; larger key = larger monomial.  Keys are memoized on the order,
-    for printing, `leading_monomial` and irrational weights: the Buchberger
-    kernel compares packed ints instead (`groebner._Packing`).
+    is global; larger key = larger monomial.  Keys serve `leading_monomial`
+    and irrational weights, which `groebner._Packing` ranks by them once per
+    packed monomial; the Buchberger kernel otherwise compares packed ints.
     """
 
     nvars: int
@@ -88,28 +103,15 @@ class TermOrder:
                 raise ValueError("order weights must be strictly positive")
             object.__setattr__(self, "weights", ws)
             object.__setattr__(self, "_int_weights", _rescaled(ws))
-        object.__setattr__(self, "_cache", {})
 
     def key(self, m: Monomial):
-        cache = self._cache
-        hit = cache.get(m)
-        if hit is not None:
-            return hit
-        parts: list = []
-        if self.elim:
-            parts.append(_grevlex_key(m[: self.elim]))
+        parts: list = [_grevlex_key(m[: self.elim])] if self.elim else []
         if self._int_weights is not None:
             parts.append(sum([w * e for w, e in zip(self._int_weights, m)]))
         elif self.weights is not None:
-            total = ExactScalar.of(0)
-            for w, e in zip(self.weights, m):
-                if e:
-                    total = total + w * e
-            parts.append(total)
+            parts.append(_weight_sum(self.weights, m))
         parts.append(_grevlex_key(m))
-        result = tuple(parts)
-        cache[m] = result
-        return result
+        return tuple(parts)
 
 
 # -- polynomials --------------------------------------------------------------
@@ -187,12 +189,7 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_ring(other)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring, _product(self.terms, other.terms, {}))
 
     __rmul__ = __mul__
 
@@ -201,16 +198,7 @@ class Polynomial:
         return Polynomial(self.ring, {m: c * value for m, c in self.terms.items()})
 
     def derivative(self, var_index: int) -> "Polynomial":
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            e = m[var_index]
-            if e == 0:
-                continue
-            dm = list(m)
-            dm[var_index] = e - 1
-            key = tuple(dm)
-            out[key] = out.get(key, Fraction(0)) + c * e
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring, _partial(self.terms, var_index))
 
     # order-dependent views
     def leading_monomial(self, order: TermOrder) -> Monomial:
@@ -299,12 +287,7 @@ class WeightData:
 
 def term_weight(mono: Monomial, wd: WeightData) -> ExactScalar:
     """Weighted degree of a monomial; a trailing t counts with -t_weight."""
-    vec = wd.full_vector(len(mono))
-    total = ExactScalar.of(0)
-    for w, e in zip(vec, mono):
-        if e:
-            total = total + w * e
-    return total
+    return _weight_sum(wd.full_vector(len(mono)), mono)
 
 
 def initial_form(f: Polynomial, wd: WeightData) -> Polynomial:

@@ -434,6 +434,12 @@ class TestSubcommands:
         assert payload["contains_input"] is True
         assert payload["certificate"] is not None
 
+    def test_rational_cone_is_the_ray_of_the_vector(self):
+        # a rational vector skips the corner search: its cone is its own ray
+        assert run_cli("cone", "--weights", "3/2, 5/2") == (0, (
+            '{"certificate":[[0,"1"]],"contains_input":true,"generators":[["3/2","5/2"]],'
+            '"schema":"conify/1","simplicial":true}\n'), "")
+
     def test_poisson_check(self, tmp_path):
         path = tmp_path / "c2.txt"
         path.write_text(catalogue.C2_TEXT)

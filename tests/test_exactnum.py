@@ -613,6 +613,63 @@ class TestFractionOracle:
             assert back == x and (back.num, back.surds, back.den) == (x.num, x.surds, x.den)
 
 
+def near_integer_cases() -> list[ExactScalar]:
+    """Multi-radicand values q*alpha - p + m within 1/q < 2^-151 of the integer m,
+    for the first two convergents p/q of each alpha past 2^151 (one on each side)."""
+    return [alpha * r.denominator - r.numerator + m for alpha in ALPHAS
+            for r in convergents(alpha, 2**151, 10**55)[:2] for m in (-2, 0, 3)]
+
+
+FLOOR_TIMES = (1, -1, 3, -5, 2**64 + 1, -(2**64) - 1, 2**128, -(3**100), 2**200, -(2**200))
+
+
+@pytest.fixture
+def brackets(monkeypatch):
+    """The `times` of every ExactScalar._bracket call."""
+    calls = []
+    original = ExactScalar._bracket
+
+    def spy(x, times):
+        calls.append(times)
+        return original(x, times)
+
+    monkeypatch.setattr(ExactScalar, "_bracket", spy)
+    return calls
+
+
+class TestRefinedFloor:
+    """floor's refined bracket against the FractionScalar oracle's descent by signs."""
+
+    def test_near_integer_values_refine_until_decided(self, brackets):
+        cases = near_integer_cases()
+        assert len(cases) == 24
+        deepest = 0
+        for y in cases:
+            assert len(y.surds) >= 2
+            value = decimal_value(y, prec=200)
+            m = round(value)
+            assert abs(value - m) < Decimal(2) ** -150
+            for times in FLOOR_TIMES:
+                x = y / times           # times * x = y, over the denominator |times|
+                brackets.clear()
+                got = x.floor(times)
+                assert got == FractionScalar.from_coordinates(x.coordinates()).floor(times), (x, times)
+                assert got == (m if value > m else m - 1), (x, times)
+                deepest = max(deepest, *((c // times).bit_length() - 1 for c in brackets))
+        assert deepest >= 128
+
+    def test_one_radicand_floors_read_one_bracket(self, brackets):
+        # for one radicand lo is the exact floor of R*times*self, so s = 0 decides
+        for d in (2, 3, 7, 30):
+            for p, q in [pq for pq in sqrt_convergents(d, 200) if pq[1] > 10**31][:3]:
+                for x in (ExactScalar.of(p) - ExactScalar.root(d, q), ExactScalar.root(d, q) - p,
+                          (ExactScalar.of(p) - ExactScalar.root(d, q)) / 7 + Fraction(5, 3)):
+                    for times in FLOOR_TIMES:
+                        brackets.clear()
+                        want = FractionScalar.from_coordinates(x.coordinates()).floor(times)
+                        assert (x.floor(times), brackets) == (want, [times]), (x, times)
+
+
 class TestCanonicalForm:
     def test_results_are_canonical(self):
         rng = random.Random(109)
