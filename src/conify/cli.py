@@ -172,9 +172,9 @@ def _read_document(path: str) -> InputDocument:
 def _family_payload(doc: InputDocument):
     """The degeneration family; irrational weights take the certified
     weight vector of `stable_initial_ideal`."""
-    ideal, ints = doc.ideal(), _rescaled(doc.weights)
-    if ints is not None:
-        return build_test_configuration(ideal, ints)
+    ideal, rescaled = doc.ideal(), _rescaled(doc.weights)
+    if rescaled is not None:
+        return build_test_configuration(ideal, rescaled[0])
     return stable_initial_ideal(ideal, doc.weights)
 
 

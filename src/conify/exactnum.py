@@ -25,10 +25,20 @@ _set = object.__setattr__
 
 
 def check_radicand(d: int) -> int:
-    """d itself if it is a squarefree integer >= 2, else ValueError."""
-    if d < 2 or any(d % (p * p) == 0 for p in range(2, isqrt(d) + 1)):
-        raise ValueError(f"radicand must be squarefree and >= 2, got {d}")
-    return d
+    """d itself if it is a squarefree integer >= 2, else ValueError, in O(d^(1/3)) steps:
+    trial division runs while p^3 <= n for the cofactor n, which is then 1, a prime, a
+    product of two primes or a prime squared, so squarefree unless it is a square > 1."""
+    n, p = d, 2
+    while p * p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                break
+        p += 1 + (p & 1)
+    else:
+        if d >= 2 and (n == 1 or isqrt(n) ** 2 != n):
+            return d
+    raise ValueError(f"radicand must be squarefree and >= 2, got {d}")
 
 
 def _least_prime(k: int) -> int:
@@ -293,19 +303,26 @@ def combo_sign(x: ExactScalar) -> int:
 _TERM_START = re.compile(r"(?<=[^-+*/(])(?=[-+])")
 
 
-def _rational(piece: str, text: str) -> Fraction:
+def _ratio(piece: str, text: str) -> tuple[int, int]:
+    """(n, d) with piece = n/d as Fraction reads it; plain a and a/b are read by int."""
+    a, slash, b = piece.partition("/")
     try:
-        return Fraction(piece)
+        if a.isdecimal() and (b.isdecimal() or not slash) and (d := int(b) if slash else 1):
+            return int(a), d
+        x = Fraction(piece)
+        return x.numerator, x.denominator
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad number {piece!r} in scalar {text!r}") from None
 
 
 def parse_scalars(entries: list[str], d: int = 0) -> tuple[ExactScalar, ...]:
-    """Parse scalars, each a signed sum of terms q, q*s and q*sqrt(k) (q by Fraction).
+    """Parse scalars, each a signed sum of terms q, q*s and q*sqrt(k) (q as Fraction reads it).
 
     A bare `s` or `sqrt(k)` has coefficient 1, and radicands mix freely.  `s` is
     sqrt(d) for a declared d, else the first sqrt(k) with a nonzero coefficient
-    written earlier in the list.  Raises ParseError on malformed input, a bad
+    written earlier in the list.  Each term is read as integers (k, n, den) for
+    n/den*sqrt(k), k = 1 for a rational term, and a scalar is summed once over the
+    lcm of its denominators.  Raises ParseError on malformed input, a bad
     radicand, or an `s` with no radicand to stand for.
     """
     out = []
@@ -313,30 +330,36 @@ def parse_scalars(entries: list[str], d: int = 0) -> tuple[ExactScalar, ...]:
         src = "".join(text.split())
         if not src:
             raise ParseError("empty scalar")
-        total = ExactScalar.of(0)
+        terms = []
         for term in _TERM_START.split(src):
             body = term.lstrip("+-")
             if not body:
                 raise ParseError(f"dangling sign in scalar {text!r}")
             head, star, atom = body.rpartition("*")
-            sign = -1 if term.count("-", 0, len(term) - len(body)) % 2 else 1
-            q = sign * _rational(head, text) if star else sign
+            n, den = _ratio(head, text) if star else (1, 1)
+            if term.count("-", 0, len(term) - len(body)) % 2:
+                n = -n
             if atom == "s":
                 if not d:
                     raise ParseError(f"s used in {text!r} but no quadratic field declared")
-                total += ExactScalar.root(d, q)
+                k = check_radicand(d)
             elif atom.startswith("sqrt(") and atom.endswith(")"):
                 try:
                     k = check_radicand(int(atom[5:-1]))
                 except ValueError:
                     raise ParseError(f"bad radical {atom!r} in scalar {text!r}; "
                                      "a radicand is a squarefree integer >= 2") from None
-                total += ExactScalar.root(k, q)
-                if not d and q:
+                if not d and n:
                     d = k
             else:
-                total += q * _rational(atom, text)
-        out.append(total)
+                a, b = _ratio(atom, text)
+                k, n, den = 1, n * a, den * b
+            terms.append((k, n, den))
+        r = lcm(*(den for _, _, den in terms))
+        coeffs: dict[int, int] = {}
+        for k, n, den in terms:
+            coeffs[k] = coeffs.get(k, 0) + n * (r // den)
+        out.append(_from_dict(coeffs, r))
     return tuple(out)
 
 

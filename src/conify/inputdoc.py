@@ -63,12 +63,6 @@ class InputDocument:
         return FormTable(self.ring, dict(self.form_coeffs))
 
 
-def _strip(line: str) -> str:
-    if "#" in line:
-        line = line[: line.index("#")]
-    return line.strip()
-
-
 def parse_input(text: str) -> InputDocument:
     field_d = 0                       # 0 for rational, else the squarefree radicand
     declared: set[str] = set()
@@ -82,10 +76,10 @@ def parse_input(text: str) -> InputDocument:
 
     block: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        head = line.split()[0]
+        head = line.split(None, 1)[0]
         if head in _KEYWORDS:
             block = None
             rest = line[len(head):].strip()

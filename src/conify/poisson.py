@@ -16,11 +16,12 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import ceil, lcm
+from operator import add
 
 from .errors import ArityError
 from .exactnum import ExactScalar
 from .groebner import GroebnerBasis, IdealPresentation, _integral, normal_form, reduced_basis
-from .polyring import Monomial, Polynomial, WeightData, _partial, _product, homogeneous_weight
+from .polyring import Monomial, Polynomial, WeightData, _partial, _product, _shared_weight
 
 
 @dataclass(frozen=True)
@@ -132,18 +133,13 @@ def preserves_ideal(table: PoissonTable, ideal: IdealPresentation) -> bool:
 
 def _common_weight(entries: dict[tuple[int, int], Polynomial], wd: WeightData,
                    sign: int) -> ExactScalar | None:
-    """The common wt(p) + sign * (w_i + w_j) over the nonzero entries p at (i, j), if any."""
-    value: ExactScalar | None = None
-    for (i, j), p in sorted(entries.items()):
-        w = homogeneous_weight(p, wd)
-        if w is None:
-            return None
-        lam = w + (wd.weights[i] + wd.weights[j]) * sign
-        if value is None:
-            value = lam
-        elif lam != value:
-            return None
-    return value
+    """The common wt(p) + sign * (w_i + w_j) over the nonzero entries p at (i, j), if any:
+    the weight that the monomials m + sign * (e_i + e_j), m a term of p, all share."""
+    shifted = []
+    for (i, j), p in entries.items():
+        step = [sign * ((k == i) + (k == j)) for k in range(len(p.ring))]
+        shifted += [tuple(map(add, m, step)) for m in p.terms]
+    return _shared_weight(shifted, wd.full_vector(len(shifted[0]))) if shifted else None
 
 
 def bracket_weight(table: PoissonTable, wd: WeightData) -> ExactScalar | None:

@@ -13,11 +13,12 @@ graded reverse lexicographic on the declared variable order.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import add, le, mul
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 from .errors import ArityError, ParseError
 from .exactnum import ExactScalar
@@ -52,12 +53,13 @@ def _grevlex_key(m: Monomial):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
-def _rescaled(ws: tuple[ExactScalar, ...]) -> tuple[int, ...] | None:
-    """Rational weights times the lcm of their denominators, which keeps every
-    comparison of weights and skips ExactScalar; None if one is irrational."""
+def _rescaled(ws: tuple[ExactScalar, ...]) -> tuple[tuple[int, ...], int] | None:
+    """(ints, scale): rational weights times scale, the lcm of their denominators,
+    which keeps every comparison of weights and skips ExactScalar; None if one is
+    irrational."""
     if all(w.is_rational() for w in ws):
         scale = lcm(*(w.den for w in ws))
-        return tuple(w.num * (scale // w.den) for w in ws)
+        return tuple(w.num * (scale // w.den) for w in ws), scale
     return None
 
 
@@ -68,13 +70,25 @@ def _weight_sum(ws: tuple[ExactScalar, ...], m: Monomial) -> ExactScalar:
 
 def least_weight(terms: dict, ws: tuple[ExactScalar, ...]) -> dict:
     """The terms of least weight under ws: on integers for rational weights."""
-    ints = _rescaled(ws)
-    if ints is None:
+    rescaled = _rescaled(ws)
+    if rescaled is None:
         graded = {m: _weight_sum(ws, m) for m in terms}
     else:
-        graded = {m: sum(map(mul, ints, m)) for m in terms}
+        graded = {m: sum(map(mul, rescaled[0], m)) for m in terms}
     low = min(graded.values())
     return {m: c for m, c in terms.items() if graded[m] == low}
+
+
+def _shared_weight(monos: Iterable[Monomial], ws: tuple[ExactScalar, ...]) -> ExactScalar | None:
+    """The weight under ws that all the monomials share, None if they disagree or there
+    are none: on integers for rational weights, with one ExactScalar for the result."""
+    rescaled = _rescaled(ws)
+    if rescaled is None:
+        weights = {_weight_sum(ws, m) for m in monos}
+        return weights.pop() if len(weights) == 1 else None
+    ints, scale = rescaled
+    weights = {sum(map(mul, ints, m)) for m in monos}
+    return ExactScalar.of(Fraction(weights.pop(), scale)) if len(weights) == 1 else None
 
 
 @dataclass(frozen=True)
@@ -102,7 +116,8 @@ class TermOrder:
             if any(w.sign() <= 0 for w in ws):
                 raise ValueError("order weights must be strictly positive")
             object.__setattr__(self, "weights", ws)
-            object.__setattr__(self, "_int_weights", _rescaled(ws))
+            rescaled = _rescaled(ws)
+            object.__setattr__(self, "_int_weights", None if rescaled is None else rescaled[0])
 
     def key(self, m: Monomial):
         parts: list = [_grevlex_key(m[: self.elim])] if self.elim else []
@@ -303,10 +318,7 @@ def homogeneous_weight(f: Polynomial, wd: WeightData) -> ExactScalar | None:
     The zero polynomial is homogeneous of every weight; use is_homogeneous
     to distinguish that case from a genuine disagreement.
     """
-    n = len(f.terms)
-    if not n or n > 1 and len(least_weight(f.terms, wd.full_vector(len(f.ring)))) < n:
-        return None
-    return term_weight(next(iter(f.terms)), wd)
+    return _shared_weight(f.terms, wd.full_vector(len(f.ring)))
 
 
 def is_homogeneous(f: Polynomial, wd: WeightData) -> bool:
@@ -317,100 +329,82 @@ def is_homogeneous(f: Polynomial, wd: WeightData) -> bool:
 
 # -- polynomial parsing --------------------------------------------------------
 
-_NUM_CHARS = set("0123456789")
+# an operator, a number a or a/b in ASCII digits, a word, or any other character but a blank
+_TOKEN = re.compile(r"[-+*^]|[0-9]+(?:/[0-9]*)?|\w+|[^ \t]")
+_DIGITS = "0123456789"
 
 
-def _tokenize(text: str, line: int | None):
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t":
-            i += 1
-            continue
-        col = i + 1
-        if ch in "+-*^":
-            tokens.append((ch, ch, col))
-            i += 1
-        elif ch in _NUM_CHARS:
-            j = i
-            while j < n and text[j] in _NUM_CHARS:
-                j += 1
-            if j < n and text[j] == "/":
-                k = j + 1
-                while k < n and text[k] in _NUM_CHARS:
-                    k += 1
-                if k == j + 1:
-                    raise ParseError("missing denominator", line, j + 1)
-                if not int(text[j + 1:k]):
-                    raise ParseError("zero denominator", line, col)
-                tokens.append(("num", Fraction(int(text[i:j]), int(text[j + 1:k])), col))
-                i = k
-            else:
-                tokens.append(("num", Fraction(int(text[i:j])), col))
-                i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], col))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    return tokens
+def _ratio(tok: str) -> tuple[int, int]:
+    """(a, b) of a number token a or a/b; b is 0 for a missing or zero denominator."""
+    a, slash, b = tok.partition("/")
+    return int(a), (int(b) if b else 0) if slash else 1
+
+
+def _fail(text: str, line: int | None, message: str, at: int | None) -> NoReturn:
+    """Raise the first lexical error of the line, else message at the column of
+    token number `at`, or with no column for None."""
+    column = None
+    for k, match in enumerate(_TOKEN.finditer(text)):
+        tok, start = match.group(), match.start()
+        if tok[0] in _DIGITS:
+            if tok.endswith("/"):
+                raise ParseError("missing denominator", line, start + len(tok))
+            if not _ratio(tok)[1]:
+                raise ParseError("zero denominator", line, start + 1)
+        elif not (tok[0].isalpha() or tok[0] == "_" or tok in "+-*^"):
+            raise ParseError(f"unexpected character {tok[0]!r}", line, start + 1)
+        if k == at:
+            column = start + 1
+    raise ParseError(message, line, column)
 
 
 def parse_polynomial(text: str, ring: Iterable[str], line: int | None = None) -> Polynomial:
-    """Parse `+ - * ^` polynomial syntax with explicit multiplication."""
+    """Parse `+ - * ^` polynomial syntax with explicit multiplication.  Each term's
+    coefficient is kept as integers num/den and makes one Fraction; a lexical error
+    anywhere in the line is reported before a syntax error."""
     ring = tuple(ring)
-    tokens = _tokenize(text, line)
+    tokens = _TOKEN.findall(text)
     if not tokens:
         raise ParseError("empty polynomial", line)
     terms: dict[Monomial, Fraction] = {}
-    i = 0
-    n = len(tokens)
+    i, n = 0, len(tokens)
     while i < n:
-        sign = 1
-        while i < n and tokens[i][0] in "+-":
-            if tokens[i][0] == "-":
-                sign = -sign
+        num = den = 1
+        while i < n and tokens[i] in "+-":
+            if tokens[i] == "-":
+                num = -num
             i += 1
-        if i >= n:
-            raise ParseError("dangling sign", line, tokens[-1][2])
-        coeff = Fraction(sign)
+        if i == n:
+            _fail(text, line, "dangling sign", n - 1)
         expo = [0] * len(ring)
-        expect_factor = True
-        while i < n:
-            kind, value, col = tokens[i]
-            if kind == "num":
-                coeff *= value
+        while True:
+            tok = tokens[i]
+            if tok[0] in _DIGITS:
+                a, b = _ratio(tok)
+                if not b:
+                    _fail(text, line, "zero denominator", i)
+                num, den = num * a, den * b
                 i += 1
-            elif kind == "name":
-                if value not in ring:
-                    raise ParseError(f"unknown variable {value!r}", line, col)
-                idx = ring.index(value)
-                power = 1
+            elif tok in ring and (tok[0].isalpha() or tok[0] == "_"):    # names open with a letter or '_'
+                k, power, at = ring.index(tok), 1, i
                 i += 1
-                if i < n and tokens[i][0] == "^":
-                    i += 1
-                    if i >= n or tokens[i][0] != "num" or tokens[i][1].denominator != 1:
-                        raise ParseError("exponent must be an integer", line, col)
-                    power = tokens[i][1].numerator
-                    i += 1
-                expo[idx] += power
+                if i < n and tokens[i] == "^":
+                    a, b = _ratio(tokens[i + 1]) if i + 1 < n and tokens[i + 1][0] in _DIGITS else (0, 0)
+                    if not b or a % b:
+                        _fail(text, line, "exponent must be an integer", at)
+                    power = a // b
+                    i += 2
+                expo[k] += power
             else:
-                raise ParseError(f"unexpected token {value!r}", line, col)
-            expect_factor = False
-            if i < n and tokens[i][0] == "*":
+                _fail(text, line, f"unexpected token {tok!r}" if tok in "+-*^" else f"unknown variable {tok!r}", i)
+            if i < n and tokens[i] == "*":
                 i += 1
-                expect_factor = True
-                continue
-            if i < n and tokens[i][0] not in "+-":
-                raise ParseError("missing '*' between factors", line, tokens[i][2])
-            break
-        if expect_factor:
-            raise ParseError("dangling '*'", line)
-        key = tuple(expo)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
+                if i == n:
+                    _fail(text, line, "dangling '*'", None)
+            elif i < n and tokens[i] not in "+-":
+                _fail(text, line, "missing '*' between factors", i)
+            else:
+                break
+        key, coeff = tuple(expo), Fraction(num, den) if den != 1 else Fraction(num)
+        terms[key] = terms[key] + coeff if key in terms else coeff
     return Polynomial(ring, terms)

@@ -12,6 +12,7 @@ from conify import catalogue
 from conify.cli import SUBCOMMANDS, build_parser, main
 from conify.diophantine import ReebVector, dirichlet_approximant
 from conify.errors import ParseError
+from conify.exactnum import parse_scalars
 from conify.inputdoc import parse_input
 from conify.polyring import parse_polynomial
 
@@ -118,6 +119,26 @@ PARSE_ERRORS = [
     (_on_line_3, "x^y", 3, 1, "exponent must be an integer"),
     (_on_line_3, "*x", 3, 1, "unexpected token '*'"),
     (_on_line_3, "x*+y", 3, 3, "unexpected token '+'"),
+    (_on_line_3, "x + 3/0*y", 3, 5, "zero denominator"),
+    (_on_line_3, "x -", 3, 3, "dangling sign"),
+    (_on_line_3, "x*", 3, None, "dangling '*'"),
+    (_on_line_3, "2 x", 3, 3, "missing '*' between factors"),
+    (_on_line_3, "x\t*\ty$", 3, 6, "unexpected character '$'"),
+    (_on_line_3, "x·y", 3, 2, "unexpected character '·'"),
+    # a lexical error anywhere in the line wins over an earlier syntax error
+    (_on_line_3, "x y + 3/0", 3, 7, "zero denominator"),
+    (_on_line_3, "x y %", 3, 5, "unexpected character '%'"),
+    (parse_input, "ring x y\nweights 1 1\nideal\nx*w\n", 4, 3, "unknown variable 'w'"),
+    # no weights line holds an empty entry, so this error is the library's alone
+    (lambda text: parse_scalars([text]), "", None, None, "empty scalar"),
+    (parse_input, "ring x\nweights 1+\n", 2, None, "dangling sign in scalar '1+'"),
+    (parse_input, "ring x\nweights 1/0\n", 2, None, "bad number '1/0' in scalar '1/0'"),
+    (parse_input, "ring x\nweights 1.5e\n", 2, None, "bad number '1.5e' in scalar '1.5e'"),
+    (parse_input, "ring x\nweights sqrt(8)\n", 2, None,
+     "bad radical 'sqrt(8)' in scalar 'sqrt(8)'; a radicand is a squarefree integer >= 2"),
+    (parse_input, "ring x\nweights s\n", 2, None, "s used in 's' but no quadratic field declared"),
+    (parse_input, "ring x y\nweights 1 2-sqrt(5)\n", 2, None, "weight '2-sqrt(5)' is not positive"),
+    (parse_input, "ring x\nweights 1 2\n", 2, None, "2 weights for 1 variables"),
     (parse_input, "field quad\n", 1, None, "bad field declaration 'quad'"),
     (parse_input, "ring\n", 1, None, "ring declaration needs variable names"),
     (parse_input, "ring x y x\n", 1, None, "duplicate ring variable"),
@@ -156,8 +177,8 @@ class TestInputErrors:
     def test_parse_error(self, parse, text, line, column, message):
         with pytest.raises(ParseError) as info:
             parse(text)
-        where = f"line {line}" if column is None else f"line {line}, column {column}"
-        assert (str(info.value), info.value.line, info.value.column) == (f"{message} ({where})", line, column)
+        where = "" if line is None else f" (line {line})" if column is None else f" (line {line}, column {column})"
+        assert (str(info.value), info.value.line, info.value.column) == (message + where, line, column)
 
     @pytest.mark.parametrize("argv, document, message", CLI_ERRORS)
     def test_cli_error(self, argv, document, message, tmp_path):

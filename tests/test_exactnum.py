@@ -366,6 +366,47 @@ class TestParsePrint:
                 parse_scalar(text, d)
 
 
+def squarefree_by_definition(d: int) -> bool:
+    """No p <= sqrt(d) with p^2 | d: the trial division check_radicand replaced."""
+    return d >= 2 and all(d % (p * p) for p in range(2, math.isqrt(d) + 1))
+
+
+# the 7- to 10-digit primes that test_products_of_large_primes multiplies
+PRIMES = (1000003, 9999991, 10000019, 100000007, 1000000007, 1000000009)
+
+
+class TestRadicand:
+    def test_agrees_with_the_definition_below_20000(self):
+        for d in range(-3, 20000):
+            try:
+                ok = exactnum.check_radicand(d) == d
+            except ValueError:
+                ok = False
+            assert ok == squarefree_by_definition(d), d
+
+    @pytest.mark.parametrize("d, squarefree", [
+        (1000000007 * 1000000009, True), (10000019 * 100000007, True), (9999991 * 1000003, True),
+        (1000000007 ** 2, False), (100000007 ** 2, False),
+        (1000003 ** 2 * 1000000007, False), (1000000007 ** 2 * 1000003, False)])
+    def test_products_of_large_primes(self, d, squarefree):
+        """Trial division stops at d^(1/3), so p*q and p^2 of 10-digit primes are left
+        whole and only the square test tells them apart; in p^2*q the square shows
+        once the smaller prime is divided out."""
+        if squarefree:
+            assert exactnum.check_radicand(d) == d
+        else:
+            with pytest.raises(ValueError, match="squarefree"):
+                exactnum.check_radicand(d)
+
+    def test_factors_are_prime(self):
+        assert all(exactnum._least_prime(p) == p for p in PRIMES)
+
+    def test_eighteen_digit_prime_is_quick(self):
+        d = 1000000000000000003
+        assert exactnum.check_radicand(d) == d
+        assert parse_scalar(f"sqrt({d})") == ExactScalar.root(d)
+
+
 # -- the Fraction-pair scalar, kept as the oracle of the integer layout ------------------
 
 def _fmake(a: Fraction, terms: tuple) -> "FractionScalar":

@@ -8,7 +8,7 @@ import pytest
 from conify.degeneration import build_test_configuration, hilbert_function
 from conify.diophantine import ConeDescription, ReebVector, dirichlet_approximant, nice_approximant
 from conify.errors import ArityError, InhomogeneousError
-from conify.exactnum import ExactScalar
+from conify.exactnum import ExactScalar, parse_scalars
 from conify.groebner import (
     IdealPresentation,
     ideal_quotient,
@@ -89,6 +89,8 @@ LIBRARY_ERRORS = [
     ("decompose-fractional-t-weight",
      lambda: decompose_semiinvariant((1, 1, 1), weights(1, 2, t=Fraction(1, 3))), ValueError,
      "integer t-weight required"),
+    ("scalars-square-field", lambda: parse_scalars(["1", "1+s"], 4), ValueError,
+     "radicand must be squarefree and >= 2, got 4"),
 ]
 
 
