@@ -8,15 +8,15 @@ c = max floor(w_i) + 1, which at h = 1 is a standard basis of I for w.
 convention: <y - x^2, y^2> with weights (1, 1) has initial ideal <y, x^4>,
 while the max-refined reduced basis only shows <y>.)
 
-build_test_configuration substitutes z_i -> t^{w_i} z_i in each flat and
-strips the common t power; for a standard basis these generate the
-t-saturated family (Eisenbud, Commutative Algebra, Thm. 15.17), kept as its
-reduced grevlex basis.  Its fiber at t = 0 is the degeneration, at t = 1 the
-original variety.  flatness_witness reads t-torsion off the leads of one
-minimal revlex basis, independently of the flats.  weighted_initial_ideal is
-the reduced basis of the flats' initial forms; stable_initial_ideal builds an
-irrational xi's family from the same flats along the first integer point of
-xi's rational span in its Groebner cone, certified by its central fiber.
+build_test_configuration keeps the flats: z_i -> t^{w_i} z_i in each, the
+common t power stripped, generates the t-saturated family (Eisenbud, Thm.
+15.17), whose reduced grevlex basis is built on first read; its fiber at t = 0
+is the degeneration, at t = 1 the input.  flatness_witness certifies it by
+Buchberger's criterion on the flats homogenized by h and t.  The initial ideal
+(weighted_initial_ideal) is the reduced basis of the flats' initial forms.  An
+irrational xi's family (stable_initial_ideal) goes along the first lam.B in its
+Groebner cone (B the integer echelon basis of xi's span, lam > 0 by coordinate
+sum, then lexicographically), certified by the flats' initial forms and the check.
 
 The stages pass each other primitive integer rows (`groebner.Row`); only the
 family, the fibers and the initial ideals are made into Polynomials.
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations, count, islice
 from math import gcd
 from operator import mul
@@ -33,8 +34,7 @@ from operator import mul
 from .diophantine import ReebVector, _gauss_jordan
 from .errors import ArityError, CertificateError, InhomogeneousError
 from .exactnum import ExactScalar
-from .groebner import (GroebnerBasis, IdealPresentation, Row, _integral, _revlex_rows, basis_of_rows,
-                       minimal_leads, reduced_rows)
+from .groebner import GroebnerBasis, IdealPresentation, Row, _integral, basis_of_rows, minimal_leads, reduced_rows
 from .polyring import Monomial, TermOrder, WeightData, is_homogeneous, least_weight, mono_divides
 
 T_NAME = "t"
@@ -44,25 +44,32 @@ T_NAME = "t"
 class TestConfiguration:
     """A flat family over the t-line degenerating the input at t = 0.
 
-    `family` is the reduced grevlex basis of the t-saturated family ideal in
-    the ring (z_1, ..., z_n, t), t last; `weights` grades the z-variables, and
-    t has weight -1.  A family from elsewhere must be the `reduced_basis` of
-    its ideal for the grevlex order, since a GroebnerBasis cannot be built by
-    hand; flatness_witness checks the order."""
+    It carries the input's `flats` (`_flats`) and integer weights `w`, also as
+    `weights` (t weighs -1).  `family`, the reduced grevlex basis of the
+    t-saturated family ideal in (z_1, ..., z_n, t), t last, is built from them on
+    first read, under `max_steps`.  A hand-built one (`of_family`) gives its
+    family, the grevlex `reduced_basis` of its ideal, and no flats."""
 
-    family: GroebnerBasis
+    ring: tuple[str, ...]
     weights: WeightData
+    flats: tuple[Row, ...] | None = None
+    w: tuple[int, ...] | None = None
+    max_steps: int | None = None
 
-    @property
-    def ring(self) -> tuple[str, ...]:
-        return self.family.ring
+    @classmethod
+    def of_family(cls, family: GroebnerBasis, weights: WeightData) -> TestConfiguration:
+        tc = cls(family.ring, weights)
+        tc.__dict__["family"] = family   # read before the cached_property
+        return tc
 
-    def z_ring(self) -> tuple[str, ...]:
-        return self.ring[:-1]
+    @cached_property
+    def family(self) -> GroebnerBasis:
+        gens = [_homogenize_by_t(f, self.w) for f in self.flats]
+        return basis_of_rows(self.ring, gens, TermOrder(len(self.ring)), self.max_steps)
 
 
 def _homogenize_by_t(terms: dict, wvec: tuple[int, ...]) -> dict:
-    """The terms times t^(w.m - least w.m), t appended last."""
+    """The terms times t^(w.m - least w.m), t appended last; variables past w weigh 0."""
     weights = {mono: sum(map(mul, wvec, mono)) for mono in terms}
     m = min(weights.values())
     return {mono + (weights[mono] - m,): c for mono, c in terms.items()}
@@ -80,7 +87,7 @@ def _at(row: Row, value: int) -> Row:
 def build_test_configuration(ideal: IdealPresentation, wvec: tuple[int, ...],
                              max_steps: int | None = None) -> TestConfiguration:
     """Degenerate along positive integer weights: the flats of I, homogenized
-    by t, generate the t-saturated family, so no saturation is computed."""
+    by t, generate the t-saturated family, whose basis is built on first read."""
     if len(wvec) != len(ideal.ring):
         raise ArityError("weight vector arity does not match ring")
     if any(w <= 0 or int(w) != w for w in wvec):
@@ -92,13 +99,11 @@ def build_test_configuration(ideal: IdealPresentation, wvec: tuple[int, ...],
 
 def _family(ring: tuple[str, ...], flats: list[Row], wvec: tuple[int, ...],
             max_steps: int | None) -> TestConfiguration:
-    """The reduced grevlex basis of the flats homogenized by t along wvec."""
+    """The configuration of the flats along wvec; its family is built on first read."""
     if T_NAME in ring:
         raise ArityError(f"ring already contains the family variable {T_NAME!r}")
-    big_ring = ring + (T_NAME,)
-    gens = [_homogenize_by_t(f, wvec) for f in flats]
     wd = WeightData(tuple(map(ExactScalar.of, wvec)), t_weight=Fraction(1))
-    return TestConfiguration(basis_of_rows(big_ring, gens, TermOrder(len(big_ring)), max_steps), wd)
+    return TestConfiguration(ring + (T_NAME,), wd, tuple(flats), wvec, max_steps)
 
 
 def _canonical(ring: tuple[str, ...], rows: list[Row], max_steps: int | None) -> IdealPresentation:
@@ -108,7 +113,7 @@ def _canonical(ring: tuple[str, ...], rows: list[Row], max_steps: int | None) ->
 
 def _fiber(tc: TestConfiguration, t_value: int, max_steps: int | None = None) -> IdealPresentation:
     """The reduced basis of the family with t set to t_value, in the z-ring."""
-    return _canonical(tc.z_ring(), [_at(row, t_value) for row in tc.family.rows()], max_steps)
+    return _canonical(tc.ring[:-1], [_at(row, t_value) for row in tc.family.rows()], max_steps)
 
 
 def central_fiber(tc: TestConfiguration) -> IdealPresentation:
@@ -122,19 +127,24 @@ def general_fiber(tc: TestConfiguration) -> IdealPresentation:
 
 
 def flatness_witness(tc: TestConfiguration, max_steps: int | None = None) -> bool:
-    """True iff t is a nonzerodivisor on the family ring: (J : t) = J.
+    """True: t is a nonzerodivisor on the family ring, certified from the flats.
 
-    The family is J's reduced grevlex basis, which is degree-compatible, so its
-    h-homogenization generates J^h, and (J : t) = J iff (J^h : t) = J^h.  With
-    t last in revlex, in(J^h : t) = in(J^h) : t (`groebner._revlex_rows`), so J
-    is flat iff no leading monomial of the revlex basis of J^h is divisible by
-    t; a minimal basis has those leads (`groebner.minimal_leads`).  A family
-    basis for any other order raises ValueError."""
-    family = tc.family
-    if family.order != TermOrder(len(family.ring)):
-        raise ValueError("flatness_witness needs the family's reduced grevlex basis")
-    ring, rows = _revlex_rows(family.ring, family.rows(), T_NAME)
-    return not any(m[-1] for m in minimal_leads(rows, TermOrder(len(ring)), max_steps))
+    The flats homogenized by h to their top degree are B, the refined basis of
+    I^h (no b is divisible by h); B~ is B homogenized by t along w.  Ordered by
+    the weights (2(c - w), 2c, 1), c = max w_i + 1, then grevlex, each b~ has b's
+    t-free lead.  If these are the `minimal_leads` of B~ (Buchberger's criterion),
+    in(<B~>) has no t, so t is a nonzerodivisor on the family (Eisenbud, Thm.
+    15.17).  Else CertificateError, a bug; with no flats, ValueError."""
+    if tc.flats is None:
+        raise ValueError("flatness_witness needs a configuration built from its flats")
+    c = max(tc.w) + 1
+    order = TermOrder(len(tc.w) + 2, weights=tuple(2 * (c - w) for w in tc.w) + (2 * c, 1))
+    rows = [_homogenize_by_t({m + (d - sum(m),): a for m, a in f.items()}, tc.w)
+            for f in tc.flats for d in [max(map(sum, f))]]
+    leads = sorted(next(iter(row)) for row in rows)   # `_flats` keeps each b's lead first
+    if sorted(minimal_leads(rows, order, max_steps)) != leads or any(m[-1] for m in leads):
+        raise CertificateError(f"the flats along {tc.w} fail Buchberger's criterion")
+    return True
 
 
 # -- graded dimensions -----------------------------------------------------------
@@ -253,13 +263,13 @@ def stable_initial_ideal(ideal: IdealPresentation, xi: tuple[ExactScalar, ...],
     inside in_xi(f).  w runs over lam.B, B the integer echelon basis of the span
     and lam > 0 by coordinate sum, then lexicographically.  After CONE_CANDIDATES
     of those, lam = round(2^k lam_xi) for k = 1, 2, ..., where xi = lam_xi.B (xi
-    at the pivots over |d|): these tend to the ray of xi, which lies in the open
-    cone, so the search always ends.
+    at the pivots over |d|): these tend to the ray of xi, inside the open cone, so
+    the search ends.  The family is certified, not built: in_w(f) = in_xi(f) for
+    each flat, and flatness_witness along w, so in_w(I) = in_xi(I).
     """
     wd = WeightData(tuple(xi))
     flats = _flats(ideal, wd, max_steps)
     initials = [least_weight(f, wd.weights) for f in flats]
-    target = _canonical(ideal.ring, initials, max_steps)
     greater = []
     for f, lead in zip(flats, initials):
         a = next(iter(lead))
@@ -276,6 +286,7 @@ def stable_initial_ideal(ideal: IdealPresentation, xi: tuple[ExactScalar, ...],
             break
     w = tuple(x // gcd(*w) for x in w)
     tc = _family(ideal.ring, flats, w, max_steps)
-    if _fiber(tc, 0, max_steps) != target:
+    if [least_weight(f, tc.weights.weights) for f in tc.flats] != initials:
         raise CertificateError(f"the family along {w} does not degenerate to in_xi(I)")
+    flatness_witness(tc, max_steps)
     return tc

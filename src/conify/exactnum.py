@@ -22,12 +22,15 @@ from .errors import ParseError
 RationalLike = int | Fraction
 
 _set = object.__setattr__
+RADICAND_BOUND = 10**21   # check_radicand of a prime near the bound takes about 1 s
 
 
 def check_radicand(d: int) -> int:
-    """d itself if it is a squarefree integer >= 2, else ValueError, in O(d^(1/3)) steps:
-    trial division runs while p^3 <= n for the cofactor n, which is then 1, a prime, a
-    product of two primes or a prime squared, so squarefree unless it is a square > 1."""
+    """d itself if it is a squarefree integer in [2, RADICAND_BOUND], else ValueError, in
+    O(d^(1/3)) steps: trial division runs while p^3 <= n for the cofactor n, which is then
+    1, a prime, a product of two primes or a prime squared, so squarefree unless a square."""
+    if d > RADICAND_BOUND:
+        raise ValueError(f"radicand must be at most 10^21 for the squarefree check, got {d}")
     n, p = d, 2
     while p * p * p <= n:
         if n % p == 0:
@@ -39,10 +42,6 @@ def check_radicand(d: int) -> int:
         if d >= 2 and (n == 1 or isqrt(n) ** 2 != n):
             return d
     raise ValueError(f"radicand must be squarefree and >= 2, got {d}")
-
-
-def _least_prime(k: int) -> int:
-    return next((p for p in range(2, isqrt(k) + 1) if k % p == 0), k)
 
 
 def _new(num: int, surds: tuple, den: int) -> "ExactScalar":
@@ -184,17 +183,22 @@ class ExactScalar:
 
     __rmul__ = __mul__
 
-    def _conjugate(self, p: int) -> "ExactScalar":
-        """The image under sqrt(p) -> -sqrt(p): flips the terms whose radicand p divides."""
-        return _new(self.num, tuple((k, -q if k % p == 0 else q) for k, q in self.surds), self.den)
+    def _conjugate(self, b: int) -> "ExactScalar":
+        """The image under sqrt(b) -> -sqrt(b): flips the terms whose radicand b divides."""
+        return _new(self.num, tuple((k, -q if k % b == 0 else q) for k, q in self.surds), self.den)
 
     def inverse(self) -> "ExactScalar":
         if not self.surds:
             if not self.num:
                 raise ZeroDivisionError("division by zero scalar")
             return _new(self.den, (), self.num) if self.num > 0 else _new(-self.den, (), -self.num)
-        # x * conj(x) has no radicand divisible by p, so the recursion ends
-        conj = self._conjugate(_least_prime(self.surds[0][0]))
+        # b > 1 divides or is coprime to each radicand (b is in their coprime base), so
+        # sqrt(b) -> -sqrt(b) is an automorphism; no radicand of x * conj(x) has b in it
+        b = self.surds[0][0]
+        for k, _ in self.surds[1:]:
+            if 1 < (g := gcd(b, k)) < b:
+                b = g
+        conj = self._conjugate(b)
         return conj * (self * conj).inverse()
 
     def __truediv__(self, other) -> "ExactScalar":
@@ -346,9 +350,9 @@ def parse_scalars(entries: list[str], d: int = 0) -> tuple[ExactScalar, ...]:
             elif atom.startswith("sqrt(") and atom.endswith(")"):
                 try:
                     k = check_radicand(int(atom[5:-1]))
-                except ValueError:
-                    raise ParseError(f"bad radical {atom!r} in scalar {text!r}; "
-                                     "a radicand is a squarefree integer >= 2") from None
+                except ValueError as exc:
+                    rule = exc if "10^21" in str(exc) else "a radicand is a squarefree integer >= 2"
+                    raise ParseError(f"bad radical {atom!r} in scalar {text!r}; {rule}") from None
                 if not d and n:
                     d = k
             else:

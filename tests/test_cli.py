@@ -136,6 +136,12 @@ PARSE_ERRORS = [
     (parse_input, "ring x\nweights 1.5e\n", 2, None, "bad number '1.5e' in scalar '1.5e'"),
     (parse_input, "ring x\nweights sqrt(8)\n", 2, None,
      "bad radical 'sqrt(8)' in scalar 'sqrt(8)'; a radicand is a squarefree integer >= 2"),
+    # past RADICAND_BOUND = 10^21 no squarefree check is tried
+    (parse_input, "ring x\nweights sqrt(1000000000000000000117)\n", 2, None,
+     "bad radical 'sqrt(1000000000000000000117)' in scalar 'sqrt(1000000000000000000117)'; "
+     "radicand must be at most 10^21 for the squarefree check, got 1000000000000000000117"),
+    (parse_input, "field quad 1000000000000000000117\n", 1, None,
+     "radicand must be at most 10^21 for the squarefree check, got 1000000000000000000117"),
     (parse_input, "ring x\nweights s\n", 2, None, "s used in 's' but no quadratic field declared"),
     (parse_input, "ring x y\nweights 1 2-sqrt(5)\n", 2, None, "weight '2-sqrt(5)' is not positive"),
     (parse_input, "ring x\nweights 1 2\n", 2, None, "2 weights for 1 variables"),
@@ -167,6 +173,9 @@ CLI_ERRORS = [
      "give --N or --n to fix the approximation threshold"),
     (["poisson-check", "--input"], "ring x y\nweights 1 1\n", "input document has no bracket block"),
     (["rotate", "--target", "1,2"], None, "--target needs exactly three components"),
+    (["rank", "--weights", "sqrt(1000000000000000000117)"], None,
+     "bad radical 'sqrt(1000000000000000000117)' in scalar 'sqrt(1000000000000000000117)'; "
+     "radicand must be at most 10^21 for the squarefree check, got 1000000000000000000117"),
 ]
 
 

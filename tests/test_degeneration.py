@@ -83,12 +83,13 @@ class TestBuild:
 
     def test_stress_budget_message(self):
         # the N = 16 approximant family of the three-radicand document; the
-        # counters pin the pair trajectory of the family basis, the last of
-        # the three (base, refined, family) and the one the budget stops
+        # counters pin the pair trajectory of the family basis, built on first
+        # read after the base and refined bases, and the one the budget stops
         from conify.errors import BudgetExceededError
         source = ideal(XYZ, "x*y - z^2 + x^3", "y^2 - x*z")
+        tc = build_test_configuration(source, (174, 336, 275), max_steps=200)
         with pytest.raises(BudgetExceededError) as info:
-            build_test_configuration(source, (174, 336, 275), max_steps=200)
+            tc.family
         assert str(info.value) == ("S-pair budget of 200 exceeded: 200 pairs reduced, "
                                    "5176 dropped by the criteria, active basis of 96")
 
@@ -119,7 +120,7 @@ class TestFibers:
         # at t = 0 only the t-free terms are left
         ring = ("x", "y", "t")
         family = reduced_basis(ideal(ring, "x*t^2 - x + y^2", "y*t - y"), TermOrder(3))
-        tc = degeneration.TestConfiguration(family, WeightData((ExactScalar.of(1),) * 2, t_weight=Fraction(1)))
+        tc = degeneration.TestConfiguration.of_family(family, WeightData((ExactScalar.of(1),) * 2, t_weight=Fraction(1)))
         assert [str(g) for g in general_fiber(tc).generators] == ["y^2"]
         assert [str(g) for g in central_fiber(tc).generators] == ["y", "x"]
 
@@ -130,11 +131,15 @@ class TestFlatness:
         assert flatness_witness(tc)
 
     def test_unsaturated_family_fails(self):
+        # a hand-built family has no flats to certify: the revlex oracle judges it
         from conify.degeneration import TestConfiguration
+        from test_saturation import revlex_flatness
         raw = IdealPresentation(("x", "t"), (parse_polynomial("t*x", ("x", "t")),))
-        fake = TestConfiguration(reduced_basis(raw, TermOrder(2)),
-                                 WeightData((ExactScalar.of(1),), t_weight=Fraction(1)))
-        assert not flatness_witness(fake)
+        fake = TestConfiguration.of_family(reduced_basis(raw, TermOrder(2)),
+                                           WeightData((ExactScalar.of(1),), t_weight=Fraction(1)))
+        assert not revlex_flatness(fake)
+        with pytest.raises(ValueError, match="built from its flats"):
+            flatness_witness(fake)
 
     def test_t_free_family_flat(self):
         tc = build_test_configuration(ideal(XYZ, "x*y - z^2"), (2, 2, 2))

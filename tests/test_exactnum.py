@@ -3,6 +3,7 @@
 import math
 import pickle
 import random
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -375,6 +376,12 @@ def squarefree_by_definition(d: int) -> bool:
 PRIMES = (1000003, 9999991, 10000019, 100000007, 1000000007, 1000000009)
 
 
+def least_prime(k: int) -> int:
+    """The least prime factor of k > 1, by trial division up to sqrt(k): the step
+    ExactScalar.inverse took before it conjugated by an element of a coprime base."""
+    return next((p for p in range(2, math.isqrt(k) + 1) if k % p == 0), k)
+
+
 class TestRadicand:
     def test_agrees_with_the_definition_below_20000(self):
         for d in range(-3, 20000):
@@ -387,11 +394,13 @@ class TestRadicand:
     @pytest.mark.parametrize("d, squarefree", [
         (1000000007 * 1000000009, True), (10000019 * 100000007, True), (9999991 * 1000003, True),
         (1000000007 ** 2, False), (100000007 ** 2, False),
-        (1000003 ** 2 * 1000000007, False), (1000000007 ** 2 * 1000003, False)])
+        (1000003 ** 2 * 1000000007, False), (1000000007 ** 2 * 1000003, False),
+        (1000003 ** 2 * 100000007, False), (1000000007 ** 2 * 7, False)])
     def test_products_of_large_primes(self, d, squarefree):
         """Trial division stops at d^(1/3), so p*q and p^2 of 10-digit primes are left
         whole and only the square test tells them apart; in p^2*q the square shows
-        once the smaller prime is divided out."""
+        once the smaller prime is divided out.  The first two p^2*q lie above
+        RADICAND_BOUND and are refused before any division."""
         if squarefree:
             assert exactnum.check_radicand(d) == d
         else:
@@ -399,12 +408,68 @@ class TestRadicand:
                 exactnum.check_radicand(d)
 
     def test_factors_are_prime(self):
-        assert all(exactnum._least_prime(p) == p for p in PRIMES)
+        assert all(least_prime(p) == p for p in PRIMES)
+
+    @pytest.mark.parametrize("d", [10**21 + 117, 10**24 + 7])
+    def test_bound(self, d):
+        # 10^21 + 117 is prime: past the bound, the check refuses it at once
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"at most 10\^21 for the squarefree check"):
+            exactnum.check_radicand(d)
+        assert time.perf_counter() - start < 0.01
+        with pytest.raises(ParseError, match=r"bad radical .*; radicand must be at most 10\^21"):
+            parse_scalar(f"1 + sqrt({d})")
 
     def test_eighteen_digit_prime_is_quick(self):
         d = 1000000000000000003
         assert exactnum.check_radicand(d) == d
         assert parse_scalar(f"sqrt({d})") == ExactScalar.root(d)
+
+
+def prime_route_inverse(x: ExactScalar, least) -> ExactScalar:
+    """x^-1 by conjugating with sqrt(p) -> -sqrt(p) for p = least(first radicand), a
+    prime: the route ExactScalar.inverse took before it used a coprime base."""
+    if not x.surds:
+        return x.inverse()
+    conj = x._conjugate(least(x.surds[0][0]))
+    return conj * prime_route_inverse(x * conj, least)
+
+
+# products of two 10-digit primes: pq, pr and qr share a prime pairwise
+P, Q, R = 1000000007, 1000000009, 9999991
+
+
+@pytest.mark.parametrize("radicands", [
+    (6, 10, 15), (6, 10, 15, 30), (10, 15, 35), (6, 35), (30, 35), (15, 6, 10, 35, 30),
+    (P * Q, P * R, Q * R), (P * Q, 2 * P, 3), (P * R, Q * R, P * Q, 5 * R)])
+def test_inverse_against_the_prime_route(radicands, monkeypatch):
+    """The coprime-base conjugate flips sqrt(b) for b built from gcds alone, where b
+    is composite or other than the least prime of the first radicand; the prime
+    route's factors come from the radicands' known primes.  Each conjugation
+    halves the degree of the field, so an inverse takes at most one per prime."""
+    known = (2, 3, 5, 7, R, P, Q)
+    primes = {p for p in known for k in radicands if k % p == 0}
+
+    def least(k):
+        return min(p for p in known if k % p == 0)
+    steps = []
+    conjugate = ExactScalar._conjugate
+
+    def counted(x, b):
+        steps.append(b)
+        assert len(steps) <= len(primes), f"conjugation by {steps} does not end"
+        return conjugate(x, b)
+    roots = [ExactScalar.root(k) for k in radicands]   # each radicand checked once
+    rng = random.Random(sum(radicands))
+    for _ in range(12):
+        x = sum((root * Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)) for root in roots),
+                ExactScalar.of(Fraction(rng.randint(-9, 9), rng.randint(1, 4))))
+        steps.clear()
+        monkeypatch.setattr(ExactScalar, "_conjugate", counted)
+        inverse = x.inverse()
+        monkeypatch.undo()
+        assert inverse == prime_route_inverse(x, least), x
+        assert x * inverse == 1
 
 
 # -- the Fraction-pair scalar, kept as the oracle of the integer layout ------------------
@@ -491,7 +556,7 @@ class FractionScalar:
             if not self.a:
                 raise ZeroDivisionError("division by zero scalar")
             return _fmake(1 / self.a, ())
-        conj = self._conjugate(exactnum._least_prime(self.terms[0][0]))
+        conj = self._conjugate(least_prime(self.terms[0][0]))
         return conj * (self * conj).inverse()
 
     def __truediv__(self, other) -> "FractionScalar":
@@ -565,7 +630,7 @@ class FractionScalar:
 
 
 def fraction_combo_sign(x: FractionScalar) -> int:
-    p = exactnum._least_prime(x.terms[0][0])
+    p = least_prime(x.terms[0][0])
     sa = _fmake(x.a, tuple(t for t in x.terms if t[0] % p)).sign()
     cofactor = {k // p: c for k, c in x.terms if k % p == 0}
     sb = _fmake(cofactor.pop(1, Fraction(0)), _fsorted(cofactor)).sign()
