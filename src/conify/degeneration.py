@@ -10,10 +10,10 @@ while the max-refined reduced basis only shows <y>.)
 
 build_test_configuration keeps the flats: z_i -> t^{w_i} z_i in each, the
 common t power stripped, generates the t-saturated family (Eisenbud, Thm.
-15.17), whose reduced grevlex basis is built on first read; its fiber at t = 0
-is the degeneration, at t = 1 the input.  flatness_witness certifies it by
-Buchberger's criterion on the flats homogenized by h and t.  The initial ideal
-(weighted_initial_ideal) is the reduced basis of the flats' initial forms.  An
+15.17), whose reduced grevlex basis only testconfig reads, built on first read.
+Both fibers come from the flats: at t = 0 in_w(I), the reduced basis of their
+initial forms, at t = 1 the input they generate.  flatness_witness certifies the
+family by Buchberger's criterion on the flats homogenized by h and t.  An
 irrational xi's family (stable_initial_ideal) goes along the first lam.B in its
 Groebner cone (B the integer echelon basis of xi's span, lam > 0 by coordinate
 sum, then lexicographically), certified by the flats' initial forms and the check.
@@ -45,10 +45,11 @@ class TestConfiguration:
     """A flat family over the t-line degenerating the input at t = 0.
 
     It carries the input's `flats` (`_flats`) and integer weights `w`, also as
-    `weights` (t weighs -1).  `family`, the reduced grevlex basis of the
-    t-saturated family ideal in (z_1, ..., z_n, t), t last, is built from them on
-    first read, under `max_steps`.  A hand-built one (`of_family`) gives its
-    family, the grevlex `reduced_basis` of its ideal, and no flats."""
+    `weights` (t weighs -1); the fibers are built from the flats, and `family`,
+    the reduced grevlex basis of the t-saturated family ideal in (z_1, ..., z_n,
+    t), t last, on first read, for testconfig only; both under `max_steps`.  A
+    hand-built one (`of_family`) gives its family, the grevlex `reduced_basis` of
+    its ideal, and no flats; its fibers are read off the family."""
 
     ring: tuple[str, ...]
     weights: WeightData
@@ -111,18 +112,22 @@ def _canonical(ring: tuple[str, ...], rows: list[Row], max_steps: int | None) ->
     return IdealPresentation(ring, basis_of_rows(ring, rows, TermOrder(len(ring)), max_steps).elements)
 
 
-def _fiber(tc: TestConfiguration, t_value: int, max_steps: int | None = None) -> IdealPresentation:
-    """The reduced basis of the family with t set to t_value, in the z-ring."""
-    return _canonical(tc.ring[:-1], [_at(row, t_value) for row in tc.family.rows()], max_steps)
+def _fiber(tc: TestConfiguration, t_value: int) -> IdealPresentation:
+    """The fiber at t = t_value in the z-ring: from the flats, else the family."""
+    if tc.flats is None:
+        rows = [_at(row, t_value) for row in tc.family.rows()]
+    else:
+        rows = list(tc.flats) if t_value else [least_weight(f, tc.weights.weights) for f in tc.flats]
+    return _canonical(tc.ring[:-1], rows, tc.max_steps)
 
 
 def central_fiber(tc: TestConfiguration) -> IdealPresentation:
-    """The ideal of the fiber at t = 0, presented in the z-ring."""
+    """The fiber at t = 0, in_w(I): the reduced basis of the flats' initial forms."""
     return _fiber(tc, 0)
 
 
 def general_fiber(tc: TestConfiguration) -> IdealPresentation:
-    """The fiber at t = 1; equals the input ideal of the family."""
+    """The fiber at t = 1, I: the reduced basis of the flats, which generate I."""
     return _fiber(tc, 1)
 
 

@@ -1,5 +1,6 @@
 """Input documents, CLI dispatch, exit codes, and byte-stable JSON."""
 
+import hashlib
 import io
 import json
 import re
@@ -13,6 +14,7 @@ from conify.cli import SUBCOMMANDS, build_parser, main
 from conify.diophantine import ReebVector, dirichlet_approximant
 from conify.errors import ParseError
 from conify.exactnum import parse_scalars
+from conify.groebner import reduced_basis
 from conify.inputdoc import parse_input
 from conify.polyring import parse_polynomial
 
@@ -628,6 +630,40 @@ class TestMultiRadicandDocuments:
         for command, expected in MULTI_RADICAND_STDOUT[name].items():
             assert run_cli(command, "--input", str(path)) == (0, expected, ""), command
         assert time.monotonic() - start < 10.0
+
+
+IRRATIONAL_FAMILY = ("field quad 3\nring x y z\nweights 3 1+3/5*s 1-1/4*s\nideal\n"
+                     "-2*x^2*y^2 + 3*z^3\ny^4 + y*z^2 + 3*y^2\nx*y^3 - x^3\n")
+DRAW_78 = ("ring x y z w\nweights 1 5 2 2\nideal\n"
+           "x^2*w - 3*y^2*w + 3*z\n3*y^2*w - y^2 + 2*y*w\n2*x^3 + y*z^2 + 2*z^3\n")
+
+
+class TestFibersFromTheFlats:
+    """`fiber` on the documents of the CI's flatness steps, whose family bases
+    take seconds; both fibers come from the flats."""
+
+    def test_irrational_family(self, tmp_path):
+        path = tmp_path / "irrational_family.txt"
+        path.write_text(IRRATIONAL_FAMILY)
+        start = time.monotonic()
+        assert run_cli("fiber", "--input", str(path), "--at", "0") == (
+            0, '{"at":"0","fiber":["z^3","y*z^2","y^2*z","y^3","x^3"],"schema":"conify/1"}\n', "")
+        code, out, err = run_cli("fiber", "--input", str(path), "--at", "1")
+        assert time.monotonic() - start < 5.0
+        assert code == 0, err
+        basis = reduced_basis(parse_input(IRRATIONAL_FAMILY).ideal())
+        assert json.loads(out) == {"at": "1", "fiber": [str(g) for g in basis], "schema": "conify/1"}
+        # the CI pins this stdout, trailing newline dropped, by its sha256
+        assert hashlib.sha256(out.rstrip("\n").encode()).hexdigest() == (
+            "013b489edac9e04f80ce79eb364e76bd81600290637203f11499088860b69775")
+
+    def test_skipped_draw_78(self, tmp_path):
+        path = tmp_path / "draw_78.txt"
+        path.write_text(DRAW_78)
+        start = time.monotonic()
+        assert run_cli("fiber", "--input", str(path)) == (
+            0, '{"at":"0","fiber":["z","y*w","x^3"],"schema":"conify/1"}\n', "")
+        assert time.monotonic() - start < 5.0
 
 
 class TestCatalogue:

@@ -12,6 +12,10 @@ The route it replaced reads t-torsion off the leads of one minimal revlex basis
 of the family, independently of the flats; it is kept here as the oracle
 `revlex_flatness`, which also judges hand-built families, and is compared with
 (J : t) = J computed by `ideal_quotient`, itself a tag-variable elimination.
+
+central_fiber and general_fiber read the flats, with no family basis.  The
+family route they replaced, the family basis with t set to 0 or 1, is kept
+here as the oracle `family_fiber`.
 """
 
 import random
@@ -25,7 +29,9 @@ from conify.degeneration import (
     T_NAME,
     _homogenize_by_t,
     build_test_configuration,
+    central_fiber,
     flatness_witness,
+    general_fiber,
     stable_initial_ideal,
     weighted_initial_ideal,
 )
@@ -385,6 +391,51 @@ class TestCertificateAgainstRevlexRoute:
             flatness_witness(family_config(raw, (1,)))
 
 
+def family_fiber(tc, value: int, max_steps=None) -> IdealPresentation:
+    """The fiber at t = value by the family route: the reduced grevlex basis of
+    the family basis's rows with t set to value."""
+    ring = tc.ring[:-1]
+    rows = [degeneration._at(row, value) for row in tc.family.rows()]
+    return IdealPresentation(ring, groebner.basis_of_rows(ring, rows, TermOrder(len(ring)), max_steps).elements)
+
+
+class TestFibersAgainstFamilyRoute:
+    """Both fibers from the flats against the family route, which builds the
+    family basis under ORACLE_BUDGET; the cases where that runs out are listed."""
+
+    @staticmethod
+    def stopped(tc) -> bool:
+        """Compare tc's fibers with the oracle; True if the oracle's budget ran out."""
+        fibers = central_fiber(tc), general_fiber(tc)
+        assert "family" not in tc.__dict__
+        budgeted = _family(tc.ring[:-1], tc.flats, tc.w, ORACLE_BUDGET)
+        try:
+            oracle = family_fiber(budgeted, 0, ORACLE_BUDGET), family_fiber(budgeted, 1, ORACLE_BUDGET)
+        except BudgetExceededError:
+            return True
+        assert fibers == oracle
+        return False
+
+    def test_every_template_draw(self):
+        # all 120 draws at seed 1, the four the benchmark skips included
+        cases = with_coefficients(template_draws(), random.Random(1))
+        over = [index for index, (ideal, weights) in enumerate(cases)
+                if self.stopped(build_test_configuration(ideal, weights))]
+        assert over == []
+
+    def test_general_fiber_is_the_input(self):
+        for ideal, weights in CASES + TEMPLATES:
+            expected = IdealPresentation(ideal.ring, reduced_basis(ideal).elements)
+            assert general_fiber(build_test_configuration(ideal, weights)) == expected, str(ideal)
+
+    @pytest.mark.parametrize("seed, heavy", [(1, [2]), (2, [2, 4]), (3, [])])
+    def test_irrational_families(self, seed, heavy):
+        # the family bases of `heavy` pass the budget, as in the revlex oracle
+        over = [index for index, (ideal, xi) in enumerate(irrational_cases(24, seed))
+                if self.stopped(stable_initial_ideal(ideal, xi))]
+        assert over == heavy
+
+
 class TestBudgets:
     def test_flatness_budget(self):
         # the certificate of HARD's ten flats reduces 17 S-pairs, all to zero
@@ -443,6 +494,11 @@ class TestBudgets:
         assert flatness_witness(tc, max_steps=budget)
         assert seen == [certificate(6, 4, 2, 8, 1)]
         seen.clear()
+        # each fiber is one grevlex basis in (x, y, z) under the configuration's budget
+        central_fiber(tc)
+        general_fiber(tc)
+        assert seen == [base, base]
+        seen.clear()
         # the family is built on first read, once, under the budget it was built with
         tc.family
         tc.family
@@ -459,6 +515,19 @@ class TestBudgets:
         assert seen == [base, refined(4 - ExactScalar.root(2, 2), 3, 1, 4),
                         certificate(*(2 * (c - w) for w in tc.w), 2 * c, 1)]
 
+    def test_fiber_budget(self):
+        # HARD's fibers along (1, 2, 3) reduce 9 and 10 S-pairs
+        flats = build_test_configuration(HARD, (1, 2, 3)).flats
+        with pytest.raises(BudgetExceededError) as info:
+            central_fiber(_family(HARD.ring, flats, (1, 2, 3), 8))
+        assert str(info.value) == ("S-pair budget of 8 exceeded: 8 pairs reduced, "
+                                   "11 dropped by the criteria, active basis of 5")
+        tc = _family(HARD.ring, flats, (1, 2, 3), 9)
+        central_fiber(tc)
+        with pytest.raises(BudgetExceededError):
+            general_fiber(tc)
+        general_fiber(_family(HARD.ring, flats, (1, 2, 3), 10))
+
     @pytest.mark.parametrize("steps", [-1, -5])
     def test_negative_budget_is_rejected(self, steps):
         # the degeneration stages call the kernel directly, not reduced_basis
@@ -466,6 +535,7 @@ class TestBudgets:
         xi = (ExactScalar.root(2, 2), ExactScalar.of(1), ExactScalar.of(3))
         for run in (lambda: build_test_configuration(HARD, (1, 2, 3), max_steps=steps),
                     lambda: flatness_witness(tc, max_steps=steps),
+                    lambda: central_fiber(_family(HARD.ring, tc.flats, tc.w, steps)),
                     lambda: weighted_initial_ideal(HARD, WeightData(xi), max_steps=steps),
                     lambda: stable_initial_ideal(HARD, xi, max_steps=steps)):
             with pytest.raises(ValueError, match="max_steps must be at least 0"):
