@@ -8,15 +8,16 @@ c = max floor(w_i) + 1, which at h = 1 is a standard basis of I for w.
 convention: <y - x^2, y^2> with weights (1, 1) has initial ideal <y, x^4>,
 while the max-refined reduced basis only shows <y>.)
 
-build_test_configuration keeps the flats: z_i -> t^{w_i} z_i in each, the
-common t power stripped, generates the t-saturated family (Eisenbud, Thm.
-15.17), whose reduced grevlex basis only testconfig reads, built on first read.
-Both fibers come from the flats: at t = 0 in_w(I), the reduced basis of their
-initial forms, at t = 1 the input they generate.  flatness_witness certifies the
-family by Buchberger's criterion on the flats homogenized by h and t.  An
-irrational xi's family (stable_initial_ideal) goes along the first lam.B in its
-Groebner cone (B the integer echelon basis of xi's span, lam > 0 by coordinate
-sum, then lexicographically), certified by the flats' initial forms and the check.
+A TestConfiguration is the flats, w and one S-pair budget, nothing else:
+z_i -> t^{w_i} z_i in each flat, the common t power stripped, generates the
+t-saturated family (Eisenbud, Thm. 15.17), whose reduced grevlex basis only
+testconfig reads, built on first read.  Both fibers come from the flats: at
+t = 0 in_w(I), the reduced basis of their initial forms, at t = 1 the input
+they generate.  flatness_witness certifies the family by Buchberger's criterion
+on the flats homogenized by h and t.  An irrational xi's family
+(stable_initial_ideal) goes along the first lam.B in its Groebner cone (B the
+integer echelon basis of xi's span, lam > 0 by coordinate sum, then
+lexicographically), certified by the flats' initial forms and the check.
 
 The stages pass each other primitive integer rows (`groebner.Row`); only the
 family, the fibers and the initial ideals are made into Polynomials.
@@ -44,24 +45,20 @@ T_NAME = "t"
 class TestConfiguration:
     """A flat family over the t-line degenerating the input at t = 0.
 
-    It carries the input's `flats` (`_flats`) and integer weights `w`, also as
-    `weights` (t weighs -1); the fibers are built from the flats, and `family`,
-    the reduced grevlex basis of the t-saturated family ideal in (z_1, ..., z_n,
-    t), t last, on first read, for testconfig only; both under `max_steps`.  A
-    hand-built one (`of_family`) gives its family, the grevlex `reduced_basis` of
-    its ideal, and no flats; its fibers are read off the family."""
+    The input's `flats` (`_flats`) along positive integer weights `w`, also read
+    as `weights` (t weighs -1).  The fibers and the flatness certificate are
+    built from the flats; `family`, the reduced grevlex basis of the t-saturated
+    family ideal in (z_1, ..., z_n, t), t last, is built on first read, for
+    testconfig only.  Every basis runs under `max_steps`."""
 
     ring: tuple[str, ...]
-    weights: WeightData
-    flats: tuple[Row, ...] | None = None
-    w: tuple[int, ...] | None = None
+    flats: tuple[Row, ...]
+    w: tuple[int, ...]
     max_steps: int | None = None
 
-    @classmethod
-    def of_family(cls, family: GroebnerBasis, weights: WeightData) -> TestConfiguration:
-        tc = cls(family.ring, weights)
-        tc.__dict__["family"] = family   # read before the cached_property
-        return tc
+    @cached_property
+    def weights(self) -> WeightData:
+        return WeightData(self.w, t_weight=Fraction(1))
 
     @cached_property
     def family(self) -> GroebnerBasis:
@@ -94,8 +91,7 @@ def build_test_configuration(ideal: IdealPresentation, wvec: tuple[int, ...],
     if any(w <= 0 or int(w) != w for w in wvec):
         raise ValueError("weights must be positive integers")
     wvec = tuple(int(w) for w in wvec)
-    return _family(ideal.ring, _flats(ideal, WeightData(tuple(map(ExactScalar.of, wvec))), max_steps),
-                   wvec, max_steps)
+    return _family(ideal.ring, _flats(ideal, WeightData(wvec), max_steps), wvec, max_steps)
 
 
 def _family(ring: tuple[str, ...], flats: list[Row], wvec: tuple[int, ...],
@@ -103,8 +99,7 @@ def _family(ring: tuple[str, ...], flats: list[Row], wvec: tuple[int, ...],
     """The configuration of the flats along wvec; its family is built on first read."""
     if T_NAME in ring:
         raise ArityError(f"ring already contains the family variable {T_NAME!r}")
-    wd = WeightData(tuple(map(ExactScalar.of, wvec)), t_weight=Fraction(1))
-    return TestConfiguration(ring + (T_NAME,), wd, tuple(flats), wvec, max_steps)
+    return TestConfiguration(ring + (T_NAME,), tuple(flats), wvec, max_steps)
 
 
 def _canonical(ring: tuple[str, ...], rows: list[Row], max_steps: int | None) -> IdealPresentation:
@@ -112,26 +107,17 @@ def _canonical(ring: tuple[str, ...], rows: list[Row], max_steps: int | None) ->
     return IdealPresentation(ring, basis_of_rows(ring, rows, TermOrder(len(ring)), max_steps).elements)
 
 
-def _fiber(tc: TestConfiguration, t_value: int) -> IdealPresentation:
-    """The fiber at t = t_value in the z-ring: from the flats, else the family."""
-    if tc.flats is None:
-        rows = [_at(row, t_value) for row in tc.family.rows()]
-    else:
-        rows = list(tc.flats) if t_value else [least_weight(f, tc.weights.weights) for f in tc.flats]
-    return _canonical(tc.ring[:-1], rows, tc.max_steps)
-
-
 def central_fiber(tc: TestConfiguration) -> IdealPresentation:
     """The fiber at t = 0, in_w(I): the reduced basis of the flats' initial forms."""
-    return _fiber(tc, 0)
+    return _canonical(tc.ring[:-1], [least_weight(f, tc.weights.weights) for f in tc.flats], tc.max_steps)
 
 
 def general_fiber(tc: TestConfiguration) -> IdealPresentation:
     """The fiber at t = 1, I: the reduced basis of the flats, which generate I."""
-    return _fiber(tc, 1)
+    return _canonical(tc.ring[:-1], list(tc.flats), tc.max_steps)
 
 
-def flatness_witness(tc: TestConfiguration, max_steps: int | None = None) -> bool:
+def flatness_witness(tc: TestConfiguration) -> bool:
     """True: t is a nonzerodivisor on the family ring, certified from the flats.
 
     The flats homogenized by h to their top degree are B, the refined basis of
@@ -139,15 +125,13 @@ def flatness_witness(tc: TestConfiguration, max_steps: int | None = None) -> boo
     the weights (2(c - w), 2c, 1), c = max w_i + 1, then grevlex, each b~ has b's
     t-free lead.  If these are the `minimal_leads` of B~ (Buchberger's criterion),
     in(<B~>) has no t, so t is a nonzerodivisor on the family (Eisenbud, Thm.
-    15.17).  Else CertificateError, a bug; with no flats, ValueError."""
-    if tc.flats is None:
-        raise ValueError("flatness_witness needs a configuration built from its flats")
+    15.17).  Else CertificateError, a bug.  The check runs under tc.max_steps."""
     c = max(tc.w) + 1
     order = TermOrder(len(tc.w) + 2, weights=tuple(2 * (c - w) for w in tc.w) + (2 * c, 1))
     rows = [_homogenize_by_t({m + (d - sum(m),): a for m, a in f.items()}, tc.w)
             for f in tc.flats for d in [max(map(sum, f))]]
     leads = sorted(next(iter(row)) for row in rows)   # `_flats` keeps each b's lead first
-    if sorted(minimal_leads(rows, order, max_steps)) != leads or any(m[-1] for m in leads):
+    if sorted(minimal_leads(rows, order, tc.max_steps)) != leads or any(m[-1] for m in leads):
         raise CertificateError(f"the flats along {tc.w} fail Buchberger's criterion")
     return True
 
@@ -293,5 +277,5 @@ def stable_initial_ideal(ideal: IdealPresentation, xi: tuple[ExactScalar, ...],
     tc = _family(ideal.ring, flats, w, max_steps)
     if [least_weight(f, tc.weights.weights) for f in tc.flats] != initials:
         raise CertificateError(f"the family along {w} does not degenerate to in_xi(I)")
-    flatness_witness(tc, max_steps)
+    flatness_witness(tc)
     return tc

@@ -155,9 +155,6 @@ class GroebnerBasis:
     def __len__(self):
         return len(self.elements)
 
-    def rows(self) -> list[Row]:
-        return _rows(self.packing, self.reducers)
-
     def reduce(self, work: dict[Monomial, int]) -> tuple[dict[Monomial, int], int]:
         """(r, s), s > 0 and r = s * the remainder of the terms in work over Q."""
         return _divide(work, self.elements, self.packing, self.reducers)

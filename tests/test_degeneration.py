@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -21,7 +22,7 @@ from conify.diophantine import ReebVector, rational_matrix_rank
 from conify.errors import ArityError, CertificateError, InhomogeneousError
 from conify.exactnum import ExactScalar
 from conify.groebner import IdealPresentation, ideals_equal, reduced_basis
-from conify.polyring import Polynomial, TermOrder, WeightData, parse_polynomial
+from conify.polyring import Polynomial, WeightData, parse_polynomial
 from test_acceptance import _degeneration_cases
 
 R2 = ExactScalar.root(2)
@@ -71,6 +72,17 @@ class TestBuild:
                            zip(wd.full_vector(len(m)), m)) for m in g.terms}
             assert len(weights) == 1
 
+    def test_configuration_is_flats_weights_and_budget(self):
+        # no stored family and no second weight representation: the fibers and
+        # the certificate read the flats, and `weights` is w with t weighing -1
+        tc = build_test_configuration(ideal(XYZ, "x*y - z^2 - x^3"), (2, 1, 3))
+        assert [f.name for f in fields(degeneration.TestConfiguration)] == ["ring", "flats", "w", "max_steps"]
+        assert tc.weights == WeightData(tc.w, t_weight=Fraction(1))
+        central_fiber(tc)
+        general_fiber(tc)
+        assert flatness_witness(tc)
+        assert "family" not in tc.__dict__
+
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
             build_test_configuration(ideal(XYZ, "x"), (0, 1, 1))
@@ -115,14 +127,14 @@ class TestFibers:
         assert ideals_equal(general_fiber(tc), source)
 
     def test_setting_t_sums_the_terms_it_merges(self):
-        # a hand-built family {y*t - y, x*t^2 + y^2 - x, y^3}: at t = 1 the
-        # first element cancels to zero and the x-terms of the second cancel;
-        # at t = 0 only the t-free terms are left
-        ring = ("x", "y", "t")
-        family = reduced_basis(ideal(ring, "x*t^2 - x + y^2", "y*t - y"), TermOrder(3))
-        tc = degeneration.TestConfiguration.of_family(family, WeightData((ExactScalar.of(1),) * 2, t_weight=Fraction(1)))
-        assert [str(g) for g in general_fiber(tc).generators] == ["y^2"]
-        assert [str(g) for g in central_fiber(tc).generators] == ["y", "x"]
+        # the family route of the oracle `family_fiber` on a hand-built family
+        # {y*t - y, x*t^2 + y^2 - x, y^3}: at t = 1 the first element cancels to
+        # zero and the x-terms of the second cancel; at t = 0 only the t-free
+        # terms are left
+        from test_saturation import family_config, family_fiber
+        tc = family_config(ideal(("x", "y", "t"), "x*t^2 - x + y^2", "y*t - y"))
+        assert [str(g) for g in family_fiber(tc, 1).generators] == ["y^2"]
+        assert [str(g) for g in family_fiber(tc, 0).generators] == ["y", "x"]
 
 
 class TestFlatness:
@@ -132,14 +144,9 @@ class TestFlatness:
 
     def test_unsaturated_family_fails(self):
         # a hand-built family has no flats to certify: the revlex oracle judges it
-        from conify.degeneration import TestConfiguration
-        from test_saturation import revlex_flatness
+        from test_saturation import family_config, revlex_flatness
         raw = IdealPresentation(("x", "t"), (parse_polynomial("t*x", ("x", "t")),))
-        fake = TestConfiguration.of_family(reduced_basis(raw, TermOrder(2)),
-                                           WeightData((ExactScalar.of(1),), t_weight=Fraction(1)))
-        assert not revlex_flatness(fake)
-        with pytest.raises(ValueError, match="built from its flats"):
-            flatness_witness(fake)
+        assert not revlex_flatness(family_config(raw))
 
     def test_t_free_family_flat(self):
         tc = build_test_configuration(ideal(XYZ, "x*y - z^2"), (2, 2, 2))

@@ -609,7 +609,7 @@ def test_reduced_bases_hand_over_primitive_rows(kind):
         order = orders(len(ideal.ring))[kind]
         basis = reduced_basis(ideal, order)
         rows = groebner.reduced_rows([groebner._integral(g.terms)[0] for g in ideal.generators], order)
-        assert rows == basis.rows()
+        assert rows == groebner._rows(basis.packing, basis.reducers)
         for g, row in zip(basis.elements, rows):
             d = lcm(*(c.denominator for c in g.terms.values()))
             assert row == {m: int(c * d) for m, c in g.terms.items()}

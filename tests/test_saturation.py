@@ -19,7 +19,9 @@ here as the oracle `family_fiber`.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -86,10 +88,15 @@ def raw_family(ideal: IdealPresentation, wvec) -> IdealPresentation:
                                          for g in ideal.generators))
 
 
-def family_config(family: IdealPresentation, wvec):
-    """A hand-built configuration: the reduced grevlex basis of any family."""
-    wd = WeightData(tuple(ExactScalar.of(w) for w in wvec), t_weight=Fraction(1))
-    return degeneration.TestConfiguration.of_family(reduced_basis(family, TermOrder(len(family.ring))), wd)
+class HandBuilt(NamedTuple):
+    """A hand-built family: all that revlex_flatness and family_fiber read."""
+    ring: tuple[str, ...]
+    family: groebner.GroebnerBasis
+
+
+def family_config(family: IdealPresentation, order: TermOrder | None = None) -> HandBuilt:
+    """Any family with its reduced basis, grevlex unless another order is given."""
+    return HandBuilt(family.ring, reduced_basis(family, order or TermOrder(len(family.ring))))
 
 
 def revlex_flatness(tc, max_steps=None) -> bool:
@@ -104,7 +111,7 @@ def revlex_flatness(tc, max_steps=None) -> bool:
     family = tc.family
     if family.order != TermOrder(len(family.ring)):
         raise ValueError("revlex_flatness needs the family's reduced grevlex basis")
-    ring, rows = groebner._revlex_rows(family.ring, family.rows(), T_NAME)
+    ring, rows = groebner._revlex_rows(family.ring, groebner._rows(family.packing, family.reducers), T_NAME)
     return not any(m[-1] for m in groebner.minimal_leads(rows, TermOrder(len(ring)), max_steps))
 
 
@@ -226,7 +233,7 @@ class TestFlatnessAgainstQuotient:
             assert flatness_witness(tc) is True
             assert quotient_is_flat(IdealPresentation(tc.ring, tc.family.elements))
             raw = raw_family(ideal, weights)
-            assert revlex_flatness(family_config(raw, weights)) == quotient_is_flat(raw), str(ideal)
+            assert revlex_flatness(family_config(raw)) == quotient_is_flat(raw), str(ideal)
 
     def test_benchmark_template_families(self):
         rejected = 0
@@ -234,7 +241,7 @@ class TestFlatnessAgainstQuotient:
             tc = build_test_configuration(ideal, weights)
             assert flatness_witness(tc) is True
             raw = raw_family(ideal, weights)
-            verdict = revlex_flatness(family_config(raw, weights))
+            verdict = revlex_flatness(family_config(raw))
             assert verdict == quotient_is_flat(raw), str(ideal)
             rejected += not verdict
         assert rejected == 9
@@ -243,7 +250,7 @@ class TestFlatnessAgainstQuotient:
         # <y - x^2, y^2> at weights (1, 1): x^4 lies in (J : t^2) but not in J
         ring = ("x", "y", T_NAME)
         raw = IdealPresentation(ring, tuple(parse_polynomial(s, ring) for s in ("y - x^2*t", "y^2")))
-        tc = family_config(raw, (1, 1))
+        tc = family_config(raw)
         assert not quotient_is_flat(raw)
         assert not revlex_flatness(tc)
 
@@ -255,18 +262,17 @@ class TestFlatnessAgainstQuotient:
         raw = IdealPresentation(ring, tuple(parse_polynomial(s, ring) for s in
                                             ("2*y", "x*t^2 - x*y*t^2", "2*y^2 + 1")))
         assert quotient_is_flat(raw)
-        assert revlex_flatness(family_config(raw, (1, 1)))
+        assert revlex_flatness(family_config(raw))
 
     def test_empty_family_is_flat(self):
         empty = IdealPresentation(("x", T_NAME), ())
-        assert revlex_flatness(family_config(empty, (1,)))
+        assert revlex_flatness(family_config(empty))
 
     def test_basis_for_another_order_is_refused(self):
         ring = ("x", "y", T_NAME)
         raw = IdealPresentation(ring, (parse_polynomial("y - x^2*t", ring),))
         weighted = TermOrder(3, weights=(ExactScalar.of(1), ExactScalar.of(3), ExactScalar.of(1)))
-        wd = WeightData((ExactScalar.of(1), ExactScalar.of(1)), t_weight=Fraction(1))
-        tc = degeneration.TestConfiguration.of_family(reduced_basis(raw, weighted), wd)
+        tc = family_config(raw, weighted)
         with pytest.raises(ValueError, match="grevlex"):
             revlex_flatness(tc)
 
@@ -280,7 +286,7 @@ class TestFlatnessAgainstRevlexBasis:
     def verdicts(tc):
         basis = revlex_basis(tc.family)
         oracle = [g.leading_monomial(basis.order) for g in basis]
-        ring, rows = groebner._revlex_rows(tc.ring, tc.family.rows(), T_NAME)
+        ring, rows = groebner._revlex_rows(tc.ring, groebner._rows(tc.family.packing, tc.family.reducers), T_NAME)
         leads = groebner.minimal_leads(rows, TermOrder(len(ring)))
         assert sorted(leads) == sorted(oracle)
         return revlex_flatness(tc), not any(m[-1] for m in oracle)
@@ -289,14 +295,14 @@ class TestFlatnessAgainstRevlexBasis:
         for ideal, weights in CASES:
             tc = build_test_configuration(ideal, weights)
             assert self.verdicts(tc) == (True, True)
-            witness, oracle = self.verdicts(family_config(raw_family(ideal, weights), weights))
+            witness, oracle = self.verdicts(family_config(raw_family(ideal, weights)))
             assert witness == oracle, str(ideal)
 
     def test_benchmark_template_families(self):
         rejected = 0
         for ideal, weights in TEMPLATES:
             assert self.verdicts(build_test_configuration(ideal, weights)) == (True, True)
-            witness, oracle = self.verdicts(family_config(raw_family(ideal, weights), weights))
+            witness, oracle = self.verdicts(family_config(raw_family(ideal, weights)))
             assert witness == oracle, str(ideal)
             rejected += not witness
         assert rejected == 9
@@ -304,7 +310,7 @@ class TestFlatnessAgainstRevlexBasis:
     def test_hand_built_non_flat_family(self):
         # the family of tests/test_degeneration.py's test_unsaturated_family_fails
         raw = IdealPresentation(("x", T_NAME), (parse_polynomial("t*x", ("x", T_NAME)),))
-        assert self.verdicts(family_config(raw, (1,))) == (False, False)
+        assert self.verdicts(family_config(raw)) == (False, False)
 
 
 def irrational_cases(count: int, seed: int):
@@ -385,17 +391,12 @@ class TestCertificateAgainstRevlexRoute:
         with pytest.raises(CertificateError, match=r"along \(1, 1\) fail Buchberger's criterion"):
             flatness_witness(tc)
 
-    def test_hand_built_family_is_refused(self):
-        raw = IdealPresentation(("x", T_NAME), (parse_polynomial("t*x", ("x", T_NAME)),))
-        with pytest.raises(ValueError, match="built from its flats"):
-            flatness_witness(family_config(raw, (1,)))
-
 
 def family_fiber(tc, value: int, max_steps=None) -> IdealPresentation:
     """The fiber at t = value by the family route: the reduced grevlex basis of
     the family basis's rows with t set to value."""
     ring = tc.ring[:-1]
-    rows = [degeneration._at(row, value) for row in tc.family.rows()]
+    rows = [degeneration._at(row, value) for row in groebner._rows(tc.family.packing, tc.family.reducers)]
     return IdealPresentation(ring, groebner.basis_of_rows(ring, rows, TermOrder(len(ring)), max_steps).elements)
 
 
@@ -440,9 +441,9 @@ class TestBudgets:
     def test_flatness_budget(self):
         # the certificate of HARD's ten flats reduces 17 S-pairs, all to zero
         tc = build_test_configuration(HARD, (1, 2, 3))
-        assert flatness_witness(tc, max_steps=17)
+        assert flatness_witness(replace(tc, max_steps=17))
         with pytest.raises(BudgetExceededError) as info:
-            flatness_witness(tc, max_steps=16)
+            flatness_witness(replace(tc, max_steps=16))
         assert str(info.value) == ("S-pair budget of 16 exceeded: 16 pairs reduced, "
                                    "28 dropped by the criteria, active basis of 10")
 
@@ -491,7 +492,7 @@ class TestBudgets:
         tc = build_test_configuration(HARD, (1, 2, 3), max_steps=budget)
         assert seen == [base, refined(3, 2, 1, 4)]
         seen.clear()
-        assert flatness_witness(tc, max_steps=budget)
+        assert flatness_witness(tc)
         assert seen == [certificate(6, 4, 2, 8, 1)]
         seen.clear()
         # each fiber is one grevlex basis in (x, y, z) under the configuration's budget
@@ -534,7 +535,7 @@ class TestBudgets:
         tc = build_test_configuration(HARD, (1, 2, 3))
         xi = (ExactScalar.root(2, 2), ExactScalar.of(1), ExactScalar.of(3))
         for run in (lambda: build_test_configuration(HARD, (1, 2, 3), max_steps=steps),
-                    lambda: flatness_witness(tc, max_steps=steps),
+                    lambda: flatness_witness(replace(tc, max_steps=steps)),
                     lambda: central_fiber(_family(HARD.ring, tc.flats, tc.w, steps)),
                     lambda: weighted_initial_ideal(HARD, WeightData(xi), max_steps=steps),
                     lambda: stable_initial_ideal(HARD, xi, max_steps=steps)):
