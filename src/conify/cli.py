@@ -36,7 +36,7 @@ from .diophantine import (
     rational_rank,
 )
 from .errors import ConifyError
-from .exactnum import check_radicand, parse_scalars
+from .exactnum import ExactScalar, check_radicand, parse_scalars
 from .inputdoc import InputDocument, parse_input
 from .numerics import rotation_from_target
 from .poisson import (
@@ -48,7 +48,7 @@ from .poisson import (
     jacobi_holds,
     preserves_ideal,
 )
-from .polyring import WeightData, _rescaled
+from .polyring import WeightData, _grades
 
 SCHEMA = "conify/1"
 
@@ -172,10 +172,10 @@ def _read_document(path: str) -> InputDocument:
 def _family_payload(doc: InputDocument):
     """The degeneration family; irrational weights take the certified
     weight vector of `stable_initial_ideal`."""
-    ideal, rescaled = doc.ideal(), _rescaled(doc.weights)
-    if rescaled is not None:
-        return build_test_configuration(ideal, rescaled[0])
-    return stable_initial_ideal(ideal, doc.weights)
+    ideal, (g, _) = doc.ideal(), _grades(doc.weights)
+    if any(isinstance(x, ExactScalar) for x in g):
+        return stable_initial_ideal(ideal, g)
+    return build_test_configuration(ideal, g)
 
 
 # -- dispatch ---------------------------------------------------------------------
@@ -199,7 +199,7 @@ def run(args) -> dict:
             return {
                 "family": [str(g) for g in tc.family],
                 "ring": list(tc.ring),
-                "weights": [str(w) for w in tc.weights.weights],
+                "weights": [str(w) for w in tc.w],
                 "saturated": True,
             }
         if command == "fiber":

@@ -26,7 +26,6 @@ family, the fibers and the initial ideals are made into Polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, count, islice
 from math import gcd
@@ -36,7 +35,7 @@ from .diophantine import ReebVector, _gauss_jordan
 from .errors import ArityError, CertificateError, InhomogeneousError
 from .exactnum import ExactScalar
 from .groebner import GroebnerBasis, IdealPresentation, Row, _integral, basis_of_rows, minimal_leads, reduced_rows
-from .polyring import Monomial, TermOrder, WeightData, is_homogeneous, least_weight, mono_divides
+from .polyring import Monomial, TermOrder, WeightData, _grades, is_homogeneous, least_weight, mono_divides
 
 T_NAME = "t"
 
@@ -45,20 +44,16 @@ T_NAME = "t"
 class TestConfiguration:
     """A flat family over the t-line degenerating the input at t = 0.
 
-    The input's `flats` (`_flats`) along positive integer weights `w`, also read
-    as `weights` (t weighs -1).  The fibers and the flatness certificate are
-    built from the flats; `family`, the reduced grevlex basis of the t-saturated
-    family ideal in (z_1, ..., z_n, t), t last, is built on first read, for
-    testconfig only.  Every basis runs under `max_steps`."""
+    The input's `flats` (`_flats`) along positive integer weights `w`, t weighing
+    -1.  The fibers and the flatness certificate are built from the flats;
+    `family`, the reduced grevlex basis of the t-saturated family ideal in
+    (z_1, ..., z_n, t), t last, is built on first read, for testconfig only.
+    Every basis runs under `max_steps`."""
 
     ring: tuple[str, ...]
     flats: tuple[Row, ...]
     w: tuple[int, ...]
     max_steps: int | None = None
-
-    @cached_property
-    def weights(self) -> WeightData:
-        return WeightData(self.w, t_weight=Fraction(1))
 
     @cached_property
     def family(self) -> GroebnerBasis:
@@ -86,6 +81,8 @@ def build_test_configuration(ideal: IdealPresentation, wvec: tuple[int, ...],
                              max_steps: int | None = None) -> TestConfiguration:
     """Degenerate along positive integer weights: the flats of I, homogenized
     by t, generate the t-saturated family, whose basis is built on first read."""
+    if T_NAME in ideal.ring:    # before any basis is computed
+        raise ArityError(f"ring already contains the family variable {T_NAME!r}")
     if len(wvec) != len(ideal.ring):
         raise ArityError("weight vector arity does not match ring")
     if any(w <= 0 or int(w) != w for w in wvec):
@@ -97,8 +94,6 @@ def build_test_configuration(ideal: IdealPresentation, wvec: tuple[int, ...],
 def _family(ring: tuple[str, ...], flats: list[Row], wvec: tuple[int, ...],
             max_steps: int | None) -> TestConfiguration:
     """The configuration of the flats along wvec; its family is built on first read."""
-    if T_NAME in ring:
-        raise ArityError(f"ring already contains the family variable {T_NAME!r}")
     return TestConfiguration(ring + (T_NAME,), tuple(flats), wvec, max_steps)
 
 
@@ -109,7 +104,7 @@ def _canonical(ring: tuple[str, ...], rows: list[Row], max_steps: int | None) ->
 
 def central_fiber(tc: TestConfiguration) -> IdealPresentation:
     """The fiber at t = 0, in_w(I): the reduced basis of the flats' initial forms."""
-    return _canonical(tc.ring[:-1], [least_weight(f, tc.weights.weights) for f in tc.flats], tc.max_steps)
+    return _canonical(tc.ring[:-1], [least_weight(f, tc.w) for f in tc.flats], tc.max_steps)
 
 
 def general_fiber(tc: TestConfiguration) -> IdealPresentation:
@@ -236,8 +231,9 @@ def _flats(ideal: IdealPresentation, wd: WeightData, max_steps: int | None) -> l
         return base
     degrees = [max(map(sum, g)) for g in base]
     homogenized = [{m + (d - sum(m),): c for m, c in g.items()} for g, d in zip(base, degrees)]
-    c = ExactScalar.of(max(w.floor() for w in wd.weights) + 1)
-    refined = TermOrder(n + 1, weights=tuple(c - w for w in wd.weights) + (c,))
+    g, s = _grades(wd.weights)
+    c = (max(w.floor() for w in wd.weights) + 1) * s
+    refined = TermOrder(n + 1, weights=tuple(c - x for x in g) + (c,))
     return [_at(b, 1) for b in reduced_rows(homogenized, refined, max_steps)]
 
 
@@ -256,6 +252,8 @@ def stable_initial_ideal(ideal: IdealPresentation, xi: tuple[ExactScalar, ...],
     the search ends.  The family is certified, not built: in_w(f) = in_xi(f) for
     each flat, and flatness_witness along w, so in_w(I) = in_xi(I).
     """
+    if T_NAME in ideal.ring:
+        raise ArityError(f"ring already contains the family variable {T_NAME!r}")
     wd = WeightData(tuple(xi))
     flats = _flats(ideal, wd, max_steps)
     initials = [least_weight(f, wd.weights) for f in flats]
@@ -275,7 +273,7 @@ def stable_initial_ideal(ideal: IdealPresentation, xi: tuple[ExactScalar, ...],
             break
     w = tuple(x // gcd(*w) for x in w)
     tc = _family(ideal.ring, flats, w, max_steps)
-    if [least_weight(f, tc.weights.weights) for f in tc.flats] != initials:
+    if [least_weight(f, tc.w) for f in tc.flats] != initials:
         raise CertificateError(f"the family along {w} does not degenerate to in_xi(I)")
     flatness_witness(tc)
     return tc

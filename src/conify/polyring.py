@@ -1,9 +1,9 @@
 """Sparse multivariate polynomials over Q with weighted gradings.
 
 A polynomial is a map from exponent tuples to nonzero Fraction coefficients,
-tagged with the tuple of variable names that fixes its ring.  Weights are
-ExactScalar (so gradings by quadratic irrationals compare exactly), while
-coefficients stay rational throughout.
+tagged with the tuple of variable names that fixes its ring.  Every grading
+reads one rule, `_grades`: integers over one denominator for rational weights,
+ExactScalars for irrational ones, while coefficients stay rational throughout.
 
 Initial forms follow the minimal-weight convention: initial_form keeps the
 terms of least weight, which is the part surviving the substitution
@@ -21,7 +21,7 @@ from operator import add, le, mul
 from typing import Iterable, NoReturn
 
 from .errors import ArityError, ParseError
-from .exactnum import ExactScalar
+from .exactnum import ExactScalar, _parts
 
 Monomial = tuple[int, ...]
 
@@ -53,42 +53,30 @@ def _grevlex_key(m: Monomial):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
-def _rescaled(ws: tuple[ExactScalar, ...]) -> tuple[tuple[int, ...], int] | None:
-    """(ints, scale): rational weights times scale, the lcm of their denominators,
-    which keeps every comparison of weights and skips ExactScalar; None if one is
-    irrational."""
-    if all(w.is_rational() for w in ws):
-        scale = lcm(*(w.den for w in ws))
-        return tuple(w.num * (scale // w.den) for w in ws), scale
-    return None
+def _grades(ws) -> tuple[tuple, int]:
+    """(g, s) with g.e = s*wt(e) for every exponent tuple e: for rational weights g
+    is integers over s, the lcm of their denominators, read off int, Fraction and
+    ExactScalar entries alike; for irrational ones g is the ExactScalars, s = 1."""
+    parts = list(map(_parts, ws))
+    if any([surds for _, surds, _ in parts]):
+        return tuple(map(ExactScalar.of, ws)), 1
+    s = lcm(*[d for _, _, d in parts])
+    return tuple([n * (s // d) for n, _, d in parts]), s
 
 
-def _weight_sum(ws: tuple[ExactScalar, ...], m: Monomial) -> ExactScalar:
-    """The weight sum(w_i * e_i) of a monomial, over its nonzero exponents."""
-    return ExactScalar.of(sum((w * e for w, e in zip(ws, m) if e), 0))
-
-
-def least_weight(terms: dict, ws: tuple[ExactScalar, ...]) -> dict:
-    """The terms of least weight under ws: on integers for rational weights."""
-    rescaled = _rescaled(ws)
-    if rescaled is None:
-        graded = {m: _weight_sum(ws, m) for m in terms}
-    else:
-        graded = {m: sum(map(mul, rescaled[0], m)) for m in terms}
+def least_weight(terms: dict, ws) -> dict:
+    """The terms of least weight under ws."""
+    g, _ = _grades(ws)
+    graded = {m: sum(map(mul, g, m)) for m in terms}
     low = min(graded.values())
     return {m: c for m, c in terms.items() if graded[m] == low}
 
 
-def _shared_weight(monos: Iterable[Monomial], ws: tuple[ExactScalar, ...]) -> ExactScalar | None:
-    """The weight under ws that all the monomials share, None if they disagree or there
-    are none: on integers for rational weights, with one ExactScalar for the result."""
-    rescaled = _rescaled(ws)
-    if rescaled is None:
-        weights = {_weight_sum(ws, m) for m in monos}
-        return weights.pop() if len(weights) == 1 else None
-    ints, scale = rescaled
-    weights = {sum(map(mul, ints, m)) for m in monos}
-    return ExactScalar.of(Fraction(weights.pop(), scale)) if len(weights) == 1 else None
+def _shared_weight(monos: Iterable[Monomial], ws) -> ExactScalar | None:
+    """The weight under ws that all the monomials share, None if they disagree or there are none."""
+    g, s = _grades(ws)
+    weights = {sum(map(mul, g, m)) for m in monos}
+    return ExactScalar.of(weights.pop())._scale(1, s) if len(weights) == 1 else None
 
 
 @dataclass(frozen=True)
@@ -112,19 +100,16 @@ class TermOrder:
         if self.weights is not None:
             if len(self.weights) != self.nvars:
                 raise ArityError("weight vector length does not match ring arity")
-            ws = tuple(ExactScalar.of(w) for w in self.weights)
-            if any(w.sign() <= 0 for w in ws):
+            object.__setattr__(self, "weights", tuple(map(ExactScalar.of, self.weights)))
+            g, _ = _grades(self.weights)
+            if any(x <= 0 for x in g):
                 raise ValueError("order weights must be strictly positive")
-            object.__setattr__(self, "weights", ws)
-            rescaled = _rescaled(ws)
-            object.__setattr__(self, "_int_weights", None if rescaled is None else rescaled[0])
+            object.__setattr__(self, "_int_weights", None if any(isinstance(x, ExactScalar) for x in g) else g)
 
     def key(self, m: Monomial):
         parts: list = [_grevlex_key(m[: self.elim])] if self.elim else []
-        if self._int_weights is not None:
-            parts.append(sum([w * e for w, e in zip(self._int_weights, m)]))
-        elif self.weights is not None:
-            parts.append(_weight_sum(self.weights, m))
+        if self.weights is not None:
+            parts.append(sum(map(mul, self._int_weights or self.weights, m)))
         parts.append(_grevlex_key(m))
         return tuple(parts)
 
@@ -302,7 +287,7 @@ class WeightData:
 
 def term_weight(mono: Monomial, wd: WeightData) -> ExactScalar:
     """Weighted degree of a monomial; a trailing t counts with -t_weight."""
-    return _weight_sum(wd.full_vector(len(mono)), mono)
+    return _shared_weight((mono,), wd.full_vector(len(mono)))
 
 
 def initial_form(f: Polynomial, wd: WeightData) -> Polynomial:

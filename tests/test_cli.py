@@ -546,6 +546,8 @@ GOLDEN_DOCUMENTS = {
     "r1": "field rational\nring x y\nweights 1 1\nideal\ny - x^2\ny^2\n",
     "r2": "field rational\nring x y z\nweights 1 2 3\nideal\nx*y - z + x^3*z\ny^2 - x*z - y^3\n",
     "q1": "field quad 2\nring x y\nweights s 1\nideal\ny^2 - x^3 - x*y^2\nx*y^2 - y^4\n",
+    # rational weights rescaled by the lcm 6 of their denominators to (9, 2, 12)
+    "r3": "field rational\nring x y z\nweights 3/2 1/3 2\nideal\nx*y - z^2 + y^6\nx^2 - z*y^3\n",
 }
 GOLDEN_TESTCONFIG = {
     "r1": (
@@ -571,6 +573,11 @@ GOLDEN_TESTCONFIG = {
         '{"family":["y^4*t - x*y^2","x^3*y^2*t - x^4","x^3*t^5 + x*y^2*t^3 - y^2",'
         '"x^4*t^4 + x^2*y^2*t^2 - y^4","x^5*t^3 - y^6 + x^4","y^8 - x^6*t^2 - x^4*y^2"],'
         '"ring":["x","y","t"],"saturated":true,"schema":"conify/1","weights":["3","2"]}\n'
+    ),
+    "r3": (
+        '{"family":["y^3*z - x^2","z^2*t^13 - y^6*t - x*y","x^2*z*t^13 - y^9*t - x*y^4",'
+        '"x^4*t^13 - y^12*t - x*y^7"],"ring":["x","y","z","t"],"saturated":true,'
+        '"schema":"conify/1","weights":["9","2","12"]}\n'
     ),
 }
 

@@ -60,13 +60,21 @@ class TestBuild:
         with pytest.raises(ArityError, match="family variable 't'"):
             stable_initial_ideal(source, (R2, ExactScalar.of(1)))
 
+    def test_family_variable_is_refused_before_any_basis(self):
+        # with no S-pair allowed, any basis of <x^2 - t, x*t - 1> would exceed the budget
+        source = ideal(("x", "t"), "x^2 - t", "x*t - 1")
+        with pytest.raises(ArityError, match="family variable 't'"):
+            build_test_configuration(source, (1, 2), max_steps=0)
+        with pytest.raises(ArityError, match="family variable 't'"):
+            stable_initial_ideal(source, (R2, ExactScalar.of(1)), max_steps=0)
+
     def test_unit_weights(self):
         tc = build_test_configuration(ideal(XYZ, "x*y - z^2 - x^3"), (1, 1, 1))
         assert [str(g) for g in tc.family] == ["x^3*t - x*y + z^2"]
 
     def test_family_is_graded(self):
         tc = build_test_configuration(ideal(XYZ, "x*y - z^2 - x^3"), (2, 2, 2))
-        wd = tc.weights
+        wd = WeightData(tc.w, t_weight=Fraction(1))
         for g in tc.family:
             weights = {sum(int(w.as_fraction()) * e for w, e in
                            zip(wd.full_vector(len(m)), m)) for m in g.terms}
@@ -74,10 +82,10 @@ class TestBuild:
 
     def test_configuration_is_flats_weights_and_budget(self):
         # no stored family and no second weight representation: the fibers and
-        # the certificate read the flats, and `weights` is w with t weighing -1
+        # the certificate read the flats, and the integers w are the only weights
         tc = build_test_configuration(ideal(XYZ, "x*y - z^2 - x^3"), (2, 1, 3))
         assert [f.name for f in fields(degeneration.TestConfiguration)] == ["ring", "flats", "w", "max_steps"]
-        assert tc.weights == WeightData(tc.w, t_weight=Fraction(1))
+        assert tc.w == (2, 1, 3) and not hasattr(tc, "weights")
         central_fiber(tc)
         general_fiber(tc)
         assert flatness_witness(tc)
@@ -308,7 +316,7 @@ class TestStableInitialIdeal:
         source = ideal(XYZ, "x*y - z^2")
         tc = stable_initial_ideal(source, (R2, R2, R2))
         assert [str(g) for g in central_fiber(tc).generators] == ["x*y - z^2"]
-        assert tc.weights.integer_weights() == (1, 1, 1)
+        assert tc.w == (1, 1, 1)
 
     def test_proportional_approximants(self):
         # weights proportional to (3, 2) scaled by an irrational unit
@@ -316,7 +324,7 @@ class TestStableInitialIdeal:
         source = ideal(("x", "y"), "x^2 - y^3 - y^4")
         tc = stable_initial_ideal(source, xi)
         assert [str(g) for g in central_fiber(tc).generators] == ["y^3 - x^2"]
-        assert tc.weights.integer_weights() == (3, 2)
+        assert tc.w == (3, 2)
         assert flatness_witness(tc)
 
     def test_exhausted_candidates_round_xi(self, monkeypatch):
@@ -327,10 +335,10 @@ class TestStableInitialIdeal:
         xi = (R2, ExactScalar.of(3))
         monkeypatch.setattr(degeneration, "CONE_CANDIDATES", 3)
         tc = stable_initial_ideal(source, xi)
-        assert tc.weights.integer_weights() == (15, 32)
+        assert tc.w == (15, 32)
         assert [str(g) for g in central_fiber(tc).generators] == ["x^2"]
         monkeypatch.setattr(degeneration, "CONE_CANDIDATES", 4)
-        assert stable_initial_ideal(source, xi).weights.integer_weights() == (1, 3)
+        assert stable_initial_ideal(source, xi).w == (1, 3)
 
     @pytest.mark.parametrize("gens, xi, weights", [
         (("x*y - z^2 + x^3", "y^2 - x*z"), THREE_RADICANDS, (6, 11, 9)),
@@ -341,7 +349,7 @@ class TestStableInitialIdeal:
         monkeypatch.setattr(degeneration, "CONE_CANDIDATES", 0)
         source = ideal(XYZ[:len(xi)], *gens)
         tc = stable_initial_ideal(source, xi)
-        assert tc.weights.integer_weights() == weights
+        assert tc.w == weights
         assert central_fiber(tc) == weighted_initial_ideal(source, WeightData(xi))
         assert flatness_witness(tc)
 
@@ -351,7 +359,7 @@ class TestStableInitialIdeal:
         source = ideal(("x", "y"), "y - x^2 + y^2")
         xi = (R2, ExactScalar.of(3))
         tc = stable_initial_ideal(source, xi)
-        assert tc.weights.integer_weights() == (1, 3)
+        assert tc.w == (1, 3)
         assert [str(g) for g in central_fiber(tc).generators] == ["x^2"]
         tie = weighted_initial_ideal(source, wdata(1, 2))
         assert [str(g) for g in tie.generators] == ["x^2 - y"]
@@ -367,7 +375,7 @@ class TestStableInitialIdeal:
     def test_three_radicands_take_one_small_family(self):
         source = ideal(XYZ, "x*y - z^2 + x^3", "y^2 - x*z")
         tc = stable_initial_ideal(source, THREE_RADICANDS)
-        assert tc.weights.integer_weights() == (4, 7, 6)
+        assert tc.w == (4, 7, 6)
         fiber = central_fiber(tc)
         assert [str(g) for g in fiber.generators] == ["x*z", "x*y", "z^3"]
         assert fiber == weighted_initial_ideal(source, WeightData(THREE_RADICANDS))
@@ -386,7 +394,7 @@ class TestStableInitialIdeal:
         xi = (R2, ExactScalar.root(2, 2))
         source = ideal(("x", "y"), text)
         tc = stable_initial_ideal(source, xi)
-        assert tc.weights.integer_weights() == expected
+        assert tc.w == expected
         assert central_fiber(tc) == weighted_initial_ideal(source, WeightData(xi))
         assert in_rational_span(expected, xi)
 
@@ -404,7 +412,7 @@ class TestStableInitialIdeal:
     def test_search_runs_over_the_span(self, xi, texts, expected):
         source = ideal(XYZ, *texts)
         tc = stable_initial_ideal(source, xi)
-        assert tc.weights.integer_weights() == expected
+        assert tc.w == expected
         assert central_fiber(tc) == weighted_initial_ideal(source, WeightData(xi))
         assert flatness_witness(tc)
 
@@ -416,5 +424,5 @@ class TestStableInitialIdeal:
     def test_central_fiber_carries_the_torus_of_xi(self, xi, texts):
         source = ideal(XYZ, *texts)
         tc = stable_initial_ideal(source, xi)
-        assert in_rational_span(tc.weights.integer_weights(), xi)
+        assert in_rational_span(tc.w, xi)
         assert in_span_homogeneous(central_fiber(tc), xi)
