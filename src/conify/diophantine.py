@@ -4,15 +4,16 @@ and exact rational cone membership for positive weight vectors.
 Everything here decides with exact arithmetic.  Weights are ExactScalar
 values, which may mix radicands; linear algebra happens on their rational
 coordinates over the basis {1, sqrt(k_1), sqrt(k_2), ...}, and every sign,
-floor and comparison is the scalar type's own exact one.  Elimination is
-fraction-free: rows are scaled to integers and reduced by Bareiss's method.
-A nice approximant is the first Dirichlet candidate whose rational vector
-lies in the cone over a fixed box around the weights, tested on Fractions.
-ConeDescription is the convex-hull cone of its generators; membership
-scales its equations to integers once per call, tries no subset smaller
-than the rank of the target's coordinates, and builds each coefficient from
-the Bareiss numerators over the diagonal.  The corner test
-takes one integer floor, floor(C*res*w), per multiplier and entry.
+floor and comparison not made on integers is the scalar type's own exact one.
+Elimination is Bareiss's fraction-free method on integer rows.  The 1/N bound
+of Dirichlet candidates and corner lifts is one rule: a floor of w*D*N for an
+irrational entry, an integer comparison for a rational one.  A nice
+approximant is the first candidate in the cone over a fixed box around the
+weights, tested on Fractions.  ConeDescription is the convex-hull cone of its
+generators; membership reads the integers of the target and the generators,
+tries no subset smaller than the rank of the target's coordinates, and builds
+each coefficient from the Bareiss numerators over the diagonal.  The corner
+test takes one floor, floor(C*res*w), per multiplier and entry.
 """
 
 from __future__ import annotations
@@ -24,22 +25,24 @@ from math import lcm
 from typing import Sequence
 
 from .errors import ArityError, ContainmentError, OutsideConeError, SearchExhaustedError
-from .exactnum import ExactScalar, combo_sign  # noqa: F401  combo_sign stays public here
+from .exactnum import ExactScalar, _from_dict, _parts, combo_sign  # noqa: F401  combo_sign stays public here
 
 # -- rational linear algebra -------------------------------------------------------
 
 def _gauss_jordan(mat: list[list], ncols: int) -> tuple[list[int], int]:
     """Reduce mat in place over its first ncols columns; return (pivot columns, d).
 
-    Rows are scaled to integers, then Bareiss's fraction-free Gauss-Jordan
-    (Math. Comp. 1968) divides each updated row exactly by the previous pivot.
+    Rows holding a Fraction are scaled to integers, then Bareiss's fraction-free
+    Gauss-Jordan (Math. Comp. 1968) divides each updated row exactly by the
+    previous pivot; a row with 0 in the pivot column is only rescaled, by p/d.
     The t-th pivot row ends with the common diagonal d in its pivot column and
     zeros in the other pivot columns, so rows over d are the reduced echelon
     form and the number of pivots is the rank of those columns.
     """
     for r, row in enumerate(mat):
-        m = lcm(*(x.denominator for x in row))
-        mat[r] = [x.numerator * (m // x.denominator) for x in row]
+        if not all(type(x) is int for x in row):
+            m = lcm(*(x.denominator for x in row))
+            mat[r] = [x.numerator * (m // x.denominator) for x in row]
     pivots: list[int] = []
     d = 1
     for col in range(ncols):
@@ -53,9 +56,10 @@ def _gauss_jordan(mat: list[list], ncols: int) -> tuple[list[int], int]:
         top = mat[row]
         p = top[col]
         for r in range(len(mat)):
-            if r != row:
-                f = mat[r][col]
+            if r != row and (f := mat[r][col]):
                 mat[r] = [(p * x - f * y) // d for x, y in zip(mat[r], top)]
+            elif r != row and p != d:
+                mat[r] = [p * x // d for x in mat[r]]
         d = p
         pivots.append(col)
     return pivots, d
@@ -228,19 +232,22 @@ def default_N(v: ReebVector) -> int:
     return (ExactScalar.of(4 * v.n) / v.min_entry()).ceil()
 
 
+def _within(w: ExactScalar, D: int, wt: int, N: int) -> bool:
+    """|w*D - wt| < 1/N, on integers.  For irrational w, w*D*N is irrational, so
+    this holds iff floor(w*D*N) is wt*N - 1 or wt*N; for w = a/b, iff |a*D - wt*b|*N < b."""
+    if w.surds:
+        return wt * N - 1 <= w.floor(D * N) <= wt * N
+    return abs(w.num * D - wt * w.den) * N < w.den
+
+
 def _candidate(v: ReebVector, D: int, N: int) -> ApproximantReport | None:
-    bound = Fraction(1, N)
     w_tilde, errors = [], []
     for w in v.entries:
         nearest = (w.floor(2 * D) + 1) // 2
-        # w*D*N is irrational, so |w*D - nearest| < 1/N iff this holds of its floor
-        if nearest < 1 or (w.surds and not nearest * N - 1 <= w.floor(D * N) <= nearest * N):
-            return None
-        err = abs(w * D - nearest)
-        if not err < bound:
+        if nearest < 1 or not _within(w, D, nearest, N):
             return None
         w_tilde.append(nearest)
-        errors.append(err)
+        errors.append(abs(w * D - nearest))
     return ApproximantReport(D, tuple(w_tilde), N, tuple(errors), nice=False, xi=v)
 
 
@@ -279,10 +286,12 @@ def _reference_box(v: ReebVector) -> tuple[list[Fraction], list[Fraction]]:
 
 def nice_approximant(v: ReebVector, N: int | None = None, cap: int = 10**6) -> ApproximantReport:
     """The first Dirichlet approximant u = w_tilde/D in the cone over the reference box."""
-    if N is None:
-        N = default_N(v)
-    if v.n is not None and N < default_N(v):
-        raise ValueError(f"N={N} is below the default threshold {default_N(v)}")
+    if N is None or v.n is not None:
+        least = default_N(v)
+        if N is None:
+            N = least
+        elif N < least:
+            raise ValueError(f"N={N} is below the default threshold {least}")
     if N < 2:
         raise ValueError("N must be at least 2")
     lower, upper = _reference_box(v)
@@ -339,17 +348,19 @@ class ConeDescription:
 
         Sizes start at the rank of the target's coordinate matrix T, one column
         per radicand: independent columns G with G*X = T number at least rank T.
+        All of it runs on the integers of the target and the generators, and each
+        coefficient is the canonical scalar X/d with the sign of d moved into X.
         """
-        target = [ExactScalar.of(1)] + [ExactScalar.of(x) for x in v]
-        columns = [[Fraction(1)] + list(map(Fraction, g)) for g in self.generators]
+        target = [(1, (), 1)] + [_parts(x) for x in v]
+        columns = [(1, *g) for g in self.generators]
         if columns and len(columns[0]) != len(target):
             raise ArityError("dimension mismatch in cone membership")
-        coords = [{1: x.num, **dict(x.surds)} for x in target]
+        coords = [{1: num, **dict(surds)} for num, surds, _ in target]
         radicands = sorted({k for c in coords for k, q in c.items() if q}) or [1]
         # equation i times the lcm m_i of its denominators: integer rows, the same solutions
-        lcms = [lcm(x.den, *(col[i].denominator for col in columns)) for i, x in enumerate(target)]
+        lcms = [lcm(den, *(col[i].denominator for col in columns)) for i, (_, _, den) in enumerate(target)]
         columns = [[g.numerator * (m // g.denominator) for g, m in zip(col, lcms)] for col in columns]
-        rhs_list = [[c.get(k, 0) * (m // x.den) for c, m, x in zip(coords, lcms, target)]
+        rhs_list = [[c.get(k, 0) * (m // den) for c, m, (_, _, den) in zip(coords, lcms, target)]
                     for k in radicands]
         for size in range(max(1, rational_matrix_rank(rhs_list)), len(columns) + 1):
             for subset in combinations(range(len(columns)), size):
@@ -357,7 +368,8 @@ class ConeDescription:
                 if solved is None:
                     continue
                 numerators, d = solved
-                lambdas = [ExactScalar.from_coordinates(dict(zip(radicands, column))) / d
+                s = 1 if d > 0 else -1
+                lambdas = [_from_dict({k: s * x for k, x in zip(radicands, column)}, s * d)
                            for column in zip(*numerators)]
                 if all(lam.sign() >= 0 for lam in lambdas):
                     return True, [(i, lam.spaced()) for i, lam in zip(subset, lambdas)]
@@ -483,11 +495,8 @@ def approximant_cone(v: ReebVector, corners: CornerSearchResult | None = None,
         if any(x < 1 for x in full):
             raise ContainmentError(
                 "corner approximant has a nonpositive entry; raise the resolution")
-        bound = Fraction(1, N)
-        for w, wt in zip(v.entries, full):
-            if not abs(w * D - wt) < bound:
-                raise ContainmentError(
-                    f"corner approximant misses the 1/{N} bound; raise the resolution")
+        if not all(_within(w, D, wt, N) for w, wt in zip(v.entries, full)):
+            raise ContainmentError(f"corner approximant misses the 1/{N} bound; raise the resolution")
         generators.append(tuple(Fraction(x, D) for x in full))
     all_corners = ConeDescription(tuple(generators), simplicial=False)
     inside, certificate = all_corners.contains(v.entries)

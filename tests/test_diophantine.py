@@ -15,6 +15,7 @@ from conify.diophantine import (
     ReebVector,
     _gauss_jordan,
     _reference_box,
+    _within,
     affine_hull,
     approximant_cone,
     combo_sign,
@@ -225,6 +226,26 @@ class TestFractionFreeElimination:
             outcomes.add(want is None)
         assert outcomes == {True, False}
 
+    def test_integer_rows_match_fraction_rows(self):
+        # p = 2 != d = 1 at the first pivot, so the row (0, 3, 1) must become (0, 6, 2)
+        # before the next pivot; the diagonal ends as the determinant, -4
+        mat = [[2, 1, 1], [0, 3, 1], [1, 1, 0]]
+        assert _gauss_jordan(mat, 3) == ([0, 1, 2], -4)
+        assert mat == [[-4, 0, 0], [0, -4, 0], [0, 0, -4]]
+        rng = random.Random(101)
+        rescaled = 0
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            rows = [[0 if rng.random() < 0.4 else rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            got, want = [list(r) for r in rows], [list(map(Fraction, r)) for r in rows]
+            pivots, d = _gauss_jordan(got, n)
+            assert (pivots, d) == _gauss_jordan(want, n) and got == want
+            assert all(type(x) is int for row in want for x in row)
+            if len(pivots) == n:
+                assert abs(d) == abs(TestApproximantCone.det([list(map(Fraction, r)) for r in rows]))
+            rescaled += rows[0][0] not in (0, 1) and any(r[0] == 0 for r in rows[1:])
+        assert rescaled > 20
+
     def test_zero_column_and_wide_systems(self):
         F = Fraction
         # more columns than rows, a zero leading entry, and an all-zero matrix
@@ -338,6 +359,27 @@ class TestNiceApproximant:
         # a larger budget reaches the next candidate, inside the box
         report = nice_approximant(v, N=2, cap=2)
         assert (report.D, report.w_tilde, report.nice) == (2, (3, 3), True)
+
+    def test_default_threshold_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted(v):
+            calls.append(v)
+            return default_N(v)
+
+        monkeypatch.setattr(diophantine, "default_N", counted)
+        v = vec(R2, 2 - R2, n=2)
+        for N, want in ((None, 14), (14, 14), (20, 20)):
+            calls.clear()
+            assert nice_approximant(v, N=N).N == want and len(calls) == 1
+        calls.clear()
+        with pytest.raises(ValueError, match="^N=3 is below the default threshold 14$"):
+            nice_approximant(v, N=3)
+        assert len(calls) == 1
+        calls.clear()
+        assert nice_approximant(vec(R2, 2 - R2), N=14).N == 14 and not calls
+        with pytest.raises(ValueError, match="ambient dimension n is not set"):
+            nice_approximant(vec(R2))
 
     def test_perturbation_bound(self):
         report = nice_approximant(vec(R2, 2 - R2, n=2), N=14)
@@ -462,6 +504,42 @@ class TestCandidateDifferential:
                     assert got == reference_perturbation_bound(report, p, eps)
                     seen.add(got)
         assert seen == {True, False}
+
+
+class TestOneOverNRule:
+    """_within, the integer 1/N rule of _candidate and approximant_cone, against
+    |w*D - w_tilde| < 1/N formed as an ExactScalar and compared with a Fraction."""
+
+    @staticmethod
+    def cases(rng):
+        for kind in ("one radicand", "mixed radicands", "rational", "rational at 1/N"):
+            for _ in range(300):
+                D, N = rng.randint(1, 60), rng.randint(2, 9)
+                if kind == "rational at 1/N":
+                    wt = rng.randint(1, 40)
+                    w = ExactScalar.of(Fraction(wt * N + rng.choice((-1, 1)), N * D))
+                    yield kind, w, D, wt, N
+                    continue
+                if kind == "rational":
+                    w = ExactScalar.of(Fraction(rng.randint(1, 200), rng.randint(1, 40)))
+                else:
+                    radicands = rng.sample([2, 3, 5, 7], 1 if kind == "one radicand" else rng.randint(2, 3))
+                    w = ExactScalar.of(rng.randint(1, 6))
+                    for k in radicands:
+                        w += ExactScalar.root(k, Fraction(rng.randint(1, 5), rng.randint(1, 4)))
+                wt = (w.floor(2 * D) + 1) // 2 + rng.choice((-1, 0, 0, 0, 1))
+                yield kind, w, D, wt, N
+
+    def test_matches_scalar_comparison(self):
+        verdicts = set()
+        for kind, w, D, wt, N in self.cases(random.Random(107)):
+            want = abs(ExactScalar.of(w) * D - wt) < Fraction(1, N)
+            assert _within(w, D, wt, N) == want, (kind, w, D, wt, N)
+            verdicts.add((kind, want, (w * D - wt).sign()))
+        for kind in ("one radicand", "mixed radicands", "rational"):
+            # accepted from below and from above, and refused
+            assert {(kind, True, -1), (kind, True, 1), (kind, False, -1), (kind, False, 1)} <= verdicts
+        assert {v[1] for v in verdicts if v[0] == "rational at 1/N"} == {False}
 
 
 class TestCornerSearch:
@@ -726,6 +804,22 @@ class TestConeMembership:
         cone = ConeDescription(((Fraction(3), Fraction(1)),), simplicial=True)
         inside, certificate = cone.contains((ExactScalar.of(3), ExactScalar.of(1)))
         assert inside and certificate == [(0, "1")]
+
+    def test_negative_diagonal(self, monkeypatch):
+        # (1, sqrt 2) between (1, 1) and (1, 2): the second pivot of the solve is -1
+        diagonals = []
+
+        def recorded(columns, rhs_list):
+            solved = solve_integral(columns, rhs_list)
+            diagonals.append(solved and solved[1])
+            return solved
+
+        cone = ConeDescription(((Fraction(2),), (Fraction(1),)), simplicial=True)
+        monkeypatch.setattr("conify.diophantine.solve_integral", recorded)
+        inside, certificate = cone.contains((R2,))
+        assert diagonals == [-1]
+        assert (inside, certificate) == contains_from_size_one(cone, (R2,))
+        assert certificate == [(0, "-1 + sqrt(2)"), (1, "2 - sqrt(2)")]
 
 
 def contains_from_size_one(cone, v):
