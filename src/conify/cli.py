@@ -36,7 +36,7 @@ from .diophantine import (
     rational_rank,
 )
 from .errors import ConifyError
-from .exactnum import ExactScalar, check_radicand, parse_scalars
+from .exactnum import check_radicand, parse_scalars
 from .inputdoc import InputDocument, parse_input
 from .numerics import rotation_from_target
 from .poisson import (
@@ -172,10 +172,8 @@ def _read_document(path: str) -> InputDocument:
 def _family_payload(doc: InputDocument):
     """The degeneration family; irrational weights take the certified
     weight vector of `stable_initial_ideal`."""
-    ideal, (g, _) = doc.ideal(), _grades(doc.weights)
-    if any(isinstance(x, ExactScalar) for x in g):
-        return stable_initial_ideal(ideal, g)
-    return build_test_configuration(ideal, g)
+    ideal, (g, s) = doc.ideal(), _grades(doc.weights)
+    return stable_initial_ideal(ideal, g) if s is None else build_test_configuration(ideal, g)
 
 
 # -- dispatch ---------------------------------------------------------------------

@@ -85,10 +85,10 @@ def build_test_configuration(ideal: IdealPresentation, wvec: tuple[int, ...],
         raise ArityError(f"ring already contains the family variable {T_NAME!r}")
     if len(wvec) != len(ideal.ring):
         raise ArityError("weight vector arity does not match ring")
-    if any(w <= 0 or int(w) != w for w in wvec):
+    g, s = _grades(wvec)
+    if s != 1 or any(w <= 0 for w in g):
         raise ValueError("weights must be positive integers")
-    wvec = tuple(int(w) for w in wvec)
-    return _family(ideal.ring, _flats(ideal, WeightData(wvec), max_steps), wvec, max_steps)
+    return _family(ideal.ring, _flats(ideal, g, max_steps), g, max_steps)
 
 
 def _family(ring: tuple[str, ...], flats: list[Row], wvec: tuple[int, ...],
@@ -217,13 +217,14 @@ CONE_CANDIDATES = 10**5  # small span points stable_initial_ideal tries before r
 def weighted_initial_ideal(ideal: IdealPresentation, wd: WeightData,
                            max_steps: int | None = None) -> IdealPresentation:
     """Minimal-weight initial ideal without the t-family: the flats' initial forms."""
-    return _canonical(ideal.ring, [least_weight(f, wd.weights) for f in _flats(ideal, wd, max_steps)], max_steps)
+    flats = _flats(ideal, wd.weights, max_steps)
+    return _canonical(ideal.ring, [least_weight(f, wd.weights) for f in flats], max_steps)
 
 
-def _flats(ideal: IdealPresentation, wd: WeightData, max_steps: int | None) -> list[Row]:
-    """The refined reduced basis of I^h at h = 1, as primitive integer rows:
-    [] for <0>, [1] for <1>."""
-    if len(wd.weights) != len(ideal.ring):
+def _flats(ideal: IdealPresentation, ws: tuple, max_steps: int | None) -> list[Row]:
+    """The refined reduced basis of I^h at h = 1 along the positive weights ws,
+    as primitive integer rows: [] for <0>, [1] for <1>."""
+    if len(ws) != len(ideal.ring):
         raise ArityError("weights do not match ring")
     n = len(ideal.ring)
     base = reduced_rows([_integral(g.terms)[0] for g in ideal.generators], TermOrder(n), max_steps)
@@ -231,8 +232,8 @@ def _flats(ideal: IdealPresentation, wd: WeightData, max_steps: int | None) -> l
         return base
     degrees = [max(map(sum, g)) for g in base]
     homogenized = [{m + (d - sum(m),): c for m, c in g.items()} for g, d in zip(base, degrees)]
-    g, s = _grades(wd.weights)
-    c = (max(w.floor() for w in wd.weights) + 1) * s
+    g, s = _grades(ws)
+    c = max(x.floor() for x in g) + 1 if s is None else (max(g) // s + 1) * s
     refined = TermOrder(n + 1, weights=tuple(c - x for x in g) + (c,))
     return [_at(b, 1) for b in reduced_rows(homogenized, refined, max_steps)]
 
@@ -254,19 +255,19 @@ def stable_initial_ideal(ideal: IdealPresentation, xi: tuple[ExactScalar, ...],
     """
     if T_NAME in ideal.ring:
         raise ArityError(f"ring already contains the family variable {T_NAME!r}")
-    wd = WeightData(tuple(xi))
-    flats = _flats(ideal, wd, max_steps)
-    initials = [least_weight(f, wd.weights) for f in flats]
+    v = ReebVector(xi)
+    flats = _flats(ideal, v.entries, max_steps)
+    initials = [least_weight(f, v.entries) for f in flats]
     greater = []
     for f, lead in zip(flats, initials):
         a = next(iter(lead))
         greater += [tuple(x - y for x, y in zip(m, a)) for m in f if m not in lead]
-    basis = [list(col) for col in zip(*ReebVector(wd.weights).coordinate_rows())]
+    basis = [list(col) for col in zip(*v.coordinate_rows())]
     pivots, d = _gauss_jordan(basis, len(xi))
     basis = [[x if d > 0 else -x for x in row] for row in basis[:len(pivots)]]
     lams = (tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,))) for total in count(len(pivots))
             for cuts in combinations(range(1, total), len(pivots) - 1))
-    near = (tuple((wd.weights[p].floor(2 ** (k + 1)) + abs(d)) // (2 * abs(d)) for p in pivots) for k in count(1))
+    near = (tuple((v.entries[p].floor(2 ** (k + 1)) + abs(d)) // (2 * abs(d)) for p in pivots) for k in count(1))
     for lam in chain(islice(lams, CONE_CANDIDATES), near):
         w = [sum(map(int.__mul__, lam, col)) for col in zip(*basis)]
         if min(w) > 0 and all(sum(map(int.__mul__, row, w)) > 0 for row in greater):

@@ -310,7 +310,7 @@ def nice_approximant(v: ReebVector, N: int | None = None, cap: int = 10**6) -> A
 def verify_perturbation_bound(report: ApproximantReport, p: int, eps_prime) -> bool:
     """Exact check that the scaled perturbation stays below eps_prime.
 
-    Requires the approximation errors to respect 1/N, the threshold bound
+    Requires every |D w_i - w'_i| < 1/N (`_within`), the threshold bound
     p/(N * min w_i) < eps_prime/2, and the relative error bound p * D *
     max_i |w_i - w'_i| / w_i < eps_prime/2 (p >= 0), both multiplied out as w_i > 0.
     Any sufficiently small tau-exponent slack then fits in the remaining half.
@@ -318,10 +318,9 @@ def verify_perturbation_bound(report: ApproximantReport, p: int, eps_prime) -> b
     v = report.xi
     if v is None:
         raise ValueError("report does not retain its weight vector")
-    half = Fraction(eps_prime) / 2
-    bound = Fraction(1, report.N)
-    if not all(e < bound for e in report.errors):
+    if not all(_within(w, report.D, wt, report.N) for w, wt in zip(v.entries, report.w_tilde)):
         return False
+    half = Fraction(eps_prime) / 2
     if not p < half * report.N * v.min_entry():
         return False
     return all(p * e < half * w for e, w in zip(report.errors, v.entries))

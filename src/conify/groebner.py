@@ -34,12 +34,7 @@ from math import gcd, lcm as int_lcm
 from operator import mul, sub
 
 from .errors import ArityError, BudgetExceededError
-from .polyring import (
-    Monomial,
-    Polynomial,
-    TermOrder,
-    mono_lcm,
-)
+from .polyring import Monomial, Polynomial, TermOrder, _grades, mono_lcm
 
 
 @dataclass(frozen=True)
@@ -77,14 +72,16 @@ class _Packing:
     has it.  Fields below the top are `width` bits with a zero guard bit,
     FMAX = 2^(width-1) - 1, so K(ab) = K(a) + K(b) - K(1), a | b iff
     K(b) - K(a) + K(1) has no guard bit set, and a sum of codes whose monomial
-    outgrew the width has one set.  Irrational weights have no field; `key`
-    (the order's key of the decoded monomial, memoized per code) sorts instead."""
+    outgrew the width has one set.  Irrational weights have no field (`weights`
+    is None); `key`, the order's key of the decoded monomial memoized per code,
+    sorts instead."""
 
     def __init__(self, order: TermOrder, width: int):
         self.order, self.width, self.fmax = order, width, (1 << width - 1) - 1
-        self.one, self.steps, self.guard = _layout(order.nvars, order._int_weights, order.elim, width)
+        self.weights = _field_weights(order)
+        self.one, self.steps, self.guard = _layout(order.nvars, self.weights, order.elim, width)
         self.shifts, self.monomials = range(0, width * order.nvars, width), {}   # decoded or encoded so far
-        irrational = order._int_weights is None and order.weights
+        irrational = self.weights is None and order.weights
         self.key = lru_cache(maxsize=None)(lambda k: order.key(self.monomial(k))) if irrational else None
 
     @classmethod
@@ -92,12 +89,12 @@ class _Packing:
         """Fields that hold twice the largest grade of the monomials of the
         term dicts, or twice its square under an elimination order, whose
         reductions raise the degree outside the block past the inputs'."""
-        top = max((sum(m) for row in rows for m in row), default=0) * max(order._int_weights or (1,))
+        top = max((sum(m) for row in rows for m in row), default=0) * max(_field_weights(order) or (1,))
         return cls(order, (top * top if order.elim else top).bit_length() + 2)
 
     def code(self, m: Monomial) -> int:
         """K(m) for any m: the grade (weight, else degree) bounds every field."""
-        ws = self.order._int_weights
+        ws = self.weights
         if (sum(m) if ws is None else sum(map(mul, ws, m))) > self.fmax:
             raise _Overflow
         k = self.one + sum(map(mul, self.steps, m))
@@ -113,6 +110,12 @@ class _Packing:
 
     def pack(self, polys) -> list[Reducer]:
         return [_reducer(_integral(g.terms, self.code)[0], self.key) for g in polys]
+
+
+def _field_weights(order: TermOrder) -> tuple[int, ...] | None:
+    """The order's weights if `_grades` finds them rational, else None."""
+    g, s = _grades(order.weights or ())
+    return g if g and s else None
 
 
 @lru_cache(maxsize=256)

@@ -1,9 +1,9 @@
 """Sparse multivariate polynomials over Q with weighted gradings.
 
 A polynomial is a map from exponent tuples to nonzero Fraction coefficients,
-tagged with the tuple of variable names that fixes its ring.  Every grading
-reads one rule, `_grades`: integers over one denominator for rational weights,
-ExactScalars for irrational ones, while coefficients stay rational throughout.
+tagged with the tuple of variable names that fixes its ring.  Every grading,
+a TermOrder's weights too, comes from `_grades`, the one test of rational
+weights (ints over a denominator s) against irrational ones (ExactScalars).
 
 Initial forms follow the minimal-weight convention: initial_form keeps the
 terms of least weight, which is the part surviving the substitution
@@ -53,13 +53,15 @@ def _grevlex_key(m: Monomial):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
-def _grades(ws) -> tuple[tuple, int]:
-    """(g, s) with g.e = s*wt(e) for every exponent tuple e: for rational weights g
-    is integers over s, the lcm of their denominators, read off int, Fraction and
-    ExactScalar entries alike; for irrational ones g is the ExactScalars, s = 1."""
+def _grades(ws) -> tuple[tuple, int | None]:
+    """(g, s): for rational weights (int, Fraction or ExactScalar entries alike) g
+    is integers over s, the lcm of their denominators, so g.e = s*wt(e) for every
+    exponent tuple e; for irrational ones g is the ExactScalars and s is None."""
+    if all(type(w) is int for w in ws):
+        return tuple(ws), 1
     parts = list(map(_parts, ws))
     if any([surds for _, surds, _ in parts]):
-        return tuple(map(ExactScalar.of, ws)), 1
+        return tuple(map(ExactScalar.of, ws)), None
     s = lcm(*[d for _, _, d in parts])
     return tuple([n * (s // d) for n, _, d in parts]), s
 
@@ -76,7 +78,7 @@ def _shared_weight(monos: Iterable[Monomial], ws) -> ExactScalar | None:
     """The weight under ws that all the monomials share, None if they disagree or there are none."""
     g, s = _grades(ws)
     weights = {sum(map(mul, g, m)) for m in monos}
-    return ExactScalar.of(weights.pop())._scale(1, s) if len(weights) == 1 else None
+    return ExactScalar.of(weights.pop())._scale(1, s or 1) if len(weights) == 1 else None
 
 
 @dataclass(frozen=True)
@@ -86,30 +88,28 @@ class TermOrder:
     Comparison: (1) total degree in the first `elim` variables, grevlex within
     the block as tie-break; (2) weight of the full monomial, larger first;
     (3) grevlex over all variables.  Weights must all be positive so the order
-    is global; larger key = larger monomial.  Keys serve `leading_monomial`
-    and irrational weights, which `groebner._Packing` ranks by them once per
-    packed monomial; the Buchberger kernel otherwise compares packed ints.
+    is global; larger key = larger monomial.  `weights` keeps only their
+    `_grades`: ints for rational weights, ExactScalars for irrational ones,
+    which `groebner._Packing` ranks by `key` once per packed monomial.
     """
 
     nvars: int
-    weights: tuple[ExactScalar, ...] | None = None
+    weights: tuple | None = None
     elim: int = 0
-    _int_weights: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.weights is not None:
             if len(self.weights) != self.nvars:
                 raise ArityError("weight vector length does not match ring arity")
-            object.__setattr__(self, "weights", tuple(map(ExactScalar.of, self.weights)))
             g, _ = _grades(self.weights)
             if any(x <= 0 for x in g):
                 raise ValueError("order weights must be strictly positive")
-            object.__setattr__(self, "_int_weights", None if any(isinstance(x, ExactScalar) for x in g) else g)
+            object.__setattr__(self, "weights", g)
 
     def key(self, m: Monomial):
         parts: list = [_grevlex_key(m[: self.elim])] if self.elim else []
         if self.weights is not None:
-            parts.append(sum(map(mul, self._int_weights or self.weights, m)))
+            parts.append(sum(map(mul, self.weights, m)))
         parts.append(_grevlex_key(m))
         return tuple(parts)
 
@@ -268,13 +268,10 @@ class WeightData:
             object.__setattr__(self, "form_weight", fw)
 
     def integer_weights(self) -> tuple[int, ...]:
-        out = []
-        for w in self.weights:
-            f = w.as_fraction()
-            if f.denominator != 1:
-                raise ValueError("integer weights required")
-            out.append(f.numerator)
-        return tuple(out)
+        g, s = _grades(self.weights)
+        if s != 1:
+            raise ValueError("integer weights required")
+        return g
 
     def full_vector(self, arity: int) -> tuple[ExactScalar, ...]:
         """Weight per ring position; supports an optional trailing t."""

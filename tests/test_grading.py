@@ -4,8 +4,8 @@ The oracle is the route the rule replaced: rational weights rescaled to
 integers over the lcm of their denominators (`_rescaled`), and irrational
 weights summed as ExactScalars over the nonzero exponents (`_weight_sum`),
 with a branch between the two in every caller.  Least-weight terms, shared
-and term weights, the orders' integer weights and the order of their keys
-must agree with it on seeded weight vectors of five kinds: ints, Fractions,
+and term weights, the orders' weights and the order of their keys must agree
+with it on seeded weight vectors of five kinds: ints, Fractions,
 rational ExactScalars, one radicand and mixed radicands.
 """
 
@@ -124,7 +124,7 @@ class TestGradingRule:
         # g.e = s*wt(e), with integers for rational weights
         _, n, ws, scalars, monos = case(kind, seed)
         g, s = _grades(ws)
-        assert all(sum(x * e for x, e in zip(g, m)) == s * _weight_sum(scalars, m) for m in monos)
+        assert all(sum(x * e for x, e in zip(g, m)) == (s or 1) * _weight_sum(scalars, m) for m in monos)
         assert all(type(x) is int for x in g) == (_rescaled(scalars) is not None)
 
     def test_least_weight(self, kind, seed):
@@ -155,11 +155,27 @@ class TestGradingRule:
         rescaled = _rescaled(scalars)
         for elim in range(n):
             order = TermOrder(n, weights=ws, elim=elim)
-            assert order.weights == scalars
-            assert order._int_weights == (None if rescaled is None else rescaled[0])
+            assert order.weights == (scalars if rescaled is None else rescaled[0])
             assert sorted(monos, key=order.key) == sorted(monos, key=lambda m: oracle_key(scalars, elim, m))
             assert [order.key(a) < order.key(b) for a in monos for b in monos] == \
                    [oracle_key(scalars, elim, a) < oracle_key(scalars, elim, b) for a in monos for b in monos]
+
+    def test_order_weights_are_the_grades(self, kind, seed):
+        # one weight field: the grades, ints for rational weights however they are written
+        _, n, ws, scalars, _ = case(kind, seed)
+        g, s = _grades(ws)
+        weights = TermOrder(n, weights=ws).weights
+        assert weights == g and list(map(type, weights)) == list(map(type, g))
+        assert (s is None) == (_rescaled(scalars) is None)
+        if s is None:
+            return
+        assert not any(isinstance(x, ExactScalar) for x in weights)
+        # the same order from ints, Fractions and ExactScalars, rescaled or not
+        ints = _rescaled(scalars)[0]
+        written = [ints, tuple(map(Fraction, ints)), tuple(map(ExactScalar.of, ints)),
+                   tuple(x.as_fraction() for x in scalars), scalars]
+        orders = [TermOrder(n, weights=v, elim=1) for v in written]
+        assert all(order == orders[0] and hash(order) == hash(orders[0]) for order in orders)
 
 
 def test_every_kind_is_drawn():

@@ -437,18 +437,18 @@ def budget_message(run, *args):
 
 def fits(packing, m):
     """Whether every field of K(m) below the top one holds its value."""
-    order, fmax = packing.order, packing.fmax
+    order, fmax, ws = packing.order, packing.fmax, packing.weights
     bounded = list(m)
-    if order._int_weights is not None or order.elim:
+    if ws is not None or order.elim:
         bounded.append(sum(m))      # the degree field is not the top one
-    if order._int_weights is not None and order.elim:
-        bounded.append(sum(w * e for w, e in zip(order._int_weights, m)))
+    if ws is not None and order.elim:
+        bounded.append(sum(w * e for w, e in zip(ws, m)))
     return max(bounded) <= fmax
 
 
 def edge_monomials(packing):
     """Exponents 0, 1 and the largest each variable carries alone."""
-    ws = packing.order._int_weights or (1, 1, 1)
+    ws = packing.weights or (1, 1, 1)
     tops = [packing.fmax // w for w in ws]
     monos = [(a, b, c) for a in (0, 1, tops[0]) for b in (0, 1, tops[1]) for c in (0, 1, tops[2])]
     return [m for m in monos if sum(w * e for w, e in zip(ws, m)) <= packing.fmax]

@@ -36,7 +36,7 @@ def unchecked_code(p, m):
 
 def random_leads(p, rng, count):
     """Monomials of grade (weight, else degree) at most FMAX, so each codes."""
-    ws = p.order._int_weights or (1, 1, 1)
+    ws = p.weights or (1, 1, 1)
     out = []
     while len(out) < count:
         m = tuple(rng.randint(0, p.fmax // w) for w in ws)
