@@ -8,16 +8,18 @@ c = max floor(w_i) + 1, which at h = 1 is a standard basis of I for w.
 convention: <y - x^2, y^2> with weights (1, 1) has initial ideal <y, x^4>,
 while the max-refined reduced basis only shows <y>.)
 
-A TestConfiguration is the flats, w and one S-pair budget, nothing else:
-z_i -> t^{w_i} z_i in each flat, the common t power stripped, generates the
-t-saturated family (Eisenbud, Thm. 15.17), whose reduced grevlex basis only
-testconfig reads, built on first read.  Both fibers come from the flats: at
-t = 0 in_w(I), the reduced basis of their initial forms, at t = 1 the input
-they generate.  flatness_witness certifies the family by Buchberger's criterion
-on the flats homogenized by h and t.  An irrational xi's family
-(stable_initial_ideal) goes along the first lam.B in its Groebner cone (B the
-integer echelon basis of xi's span, lam > 0 by coordinate sum, then
-lexicographically), certified by the flats' initial forms and the check.
+A TestConfiguration is the flats, w and one S-pair budget, nothing else: z_i ->
+t^{w_i} z_i in each flat, the common t power stripped, generates the t-saturated
+family (Eisenbud, Thm. 15.17), whose reduced grevlex basis only testconfig
+reads, built on first read.  Both fibers come from the flats: at t = 1 the input
+they generate, at t = 0 in_w(I), their initial forms interreduced with no
+S-pair, as these are a grevlex basis of in_u(I^h), u = (c - w, c) (Sturmfels,
+Groebner Bases and Convex Polytopes, Prop. 1.8), so of in_w(I) at h = 1, h last.
+flatness_witness certifies the family by Buchberger's criterion on the flats
+homogenized by h and t.  An irrational xi's family (stable_initial_ideal) goes
+along the first lam.B in its Groebner cone (B the integer echelon basis of xi's
+span, lam > 0 by coordinate sum, then lexicographically), certified by the
+flats' initial forms and the check.
 
 The stages pass each other primitive integer rows (`groebner.Row`); only the
 family, the fibers and the initial ideals are made into Polynomials.
@@ -34,7 +36,8 @@ from operator import mul
 from .diophantine import ReebVector, _gauss_jordan
 from .errors import ArityError, CertificateError, InhomogeneousError
 from .exactnum import ExactScalar
-from .groebner import GroebnerBasis, IdealPresentation, Row, _integral, basis_of_rows, minimal_leads, reduced_rows
+from .groebner import (GroebnerBasis, IdealPresentation, Row, _integral, basis_of_rows, interreduced, minimal_leads,
+                       reduced_rows)
 from .polyring import Monomial, TermOrder, WeightData, _grades, is_homogeneous, least_weight, mono_divides
 
 T_NAME = "t"
@@ -48,12 +51,16 @@ class TestConfiguration:
     -1.  The fibers and the flatness certificate are built from the flats;
     `family`, the reduced grevlex basis of the t-saturated family ideal in
     (z_1, ..., z_n, t), t last, is built on first read, for testconfig only.
-    Every basis runs under `max_steps`."""
+    Every Buchberger run takes the budget `max_steps`, at least 0."""
 
     ring: tuple[str, ...]
     flats: tuple[Row, ...]
     w: tuple[int, ...]
     max_steps: int | None = None
+
+    def __post_init__(self):
+        if (self.max_steps or 0) < 0:
+            raise ValueError(f"max_steps must be at least 0, not {self.max_steps}")
 
     @cached_property
     def family(self) -> GroebnerBasis:
@@ -97,19 +104,15 @@ def _family(ring: tuple[str, ...], flats: list[Row], wvec: tuple[int, ...],
     return TestConfiguration(ring + (T_NAME,), tuple(flats), wvec, max_steps)
 
 
-def _canonical(ring: tuple[str, ...], rows: list[Row], max_steps: int | None) -> IdealPresentation:
-    """The ideal of the integer rows, presented by its reduced grevlex basis."""
-    return IdealPresentation(ring, basis_of_rows(ring, rows, TermOrder(len(ring)), max_steps).elements)
-
-
 def central_fiber(tc: TestConfiguration) -> IdealPresentation:
     """The fiber at t = 0, in_w(I): the reduced basis of the flats' initial forms."""
-    return _canonical(tc.ring[:-1], [least_weight(f, tc.w) for f in tc.flats], tc.max_steps)
+    return interreduced(tc.ring[:-1], [least_weight(f, tc.w) for f in tc.flats])
 
 
 def general_fiber(tc: TestConfiguration) -> IdealPresentation:
     """The fiber at t = 1, I: the reduced basis of the flats, which generate I."""
-    return _canonical(tc.ring[:-1], list(tc.flats), tc.max_steps)
+    ring = tc.ring[:-1]
+    return IdealPresentation(ring, basis_of_rows(ring, tc.flats, TermOrder(len(ring)), tc.max_steps).elements)
 
 
 def flatness_witness(tc: TestConfiguration) -> bool:
@@ -217,8 +220,8 @@ CONE_CANDIDATES = 10**5  # small span points stable_initial_ideal tries before r
 def weighted_initial_ideal(ideal: IdealPresentation, wd: WeightData,
                            max_steps: int | None = None) -> IdealPresentation:
     """Minimal-weight initial ideal without the t-family: the flats' initial forms."""
-    flats = _flats(ideal, wd.weights, max_steps)
-    return _canonical(ideal.ring, [least_weight(f, wd.weights) for f in flats], max_steps)
+    g, _ = _grades(wd.weights)
+    return interreduced(ideal.ring, [least_weight(f, g) for f in _flats(ideal, g, max_steps)])
 
 
 def _flats(ideal: IdealPresentation, ws: tuple, max_steps: int | None) -> list[Row]:

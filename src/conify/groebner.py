@@ -439,13 +439,27 @@ def reduced_rows(rows: list[Row], order: TermOrder, max_steps: int | None = None
     return _rows(*_buchberger(rows, order, max_steps))
 
 
+def _monic(ring: tuple[str, ...], packing: _Packing, reducers: list[Reducer]) -> tuple[Polynomial, ...]:
+    """Reducers as monic Polynomials in the ring."""
+    return tuple(Polynomial(ring, {m: Fraction(c, lc) for m, c in row.items()})
+                 for row, (_, lc, _) in zip(_rows(packing, reducers), reducers))
+
+
 def basis_of_rows(ring: tuple[str, ...], rows: list[Row], order: TermOrder,
                   max_steps: int | None = None) -> GroebnerBasis:
     """The reduced basis of the integer rows as a GroebnerBasis in the ring."""
     packing, reducers = _buchberger(rows, order, max_steps)
-    elements = tuple(Polynomial(ring, {m: Fraction(c, lc) for m, c in row.items()})
-                     for row, (_, lc, _) in zip(_rows(packing, reducers), reducers))
-    return GroebnerBasis(ring, elements, order, packing, reducers)
+    return GroebnerBasis(ring, _monic(ring, packing, reducers), order, packing, reducers)
+
+
+def interreduced(ring: tuple[str, ...], rows: list[Row]) -> IdealPresentation:
+    """The ideal of grevlex Groebner basis rows, by its reduced basis built with no
+    S-pair: `_interreduce` on the rows whose lead no earlier lead divides."""
+    def run(p):
+        basis = sorted(_reducer({p.code(m): c for m, c in row.items()}, None) for row in rows)
+        return _interreduce([r for i, r in enumerate(basis)
+                             if all((r[0] - s[0] + p.one) & p.guard for s in basis[:i])], p)
+    return IdealPresentation(ring, _monic(ring, *_widening(_Packing.fit(TermOrder(len(ring)), rows), run)))
 
 
 def reduced_basis(ideal: IdealPresentation, order: TermOrder | None = None,
