@@ -8,7 +8,7 @@ from itertools import combinations, product
 
 import pytest
 
-from conify import degeneration
+from conify import degeneration, groebner
 from conify.degeneration import (
     build_test_configuration,
     central_fiber,
@@ -67,6 +67,17 @@ class TestBuild:
             build_test_configuration(source, (1, 2), max_steps=0)
         with pytest.raises(ArityError, match="family variable 't'"):
             stable_initial_ideal(source, (R2, ExactScalar.of(1)), max_steps=0)
+
+    def test_weight_arity_is_refused_before_any_basis(self, monkeypatch):
+        built = []
+        real = groebner._minimal_basis
+        monkeypatch.setattr(groebner, "_minimal_basis", lambda *a: built.append(a) or real(*a))
+        source = ideal(XYZ, "x*y - z^2 - x^3")
+        with pytest.raises(ArityError, match="^weights do not match ring$"):
+            stable_initial_ideal(source, (R2, ExactScalar.of(1)))
+        with pytest.raises(ArityError, match="^weights do not match ring$"):
+            weighted_initial_ideal(source, WeightData((1, 2)))
+        assert built == []
 
     def test_unit_weights(self):
         tc = build_test_configuration(ideal(XYZ, "x*y - z^2 - x^3"), (1, 1, 1))

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
@@ -386,6 +387,14 @@ class TestNiceApproximant:
         assert verify_perturbation_bound(report, 2, Fraction(2, 2))
         # an absurdly small budget fails
         assert not verify_perturbation_bound(report, 2, Fraction(1, 100))
+
+    def test_perturbation_bound_checks_the_approximant(self):
+        # w_tilde one off with the errors kept: only the 1/N check can see it
+        report = nice_approximant(vec(R2, 2 - R2, n=2), N=14)
+        assert verify_perturbation_bound(report, 0, Fraction(1000))
+        for i in range(2):
+            w_tilde = tuple(w + (j == i) for j, w in enumerate(report.w_tilde))
+            assert not verify_perturbation_bound(replace(report, w_tilde=w_tilde), 0, Fraction(1000))
 
 
 def reference_candidate(v, D, N):
