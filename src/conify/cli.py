@@ -143,11 +143,12 @@ def _parse_field(text: str) -> int:
     raise ConifyError(f"bad field {text!r} (use rational or quad:D)")
 
 
-def _parse_weights_csv(text: str, d: int):
-    entries = [part.strip() for part in text.split(",")]
+def _vector(args) -> ReebVector:
+    """The weight vector of --weights over --field, with --n when the subcommand has it."""
+    entries = [part.strip() for part in args.weights.split(",")]
     if not all(entries):
         raise ConifyError("empty entry in weight list")
-    return parse_scalars(entries, d)
+    return ReebVector(parse_scalars(entries, _parse_field(args.field)), n=getattr(args, "n", None))
 
 
 def _integers(args, name: str) -> tuple[int, ...]:
@@ -212,27 +213,21 @@ def run(args) -> dict:
         return {"dimensions": {str(k): v for k, v in values.items()}}
 
     if command == "rank":
-        weights = _parse_weights_csv(args.weights, _parse_field(args.field))
-        vector = ReebVector(weights)
+        vector = _vector(args)
         return {
             "rank": rational_rank(vector),
             "one_in_span": one_in_span(vector),
         }
 
     if command == "approximate":
-        weights = _parse_weights_csv(args.weights, _parse_field(args.field))
-        vector = ReebVector(weights, n=args.n)
-        N = args.N
-        if N is None:
-            if args.n is None:
-                raise ConifyError("give --N or --n to fix the approximation threshold")
-            N = default_N(vector)
-        report = nice_approximant(vector, N=N, cap=args.cap)
+        vector = _vector(args)
+        if args.N is None and args.n is None:
+            raise ConifyError("give --N or --n to fix the approximation threshold")
+        report = nice_approximant(vector, N=args.N, cap=args.cap)
         return {"approximant": report.to_json_dict()}
 
     if command == "cone":
-        weights = _parse_weights_csv(args.weights, _parse_field(args.field))
-        vector = ReebVector(weights, n=args.n)
+        vector = _vector(args)
         if vector.is_rational():
             cone = approximant_cone(vector)
         else:
@@ -266,7 +261,7 @@ def run(args) -> dict:
             fw = form_weight(form, wd)
             payload["form_weight"] = None if fw is None else str(fw)
         if wd.t_weight is not None:
-            payload["scaleup"] = check_scaleup(table, wd).to_json_dict()
+            payload["scaleup"] = check_scaleup(table, wd)
         return payload
 
     if command in ("decompose", "invariants"):

@@ -160,13 +160,6 @@ class AffineHull:
     a: tuple[tuple[int, ...], ...]   # s rows, one per leading weight
     a0: tuple[int, ...]              # constant row
 
-    def max_abs_coeff(self) -> int:
-        return max((abs(x) for row in self.a for x in row), default=0)
-
-    def resolution_scale(self) -> int:
-        """Corner resolution per unit of the approximation threshold N."""
-        return max(1, self.max_abs_coeff()) * self.m * max(1, self.s)
-
 
 def affine_hull(v: ReebVector) -> AffineHull:
     """The affine hull from one elimination on the columns (1, w_1, ..., w_l).
@@ -312,12 +305,15 @@ def verify_perturbation_bound(report: ApproximantReport, p: int, eps_prime) -> b
 
     Requires every |D w_i - w'_i| < 1/N (`_within`), the threshold bound
     p/(N * min w_i) < eps_prime/2, and the relative error bound p * D *
-    max_i |w_i - w'_i| / w_i < eps_prime/2 (p >= 0), both multiplied out as w_i > 0.
+    max_i |w_i - w'_i| / w_i < eps_prime/2, both multiplied out as w_i > 0.
     Any sufficiently small tau-exponent slack then fits in the remaining half.
+    A negative p would pass both bounds for free, so it is refused.
     """
     v = report.xi
     if v is None:
         raise ValueError("report does not retain its weight vector")
+    if p < 0:
+        raise ValueError(f"tau slack p must be nonnegative, not {p}")
     if not all(_within(w, report.D, wt, report.N) for w, wt in zip(v.entries, report.w_tilde)):
         return False
     half = Fraction(eps_prime) / 2
@@ -401,13 +397,14 @@ class CornerHit:
 @dataclass(frozen=True)
 class CornerSearchResult:
     hits: tuple[CornerHit, ...]
-    resolution: int              # the corner cubes have side 1/resolution
     hull: AffineHull
 
 
 def default_corner_resolution(hull: AffineHull, N: int) -> int:
-    """Smallest cube resolution compatible with the approximation threshold."""
-    return hull.resolution_scale() * N + 1
+    """Smallest cube resolution compatible with the approximation threshold:
+    max(1, max|a|) * m * max(1, s) * N + 1 against the affine-hull constants."""
+    top = max((abs(x) for row in hull.a for x in row), default=0)
+    return max(1, top) * hull.m * max(1, hull.s) * N + 1
 
 
 def kronecker_corner_search(v: ReebVector, resolution: int, cap: int = 10**6,
@@ -447,7 +444,7 @@ def kronecker_corner_search(v: ReebVector, resolution: int, cap: int = 10**6,
     if missing:
         raise SearchExhaustedError(f"corners {missing} not reached within cap {cap}")
     hits = tuple(found[c] for c in corners)
-    return CornerSearchResult(hits, resolution, hull)
+    return CornerSearchResult(hits, hull)
 
 
 # -- assembling the approximant cone ------------------------------------------------------

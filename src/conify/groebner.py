@@ -282,11 +282,13 @@ def normal_form(f: Polynomial, basis: GroebnerBasis) -> Polynomial:
     """The unique remainder of f on division by a Groebner basis."""
     if f.ring != basis.ring:
         raise ArityError(f"ring mismatch: {f.ring} vs {basis.ring}")
-    if not basis.elements:
-        return f
-    work, den = _integral(f.terms)
-    remainder, scale = basis.reduce(work)
-    return Polynomial(f.ring, {m: Fraction(c, den * scale) for m, c in remainder.items()})
+    return _reduced(f.ring, *_integral(f.terms), basis)
+
+
+def _reduced(ring: tuple[str, ...], work: Row, den: int, basis: GroebnerBasis | None) -> Polynomial:
+    """work / den, pseudo-reduced mod the basis on integers; no Fraction for 0."""
+    work, scale = basis.reduce(work) if basis is not None and basis.elements else (work, 1)
+    return Polynomial(ring, {m: Fraction(c, den * scale) for m, c in work.items() if c})
 
 
 def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:

@@ -1,4 +1,5 @@
-"""Graded Poisson brackets from coordinate tables, homogeneity weights,
+"""Graded Poisson brackets from coordinate tables, homogeneity weights, the
+scale-up conditions (as the `scaleup` dict that poisson-check prints),
 invariant-monomial generators, and bounded semi-invariant decompositions.
 
 A bracket table lists {z_i, z_j} for i < j, kept as integer rows over one
@@ -6,21 +7,20 @@ common denominator D (FLINT's fmpq_poly layout).  One integer kernel gives the
 coordinate brackets D * {z_l, p}, and {f, g} sums d_l f * {z_l, g}.  With a
 quotient ideal attached, the Jacobi identity and ideal preservation are decided
 on the quotient ring by pseudo-reducing integer coordinate brackets, so a
-passing check makes no Fraction.
+passing check makes no Fraction (results leave through groebner._reduced).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import ceil, lcm
+from math import lcm
 from operator import add
 
 from .errors import ArityError
 from .exactnum import ExactScalar
-from .groebner import GroebnerBasis, IdealPresentation, _integral, normal_form, reduced_basis
+from .groebner import GroebnerBasis, IdealPresentation, _integral, _reduced, normal_form, reduced_basis
 from .polyring import Monomial, Polynomial, WeightData, _partial, _product, _shared_weight
 
 
@@ -86,14 +86,6 @@ class PoissonTable:
     def quotient_basis(self) -> GroebnerBasis | None:
         """The grevlex reduced basis of the quotient ideal, computed once."""
         return self._basis
-
-
-def _reduced(ring: tuple[str, ...], work: dict[Monomial, int], den: int, basis: GroebnerBasis | None) -> Polynomial:
-    """work / den, pseudo-reduced mod the basis on integers; no Fraction for 0."""
-    scale = 1
-    if basis is not None:
-        work, scale = basis.reduce(work)
-    return Polynomial(ring, {m: Fraction(c, den * scale) for m, c in work.items() if c})
 
 
 def jacobi_defect(table: PoissonTable) -> dict[tuple[int, int, int], Polynomial]:
@@ -174,46 +166,26 @@ def form_weight(form: FormTable, wd: WeightData) -> ExactScalar | None:
 
 # -- scale-up deformation conditions ------------------------------------------------
 
-@dataclass(frozen=True)
-class ScaleUpReport:
-    base_weight_negative: bool       # t scales with a positive exponent w
-    bracket_weight_matches: bool     # bracket weight equals minus the form weight
-    section_condition: bool          # all fiber-variable weights positive
-    bracket_weight_value: ExactScalar | None
-    expected_bracket_weight: Fraction | None    # minus the form weight
+def check_scaleup(table: PoissonTable, wd: WeightData) -> dict:
+    """The three scale-up conditions, each reported independently, as the
+    `scaleup` object that `poisson-check` prints.
 
-    def all_pass(self) -> bool:
-        return (self.base_weight_negative and self.bracket_weight_matches
-                and self.section_condition)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "base_weight_negative": self.base_weight_negative,
-            "bracket_weight_matches": self.bracket_weight_matches,
-            "section_condition": self.section_condition,
-            "bracket_weight": None if self.bracket_weight_value is None
-            else str(self.bracket_weight_value),
-            "expected_bracket_weight": None if self.expected_bracket_weight is None
-            else str(self.expected_bracket_weight),
-            "all_pass": self.all_pass(),
-        }
-
-
-def check_scaleup(table: PoissonTable, wd: WeightData) -> ScaleUpReport:
-    """The three scale-up conditions, each reported independently.
-
-    (1) the base coordinate carries a negative weight (t_weight > 0);
+    (1) the base coordinate carries a negative weight (a t-weight is set,
+        and WeightData keeps it positive);
     (2) the bracket is homogeneous of weight minus the form weight;
     (3) sufficient form of the invariant-section condition: every fiber
         variable has strictly positive weight, so z = 0 is the section.
     """
-    cond1 = wd.t_weight is not None and wd.t_weight > 0
     value = bracket_weight(table, wd)
-    cond2 = False
-    if wd.form_weight is not None and value is not None:
-        cond2 = (value + ExactScalar.of(wd.form_weight)).sign() == 0
-    cond3 = all(w.sign() > 0 for w in wd.weights)
-    return ScaleUpReport(cond1, cond2, cond3, value, None if wd.form_weight is None else -wd.form_weight)
+    expected = None if wd.form_weight is None else -wd.form_weight
+    conditions = {
+        "base_weight_negative": wd.t_weight is not None,
+        "bracket_weight_matches": value is not None and expected is not None and value == expected,
+        "section_condition": all(w.sign() > 0 for w in wd.weights),
+    }
+    return {**conditions, "all_pass": all(conditions.values()),
+            "bracket_weight": None if value is None else str(value),
+            "expected_bracket_weight": None if expected is None else str(expected)}
 
 
 # -- invariant monomials and semi-invariant decomposition ------------------------------
@@ -240,6 +212,17 @@ def _monoid_solutions(wvec: tuple[int, ...], w: int, cap: int) -> list[tuple[int
     return out
 
 
+def _t_grading(wd: WeightData, missing: str = "integer t-weight required") -> tuple[tuple[int, ...], int]:
+    """(w_i, w): the integer weights and the integer t-weight; `missing` is the
+    refusal when no t-weight is set."""
+    wvec = wd.integer_weights()
+    if wd.t_weight is None:
+        raise ValueError(missing)
+    if wd.t_weight.denominator != 1:
+        raise ValueError("integer t-weight required")
+    return wvec, wd.t_weight.numerator
+
+
 def invariant_generators(wd: WeightData, cap: int) -> list[Monomial]:
     """Generators (up to t-degree cap >= 1) of the monoid of invariant monomials.
 
@@ -251,13 +234,7 @@ def invariant_generators(wd: WeightData, cap: int) -> list[Monomial]:
     """
     if cap < 1:
         raise ValueError(f"cap must be at least 1, not {cap}")
-    wvec = wd.integer_weights()
-    if wd.t_weight is None:
-        raise ValueError("a t-weight is required")
-    w = Fraction(wd.t_weight)
-    if w.denominator != 1:
-        raise ValueError("integer t-weight required")
-    w = w.numerator
+    wvec, w = _t_grading(wd, "a t-weight is required")
     if not wvec:
         return []
     solutions = _monoid_solutions(wvec, w, min(cap, max(wvec)))
@@ -267,7 +244,7 @@ def invariant_generators(wd: WeightData, cap: int) -> list[Monomial]:
         reducible = False
         for other in gens:
             rest = tuple(x - y for x, y in zip(sol, other))
-            if all(x >= 0 for x in rest) and any(rest) and rest in sol_set:
+            if all(x >= 0 for x in rest) and rest in sol_set:
                 reducible = True
                 break
         if not reducible:
@@ -291,10 +268,9 @@ class DecompositionBounds:
 
 def decomposition_bounds(wvec: tuple[int, ...], w: int, m: int) -> DecompositionBounds:
     """C_i = max(w, w + m/w_i) and D = max(sum w_i - m/w, w_1, ..., w_n),
-    rounded up when fractional."""
-    c = tuple(int(ceil(max(Fraction(w), Fraction(w) + Fraction(m, wi)))) for wi in wvec)
-    d_val = max([Fraction(sum(wvec)) - Fraction(m, w)] + [Fraction(wi) for wi in wvec])
-    return DecompositionBounds(c, int(ceil(d_val)), w, m)
+    rounded up when fractional, on integers: ceil(x/y) = -(-x // y)."""
+    c = tuple(w + max(0, -(-m // wi)) for wi in wvec)
+    return DecompositionBounds(c, max([sum(wvec) - m // w, *wvec]), w, m)
 
 
 def decompose_semiinvariant(mono: Monomial, wd: WeightData
@@ -306,10 +282,7 @@ def decompose_semiinvariant(mono: Monomial, wd: WeightData
     prefix satisfies a_i < C_i and b < D.  The product of the outputs equals
     the input.
     """
-    wvec = wd.integer_weights()
-    if wd.t_weight is None or Fraction(wd.t_weight).denominator != 1:
-        raise ValueError("integer t-weight required")
-    w = Fraction(wd.t_weight).numerator
+    wvec, w = _t_grading(wd)
     if len(mono) != len(wvec) + 1:
         raise ArityError("monomial arity must be weights plus one t-slot")
     if any(e < 0 for e in mono):

@@ -16,6 +16,7 @@ from conify.errors import ParseError
 from conify.exactnum import parse_scalars
 from conify.groebner import reduced_basis
 from conify.inputdoc import parse_input
+from conify.poisson import check_scaleup
 from conify.polyring import parse_polynomial
 
 A1_DEFORMED = """\
@@ -178,6 +179,10 @@ CLI_ERRORS = [
     (["rank", "--weights", "sqrt(1000000000000000000117)"], None,
      "bad radical 'sqrt(1000000000000000000117)' in scalar 'sqrt(1000000000000000000117)'; "
      "radicand must be at most 10^21 for the squarefree check, got 1000000000000000000117"),
+    (["cone", "--weights", "1+2*sqrt(2), 2-sqrt(3)", "--N", "2", "--resolution", "2"], None,
+     "corner approximant has a nonpositive entry; raise the resolution"),
+    (["cone", "--weights", "sqrt(2), 1", "--N", "3", "--resolution", "2"], None,
+     "corner approximant misses the 1/3 bound; raise the resolution"),
 ]
 
 
@@ -481,6 +486,24 @@ class TestSubcommands:
         assert payload["bracket_weight"] == "-2"
         assert payload["form_weight"] == "2"
         assert payload["scaleup"]["all_pass"] is True
+
+    @pytest.mark.parametrize("document, stdout", [
+        ("field rational\nring x y z\nweights 2 2 2\ntweight 1\nsympweight 2\nideal\nx*y - z^2\n"
+         "bracket\nx y : 4*z\nx z : 2*x\ny z : -2*y\n",
+         '{"bracket_weight":"-2","jacobi_holds":true,"preserves_ideal":true,"scaleup":{"all_pass":true,'
+         '"base_weight_negative":true,"bracket_weight":"-2","bracket_weight_matches":true,'
+         '"expected_bracket_weight":"-2","section_condition":true},"schema":"conify/1"}\n'),
+        ("field quad 2\nring x y\nweights 1+s 1\ntweight 3/2\nsympweight 1\nbracket\nx y : 1\n",
+         '{"bracket_weight":"-2-sqrt(2)","jacobi_holds":true,"preserves_ideal":true,"scaleup":{"all_pass":false,'
+         '"base_weight_negative":true,"bracket_weight":"-2-sqrt(2)","bracket_weight_matches":false,'
+         '"expected_bracket_weight":"-1","section_condition":true},"schema":"conify/1"}\n'),
+    ], ids=["sl2-passes", "irrational-bracket-weight-misses"])
+    def test_poisson_check_prints_check_scaleup(self, document, stdout, tmp_path):
+        path = tmp_path / "doc.txt"
+        path.write_text(document)
+        assert run_cli("poisson-check", "--input", str(path)) == (0, stdout, "")
+        doc = parse_input(document)
+        assert check_scaleup(doc.poisson_table(), doc.weight_data()) == json.loads(stdout)["scaleup"]
 
     def test_poisson_check_on_a_ring_with_a_t(self, tmp_path):
         # poisson-check builds no family, so a ring variable named t is fine

@@ -789,7 +789,7 @@ class TestApproximantCone:
 
     def test_resolution_threshold_relation(self):
         hull = affine_hull(vec(R2, 2 - R2))
-        assert default_corner_resolution(hull, 14) == 14 * hull.m * hull.s * max(1, hull.max_abs_coeff()) + 1
+        assert default_corner_resolution(hull, 14) == 14 * hull.m * hull.s * max(1, max(abs(x) for row in hull.a for x in row)) + 1
 
 
 class TestConeMembership:

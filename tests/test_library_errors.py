@@ -1,23 +1,35 @@
 """The type and message of library input errors that no CLI path raises in the
 other tests, pinned as TestInputErrors in tests/test_cli.py pins the parser's."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from conify.degeneration import build_test_configuration, hilbert_function
-from conify.diophantine import ConeDescription, ReebVector, dirichlet_approximant, nice_approximant
+from conify.diophantine import (
+    ConeDescription,
+    ReebVector,
+    _verify_hull,
+    affine_hull,
+    dirichlet_approximant,
+    nice_approximant,
+    verify_perturbation_bound,
+)
 from conify.errors import ArityError, InhomogeneousError
 from conify.exactnum import ExactScalar, parse_scalars
 from conify.groebner import (
     IdealPresentation,
+    exact_divide,
     ideal_quotient,
     ideals_equal,
     intersect,
     normal_form,
     reduced_basis,
+    saturate_by_variable,
 )
-from conify.poisson import FormTable, PoissonTable, decompose_semiinvariant, invariant_generators
+from conify.numerics import metric_tensor, scaling_pullback_check
+from conify.poisson import FormTable, PoissonTable, decompose_semiinvariant, invariant_generators, preserves_ideal
 from conify.polyring import Polynomial, TermOrder, WeightData, parse_polynomial
 
 XY, XYZ = ("x", "y"), ("x", "y", "z")
@@ -25,6 +37,10 @@ F = parse_polynomial("x^2 - y", XY)
 G = parse_polynomial("x*y - z^2", XYZ)
 I_XY, I_XYZ = IdealPresentation(XY, (F,)), IdealPresentation(XYZ, (G,))
 ROOT2 = ReebVector((ExactScalar.root(2), ExactScalar.of(1)), n=2)   # default N is 8
+# the nice approximant at n = 2 (D = 7, N = 4): at eps' = 1e-9 p = 1 fails its bound,
+# while a negative p would meet both bounds for free, so only the refusal stops p = -5
+NICE = nice_approximant(ReebVector((1 + ExactScalar.root(2), 2 + ExactScalar.root(3) / 2), n=2))
+HULL_VECTOR = ReebVector((ExactScalar.root(2), 2 - ExactScalar.root(2)))
 
 
 def weights(*ws, t=None):
@@ -91,6 +107,38 @@ LIBRARY_ERRORS = [
      "integer t-weight required"),
     ("scalars-square-field", lambda: parse_scalars(["1", "1+s"], 4), ValueError,
      "radicand must be squarefree and >= 2, got 4"),
+    ("order-weight-arity", lambda: TermOrder(3, weights=(1, 2)), ArityError,
+     "weight vector length does not match ring arity"),
+    ("order-zero-weight", lambda: TermOrder(2, weights=(1, 0)), ValueError,
+     "order weights must be strictly positive"),
+    ("monomial-arity", lambda: Polynomial(XY, {(1,): 1}), ArityError,
+     "monomial (1,) has wrong arity for ring ('x', 'y')"),
+    ("sum-ring", lambda: parse_polynomial("x*y", XY) + parse_polynomial("x*z", XYZ), ArityError,
+     "ring mismatch: ('x', 'y') vs ('x', 'y', 'z')"),
+    ("form-weight-zero", lambda: WeightData((1,), form_weight=0), ValueError,
+     "form weight must be positive"),
+    ("ideal-generator-ring", lambda: IdealPresentation(XY, (G,)), ArityError,
+     "generator ring ('x', 'y', 'z') differs from ideal ring ('x', 'y')"),
+    ("exact-divide-remainder",
+     lambda: exact_divide(parse_polynomial("x", XY), parse_polynomial("y", XY)), ValueError,
+     "y does not divide x"),
+    ("saturate-unknown-variable", lambda: saturate_by_variable(I_XY, "w"), ArityError,
+     "'w' is not a ring variable"),
+    ("scalar-irrational-fraction", lambda: ExactScalar(0, 1, 2).as_fraction(), ValueError,
+     "sqrt(2) is irrational"),
+    ("preserves-ideal-ring", lambda: preserves_ideal(PoissonTable(XY, {(0, 1): F}), I_XYZ), ArityError,
+     "ideal ring differs from bracket ring"),
+    ("decompose-arity", lambda: decompose_semiinvariant((1, 1), WeightData((1, 2), t_weight=1)),
+     ArityError, "monomial arity must be weights plus one t-slot"),
+    ("perturbation-no-vector", lambda: verify_perturbation_bound(replace(NICE, xi=None), 1, Fraction(1, 10)),
+     ValueError, "report does not retain its weight vector"),
+    ("perturbation-negative-slack", lambda: verify_perturbation_bound(NICE, -5, Fraction(1, 10**9)),
+     ValueError, "tau slack p must be nonnegative, not -5"),
+    ("metric-arity", lambda: metric_tensor((1,), (1.0, 2.0)), ValueError, "point and weight arities differ"),
+    ("pullback-tau", lambda: scaling_pullback_check((1,), (1.0,), 0.0), ValueError, "tau must be positive"),
+    ("hull-shifted-constant",
+     lambda: _verify_hull(HULL_VECTOR, replace(h := affine_hull(HULL_VECTOR), a0=tuple(c + 1 for c in h.a0))),
+     ArithmeticError, "affine hull relation failed verification"),
 ]
 
 

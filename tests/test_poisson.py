@@ -6,6 +6,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
+from math import ceil
 
 import pytest
 
@@ -14,6 +15,7 @@ from conify.exactnum import ExactScalar
 from conify.groebner import IdealPresentation, normal_form, reduced_basis
 from conify.poisson import (
     _monoid_solutions,
+    DecompositionBounds,
     FormTable,
     PoissonTable,
     bracket_weight,
@@ -157,31 +159,30 @@ class TestScaleUp:
         wd = WeightData((ExactScalar.of(2),) * 3, t_weight=Fraction(2),
                         form_weight=Fraction(2))
         report = check_scaleup(table, wd)
-        assert report.all_pass()
+        assert report["all_pass"]
 
     def test_missing_t_weight_fails_condition_one(self):
         table, _ = quadric_table()
         wd = WeightData((ExactScalar.of(2),) * 3, form_weight=Fraction(2))
         report = check_scaleup(table, wd)
-        assert not report.base_weight_negative
-        assert report.bracket_weight_matches and report.section_condition
+        assert not report["base_weight_negative"]
+        assert report["bracket_weight_matches"] and report["section_condition"]
 
     def test_expected_weight_is_minus_the_form_weight(self):
         table, _ = quadric_table()
         wd = WeightData((ExactScalar.of(2),) * 3, t_weight=Fraction(1), form_weight=Fraction(2))
         report = check_scaleup(table, wd)
-        assert report.bracket_weight_matches
-        assert report.expected_bracket_weight == Fraction(-2)
-        assert report.bracket_weight_value == ExactScalar.of(report.expected_bracket_weight)
-        assert report.to_json_dict()["expected_bracket_weight"] == "-2"
+        assert report["bracket_weight_matches"]
+        assert report["expected_bracket_weight"] == "-2"
+        assert report["bracket_weight"] == report["expected_bracket_weight"]
 
     def test_wrong_form_weight_fails_condition_two(self):
         table, _ = quadric_table()
         wd = WeightData((ExactScalar.of(2),) * 3, t_weight=Fraction(1),
                         form_weight=Fraction(4))
         report = check_scaleup(table, wd)
-        assert not report.bracket_weight_matches
-        assert not report.all_pass()
+        assert not report["bracket_weight_matches"]
+        assert not report["all_pass"]
 
 
 def enumerated_generators(wd: WeightData, cap: int) -> list[tuple[int, ...]]:
@@ -263,6 +264,22 @@ class TestDecomposition:
     def test_bounds_match_thresholds(self):
         bounds = decomposition_bounds((1, 1), 1, 1)
         assert bounds.C == (2, 2) and bounds.D == 1
+
+    @staticmethod
+    def fraction_bounds(wvec, w, m):
+        """The Fraction/ceil body decomposition_bounds had before it ran on integers."""
+        c = tuple(int(ceil(max(Fraction(w), Fraction(w) + Fraction(m, wi)))) for wi in wvec)
+        d_val = max([Fraction(sum(wvec)) - Fraction(m, w)] + [Fraction(wi) for wi in wvec])
+        return DecompositionBounds(c, int(ceil(d_val)), w, m)
+
+    def test_bounds_match_the_fraction_formula(self):
+        rng = random.Random(34)
+        cases = [((), 3, -7), ((), 2, 4), ((2, 3), 5, -4), ((3, 4), 7, -56), ((2, 3), 5, 20)]
+        for _ in range(3000):
+            wvec = tuple(rng.randint(1, 9) for _ in range(rng.randint(0, 4)))
+            cases.append((wvec, rng.randint(1, 9), rng.randint(-60, 60)))
+        for wvec, w, m in cases:
+            assert decomposition_bounds(wvec, w, m) == self.fraction_bounds(wvec, w, m), (wvec, w, m)
 
     def test_simple_extraction(self):
         wd = WeightData((Fraction(1), Fraction(1)), t_weight=Fraction(1))
@@ -607,7 +624,8 @@ def test_passing_checks_make_no_fraction(monkeypatch):
 
     def no_fraction(*args):
         raise AssertionError("a passing check made a Fraction")
-    for module in (poisson, groebner):
-        monkeypatch.setattr(module, "Fraction", no_fraction)
+    # poisson names no Fraction: its checks leave the kernel through groebner._reduced
+    assert not hasattr(poisson, "Fraction")
+    monkeypatch.setattr(groebner, "Fraction", no_fraction)
     for table in tables:
         assert jacobi_holds(table) and preserves_ideal(table, table.ideal)
