@@ -2,8 +2,8 @@
 
 Every successful run prints one JSON object with a top-level
 `"schema": "conify/1"` key, keys sorted, exact scalars rendered as strings.
-Exit codes: 0 success, 1 usage error, 2 domain error. The argument parser is
-built once per process, on the first `main` call, and reused after that.
+Exit codes: 0 success, 1 usage error, 2 domain error. The parser holds the one
+list of subcommands (`subcommands`); it is built on the first `main` call and reused.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
 
 from . import catalogue
 from .degeneration import (
@@ -51,12 +50,6 @@ from .poisson import (
 from .polyring import WeightData, _grades
 
 SCHEMA = "conify/1"
-
-SUBCOMMANDS = (
-    "initial-ideal", "testconfig", "fiber", "flatness", "hilbert", "rank",
-    "approximate", "cone", "poisson-check", "decompose", "invariants",
-    "rotate", "demo",
-)
 
 
 class _UsageError(Exception):
@@ -127,6 +120,7 @@ def build_parser() -> _Parser:
     p = add("demo")
     p.add_argument("name", choices=catalogue.names())
 
+    parser.subcommands = tuple(sub.choices)
     return parser
 
 
@@ -185,14 +179,14 @@ def run(args) -> dict:
         value = getattr(args, option, None)
         if value is not None and value < low:
             raise ConifyError(f"--{option} must be at least {low}, not {value}")
+    doc = _read_document(args.input) if hasattr(args, "input") else None
+    vector = _vector(args) if hasattr(args, "field") else None
 
     if command == "initial-ideal":
-        doc = _read_document(args.input)
         fiber = weighted_initial_ideal(doc.ideal(), doc.weight_data())
         return {"central_fiber": [str(g) for g in fiber.generators]}
 
     if command in ("testconfig", "fiber", "flatness"):
-        doc = _read_document(args.input)
         tc = _family_payload(doc)
         if command == "testconfig":
             return {
@@ -207,27 +201,23 @@ def run(args) -> dict:
         return {"flat": flatness_witness(tc)}
 
     if command == "hilbert":
-        doc = _read_document(args.input)
         wd = doc.weight_data()
         values = hilbert_function(doc.ideal(), wd, args.degree_cap)
         return {"dimensions": {str(k): v for k, v in values.items()}}
 
     if command == "rank":
-        vector = _vector(args)
         return {
             "rank": rational_rank(vector),
             "one_in_span": one_in_span(vector),
         }
 
     if command == "approximate":
-        vector = _vector(args)
         if args.N is None and args.n is None:
             raise ConifyError("give --N or --n to fix the approximation threshold")
         report = nice_approximant(vector, N=args.N, cap=args.cap)
         return {"approximant": report.to_json_dict()}
 
     if command == "cone":
-        vector = _vector(args)
         if vector.is_rational():
             cone = approximant_cone(vector)
         else:
@@ -245,7 +235,6 @@ def run(args) -> dict:
         return payload
 
     if command == "poisson-check":
-        doc = _read_document(args.input)
         wd = doc.weight_data()
         table = doc.poisson_table()
         if table is None:
@@ -265,7 +254,7 @@ def run(args) -> dict:
         return payload
 
     if command in ("decompose", "invariants"):
-        wd = WeightData(tuple(map(Fraction, _integers(args, "weights"))), t_weight=Fraction(args.tweight))
+        wd = WeightData(_integers(args, "weights"), t_weight=args.tweight)
         if command == "invariants":
             return {"generators": [list(g) for g in invariant_generators(wd, args.cap)]}
         prefix, factors, bounds = decompose_semiinvariant(_integers(args, "exponents"), wd)
@@ -310,10 +299,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        print(f"subcommands: {', '.join(SUBCOMMANDS)}", file=sys.stderr)
-        return 1
-    if args.command is None:
-        print(f"subcommands: {', '.join(SUBCOMMANDS)}", file=sys.stderr)
+        args = None
+    if args is None or args.command is None:
+        print(f"subcommands: {', '.join(parser.subcommands)}", file=sys.stderr)
         return 1
     try:
         payload = run(args)

@@ -245,11 +245,16 @@ def _candidate(v: ReebVector, D: int, N: int) -> ApproximantReport | None:
 
 
 def _candidates(v: ReebVector, N: int, cap: int):
-    """Every D <= cap with all |D w_i - nearest integer| < 1/N, as a report, in increasing D."""
+    """Every D <= cap with all |D w_i - nearest integer| < 1/N, as a report, in
+    increasing D; raises SearchExhaustedError when there is none."""
+    found = False
     for D in range(1, cap + 1):
         report = _candidate(v, D, N)
         if report is not None:
+            found = True
             yield report
+    if not found:
+        raise SearchExhaustedError(f"no approximant with denominator <= {cap} at threshold 1/{N}")
 
 
 def dirichlet_approximant(v: ReebVector, N: int, cap: int) -> ApproximantReport:
@@ -258,9 +263,7 @@ def dirichlet_approximant(v: ReebVector, N: int, cap: int) -> ApproximantReport:
         raise ValueError("N must be at least 2")
     if cap < N:
         raise ValueError("cap must be at least N")
-    for report in _candidates(v, N, cap):
-        return report
-    raise SearchExhaustedError(f"no approximant with denominator <= {cap} at threshold 1/{N}")
+    return next(_candidates(v, N, cap))
 
 
 def _reference_box(v: ReebVector) -> tuple[list[Fraction], list[Fraction]]:
@@ -288,16 +291,12 @@ def nice_approximant(v: ReebVector, N: int | None = None, cap: int = 10**6) -> A
     if N < 2:
         raise ValueError("N must be at least 2")
     lower, upper = _reference_box(v)
-    found_candidate = False
     for report in _candidates(v, N, cap):
-        found_candidate = True
         u = report.approximation()
         # u > 0, and some lam > 0 has lower <= lam*u <= upper iff lower_i*u_j <= upper_j*u_i
         if all(lo * uj <= up * ui for lo, ui in zip(lower, u) for up, uj in zip(upper, u)):
             return replace(report, nice=True)
-    if found_candidate:
-        raise OutsideConeError(f"all approximants with denominator <= {cap} fall outside the cone")
-    raise SearchExhaustedError(f"no approximant with denominator <= {cap} at threshold 1/{N}")
+    raise OutsideConeError(f"all approximants with denominator <= {cap} fall outside the cone")
 
 
 def verify_perturbation_bound(report: ApproximantReport, p: int, eps_prime) -> bool:

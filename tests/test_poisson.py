@@ -2,15 +2,20 @@
 the Fraction bodies as oracles of the integer rows, and a sympy oracle for
 brackets and Jacobi defects."""
 
+import os
 import random
+import subprocess
+import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import ceil
 
 import pytest
 
-from conify.errors import ArityError
+from conify import poisson
+from conify.errors import ArityError, CertificateError
 from conify.exactnum import ExactScalar
 from conify.groebner import IdealPresentation, normal_form, reduced_basis
 from conify.poisson import (
@@ -323,6 +328,32 @@ class TestDecomposition:
             assert prefix[-1] < bounds.D
             for f in factors:
                 assert term_weight(f, wd) == ExactScalar.of(0)
+
+    @pytest.mark.parametrize("broken, message", [({"D": 0}, "bound D guarantees a large exponent"),
+                                                 ({"C": (0, 0)}, "claim bounds violated")],
+                             ids=["zero-D", "zero-C"])
+    def test_broken_bound_is_a_certificate_error(self, monkeypatch, broken, message):
+        # x y t^9 over weights (3, 4), w = 7 has C = (7, 7) and D = 15.  D = 0 leaves
+        # b >= D with no a_i >= w; C = (0, 0) splits x^7 off a_1 = 1.  The same call
+        # runs once more under python -O, which strips assert statements.
+        real = poisson.decomposition_bounds
+        monkeypatch.setattr(poisson, "decomposition_bounds", lambda *args: replace(real(*args), **broken))
+        with pytest.raises(CertificateError) as info:
+            decompose_semiinvariant((1, 1, 9), WeightData((3, 4), t_weight=7))
+        assert str(info.value) == message
+        script = ("from dataclasses import replace\n"
+                  "from conify import poisson\n"
+                  "from conify.errors import CertificateError\n"
+                  "real = poisson.decomposition_bounds\n"
+                  f"poisson.decomposition_bounds = lambda *args: replace(real(*args), **{broken!r})\n"
+                  "try:\n"
+                  "    poisson.decompose_semiinvariant((1, 1, 9), poisson.WeightData((3, 4), t_weight=7))\n"
+                  "except CertificateError as exc:\n"
+                  "    print(exc)\n")
+        src = os.path.dirname(os.path.dirname(poisson.__file__))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, message + "\n", "")
 
 
 # -- differential test against sympy ---------------------------------------------------
