@@ -63,7 +63,8 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> _Parser:
-    parser = _Parser(prog="conify", description=__doc__)
+    parser = _Parser(prog="conify", description="Exact weighted degenerations, Diophantine approximants, and graded "
+                     "Poisson checks for affine singularities. Exit codes: 0 success, 1 usage error, 2 domain error.")
     sub = parser.add_subparsers(dest="command")
 
     def add(name, **kwargs):

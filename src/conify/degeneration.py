@@ -38,7 +38,7 @@ from .errors import ArityError, CertificateError, InhomogeneousError
 from .exactnum import ExactScalar
 from .groebner import (GroebnerBasis, IdealPresentation, Row, _integral, basis_of_rows, interreduced, minimal_leads,
                        reduced_rows)
-from .polyring import Monomial, TermOrder, WeightData, _grades, is_homogeneous, least_weight, mono_divides
+from .polyring import Monomial, TermOrder, WeightData, _grades, is_homogeneous, least_weight, minimal_monomials
 
 T_NAME = "t"
 
@@ -203,12 +203,7 @@ def _series_numerator(gens: list[Monomial], wvec: tuple[int, ...], cap: int) -> 
         e = exps[len(exps) // 2]
         pivot = tuple(e if j == i else 0 for j in range(len(wvec)))
         stack.append(([m for m in gens if m[i] < e] + [pivot], shift))
-        quotient = {m[:i] + (max(m[i] - e, 0),) + m[i + 1:] for m in gens}
-        minimal: list[Monomial] = []
-        for m in sorted(quotient, key=sum):
-            if not any(mono_divides(d, m) for d in minimal):
-                minimal.append(m)
-        stack.append((minimal, shift + e * wvec[i]))
+        stack.append((minimal_monomials({m[:i] + (max(m[i] - e, 0),) + m[i + 1:] for m in gens}), shift + e * wvec[i]))
     return coeffs
 
 

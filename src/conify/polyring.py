@@ -34,6 +34,15 @@ def mono_divides(m1: Monomial, m2: Monomial) -> bool:
 def mono_lcm(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(map(max, m1, m2))
 
+def minimal_monomials(monos: Iterable[Monomial]) -> list[Monomial]:
+    """The minimal generators of the ideal of the monomials, in increasing grevlex order (Cox, Little and
+    O'Shea, *Ideals, Varieties, and Algorithms*, 2.4): a proper divisor has lower degree, so it is kept first."""
+    minimal: list[Monomial] = []
+    for m in sorted(monos, key=_grevlex_key):
+        if not any(mono_divides(d, m) for d in minimal):
+            minimal.append(m)
+    return minimal
+
 
 def _partial(terms: dict, k: int) -> dict:
     """The partial derivative by the k-th variable of a term dict."""

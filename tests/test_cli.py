@@ -5,11 +5,13 @@ import io
 import json
 import re
 import time
+import tomllib
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
-from conify import catalogue
+from conify import catalogue, cli
 from conify.cli import build_parser, main
 from conify.diophantine import ReebVector, dirichlet_approximant
 from conify.errors import ParseError
@@ -381,6 +383,22 @@ class TestParserReuse:
         for (argv, _), result in zip(sequence, reused):
             build_parser.cache_clear()
             assert run_cli(*argv) == result, argv
+
+
+class TestHelp:
+    def test_help_describes_conify_and_not_the_parser(self):
+        # the pyproject description and the exit codes; none of the module
+        # docstring's notes on how the parser is kept
+        out = io.StringIO()
+        with redirect_stdout(out), pytest.raises(SystemExit) as stop:
+            main(["--help"])
+        assert stop.value.code == 0
+        text = " ".join(out.getvalue().split())
+        with open(Path(__file__).parent.parent / "pyproject.toml", "rb") as f:
+            description = tomllib.load(f)["project"]["description"]
+        assert f"{description}. Exit codes: 0 success, 1 usage error, 2 domain error." in text
+        for note in ("first `main` call", "`subcommands`", "Command-line interface", "canonical JSON"):
+            assert note in " ".join(cli.__doc__.split()) and note not in text
 
 
 class TestSubcommands:

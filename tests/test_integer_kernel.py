@@ -48,7 +48,7 @@ from conify.groebner import (
     reduced_basis,
 )
 from conify.catalogue import ENTRIES
-from conify.polyring import Polynomial, TermOrder, mono_divides, mono_lcm
+from conify.polyring import Polynomial, TermOrder, mono_divides, mono_lcm, parse_polynomial
 from test_acceptance import _degeneration_cases
 
 CASES = _degeneration_cases()
@@ -392,6 +392,9 @@ def sparse_ideals(count, seed, ring):
 
 SEEDED = rational_ideals(12, seed=1729)
 SEEDED4 = rational_ideals(6, seed=2718, ring=XYZW)
+# the zero ideal, a principal ideal, and the unit ideal reached by one S-pair
+EDGES = [IdealPresentation(XYZ, tuple(parse_polynomial(g, XYZ) for g in gens))
+         for gens in ((), ("3/2*x^2*y - z^3 + 2/5*y",), ("x*y - 1/2", "2/3*x"))]
 OGRADY = ENTRIES["ogrady_weights"].document()
 FOURTEEN = sparse_ideals(6, seed=1414, ring=OGRADY.ring)
 KINDS = ["grevlex", "weighted", "irrational", "elimination"]
@@ -659,7 +662,7 @@ def test_fourteen_variables_agree_with_the_tuple_kernel(kind):
 def test_budget_messages_agree():
     for kind in KINDS:
         stopped = 0
-        for ideal in SEEDED + SEEDED4 + ([case[0] for case in CASES] if kind == "grevlex" else []):
+        for ideal in SEEDED + SEEDED4 + EDGES + ([case[0] for case in CASES] if kind == "grevlex" else []):
             order = orders(len(ideal.ring))[kind]
             for steps in range(6):
                 message = budget_message(reduced_basis, ideal, order, steps)
