@@ -11,17 +11,17 @@ monomial outgrows the field width reruns at double width (`_widening`).
 Pairs are taken smallest lcm first (the normal strategy) and filtered once,
 when an element is inserted, by the Gebauer-Moller update (Becker and
 Weispfenning, *Groebner Bases*, 5.5): criteria M, F and B, and retirement of
-the elements whose leading monomial the new one divides.  An insert forms the
-new lead's lcm with each active lead once, as a packed int (`_lcm_code`), for
-criteria M and F and the new pairs; criterion B reuses them, forming one
-afresh only for an element already retired.  S-polynomials are pseudo-reduced
-(Greuel and Pfister, *A Singular Introduction to Commutative Algebra*, ch. 1)
-on primitive integer term dicts against the remaining active set, a minimal
-basis whose interreduction is the result.  Nothing is reduced by an empty
-reducer set, and a monomial ideal is reduced by taking its minimal generators.
-A Fraction is made only where a result leaves the kernel, by dividing out the
-reduction's scale.  All results are unique reduced bases sorted by leading
-monomial, so equal ideals compare equal.
+the elements whose leading monomial the new one divides.  An insert reads the
+new lead off the first key of its terms, forms its lcm with each active lead
+once, as a packed int (`_lcm_code`), for the criteria, and extends the active
+set in place, rebuilding it only when an element retires.  S-polynomials are
+pseudo-reduced (Greuel and Pfister, *A Singular Introduction to Commutative
+Algebra*, ch. 1) on primitive integer term dicts against the active set, a
+minimal basis whose interreduction is the result.  Nothing is reduced by an
+empty reducer set, and a monomial ideal is reduced by taking its minimal
+generators.  A Fraction is made only where a result leaves the kernel, by
+dividing out the reduction's scale.  All results are unique reduced bases
+sorted by leading monomial, so equal ideals compare equal.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ class _Packing:
         return m
 
     def pack(self, polys) -> list[Reducer]:
-        return [_reducer(_integral(g.terms, self.code)[0], self.key) for g in polys]
+        return [_reducer(row := _integral(g.terms, self.code)[0], max(row, key=self.key)) for g in polys]
 
 
 def _field_weights(order: TermOrder) -> tuple[int, ...] | None:
@@ -178,9 +178,8 @@ def _integral(terms: dict[Monomial, Fraction], code=tuple) -> tuple[dict, int]:
     return {code(m): c.numerator * (d // c.denominator) for m, c in terms.items()}, d
 
 
-def _reducer(terms: dict[int, int], key) -> Reducer:
-    """The primitive part with a positive lead, as (leading monomial, lc, tail)."""
-    lm = max(terms, key=key)
+def _reducer(terms: dict[int, int], lm: int) -> Reducer:
+    """The primitive part with a positive lead, as (leading monomial lm, lc, tail)."""
     content = gcd(*terms.values()) if terms[lm] > 0 else -gcd(*terms.values())
     return lm, terms[lm] // content, [(m, c // content) for m, c in terms.items() if m != lm]
 
@@ -204,11 +203,12 @@ def _reduce(work: dict[int, int], reducers: list[Reducer], packing: _Packing,
         c = work.pop(m)
         if not c:
             continue
-        for i, (lm, lc, tail) in enumerate(reducers):
-            shift = m - lm
-            if not (shift + one) & guard:
-                if quotients is not None:
-                    quotients[i][shift + one] = Fraction(c, scale)
+        top = m + one   # top - K(l) has no guard bit set iff l divides m
+        for lm, lc, tail in reducers:
+            if not (top - lm) & guard:
+                shift = m - lm
+                if quotients is not None:   # an equal reducer earlier would have been taken
+                    quotients[reducers.index((lm, lc, tail))][top - lm] = Fraction(c, scale)
                 g = gcd(c, lc)
                 c, a = c // g, lc // g
                 if a != 1:
@@ -343,20 +343,21 @@ def _minimal_basis(rows: list[Row], p: _Packing, max_steps: int | None) -> list[
     reduced = dropped = 0
 
     def insert(terms):
-        """Add an element with the Gebauer-Moller update of pairs and active set."""
-        nonlocal pairs, reducers, dropped
-        h = len(elements)
-        elements.append(_reducer(terms, key))
-        lh = elements[h][0]
-        th = p.monomial(lh)
-        leads.append(th)
-        # lh's lcm with each active lead, formed once for criteria B, M and F;
-        # no field exceeds the sum of two leads', so the guards see an overflow
-        lcms = {}
+        """Add an element, its terms largest first, with the Gebauer-Moller update."""
+        nonlocal pairs, dropped
+        h, lh = len(elements), next(iter(terms))   # the lead is the first key
+        elements.append(_reducer(terms, lh))
+        leads.append(th := p.monomial(lh))
+        # lh's lcm with each active lead, formed once for criteria B, M, F and
+        # retirement; no field exceeds the sum of two leads', so guards see an overflow
+        lcms, new, kept, retired = {}, [], [], False
         for g in active:
-            lcm = lcms[g] = _lcm_code(elements[g][0], leads[g], th, steps)
+            lcm = lcms[g] = _lcm_code(k := elements[g][0], leads[g], th, steps)
             if lcm & guard:
                 raise _Overflow
+            retired |= lcm == k   # lh divides g's lead
+            if lcm != k + lh - one:   # coprime leads: Buchberger's first criterion drops the pair
+                new.append((lcm, -g))
         # criterion B: an old pair goes when lh divides its lcm properly; lh's
         # lcm with a retired lead, not in lcms, divides the pair's, so it fits
         if pairs:   # none queued at 50% of the later inserts on degen-families, 100% on cli-mix
@@ -373,25 +374,24 @@ def _minimal_basis(rows: list[Row], p: _Packing, max_steps: int | None) -> list[
                 heapq.heapify(old)
             pairs = old
         # criteria M and F in one pass: a proper divisor of a lcm comes first in
-        # the order, so by (lcm, coprime first, later element first) each new
-        # pair meets every rival before it; coprime pairs are kept only to
-        # shadow the others
-        if lcms:   # none at the first insert, 32% of inserts on degen-families, 90% on cli-mix
-            kept = []
-            new = [(lcm, lcm != elements[g][0] + lh - one, -g) for g, lcm in lcms.items()]
-            for lcm, proper, later in sorted(new):
-                for other in kept if proper else ():
-                    if not (lcm - other + one) & guard:
-                        break
-                else:
-                    kept.append(lcm)
-                    if proper:
-                        heapq.heappush(pairs, (lcm if key is None else key(lcm), -later, h, lcm))
-                        continue
-                dropped += 1
-        # retire the elements whose leading monomial lh divides
-        active[:] = [g for g in active if (elements[g][0] - lh + one) & guard] + [h]
-        reducers = [elements[g] for g in active]
+        # the order, so by (lcm, later element first) each new pair meets every
+        # rival before it.  A coprime pair would shadow none: lg * lh divides
+        # lcm(lg', lh) only if lg divides lg', and no active lead divides another
+        dropped += len(lcms) - len(new)
+        new.sort()
+        for lcm, later in new:
+            for other in kept:
+                if not (lcm - other + one) & guard:
+                    dropped += 1
+                    break
+            else:
+                kept.append(lcm)
+                heapq.heappush(pairs, (lcm if key is None else key(lcm), -later, h, lcm))
+        if retired:   # otherwise the active set only grows, in element order
+            active[:] = [g for g in active if lcms[g] != elements[g][0]]
+            reducers[:] = [elements[g] for g in active]
+        active.append(h)
+        reducers.append(elements[h])
         if lh == one:
             pairs.clear()   # the unit ideal
 
@@ -468,7 +468,7 @@ def interreduced(ring: tuple[str, ...], rows: list[Row]) -> IdealPresentation:
         monos = minimal_monomials(m for row in rows for m, c in row.items() if c)
         return IdealPresentation(ring, tuple(Polynomial(ring, {m: Fraction(1)}) for m in monos))
     def run(p):
-        basis = sorted(_reducer({p.code(m): c for m, c in row.items()}, None) for row in rows)
+        basis = sorted(_reducer(r, max(r)) for row in rows if (r := {p.code(m): c for m, c in row.items() if c}))
         return _interreduce([r for i, r in enumerate(basis)
                              if all((r[0] - s[0] + p.one) & p.guard for s in basis[:i])], p)
     return IdealPresentation(ring, _monic(ring, *_widening(_Packing.fit(TermOrder(len(ring)), rows), run)))

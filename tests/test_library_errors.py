@@ -27,6 +27,7 @@ from conify.groebner import (
     exact_divide,
     ideal_quotient,
     ideals_equal,
+    interreduced,
     intersect,
     normal_form,
     reduced_basis,
@@ -169,6 +170,9 @@ LIBRARY_EDGE_VALUES = [
     ("quotient-of-zero-ideal", lambda: ideal_quotient(EMPTY_XY, F) is EMPTY_XY, True),
     ("invariants-no-weights", lambda: invariant_generators(WeightData((), t_weight=1), 3), []),
     ("basis-str", lambda: str(reduced_basis(I_XY)), "{x^2 - y}"),
+    # the row's largest monomial has coefficient 0: dropped, as `reduced_rows` drops it, not taken as the lead
+    ("interreduced-zero-lead", lambda: str(interreduced(XY, [{(1, 0): 0, (0, 1): 1}, {(0, 2): 1, (1, 1): 2}])),
+     "<y>"),
 ]
 
 

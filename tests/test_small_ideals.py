@@ -26,7 +26,8 @@ def packed_interreduced(ring, rows):
     """`interreduced` through the packed kernel: `_interreduce` on the rows whose
     lead no earlier lead divides, for monomial rows too."""
     def run(p):
-        basis = sorted(groebner._reducer({p.code(m): c for m, c in row.items()}, None) for row in rows)
+        packed = ({p.code(m): c for m, c in row.items()} for row in rows)
+        basis = sorted(groebner._reducer(row, max(row)) for row in packed)
         return groebner._interreduce([r for i, r in enumerate(basis)
                                       if all((r[0] - s[0] + p.one) & p.guard for s in basis[:i])], p)
     packing = groebner._Packing.fit(TermOrder(len(ring)), rows)
@@ -84,7 +85,7 @@ def test_one_row_makes_no_reduction(kind, monkeypatch):
         # what `_reduce` leaves of the row with no reducer: its nonzero terms, largest first
         packing = groebner._Packing.fit(order, [row])
         left, scale = groebner._reduce({packing.code(m): c for m, c in row.items()}, [], packing)
-        expected = groebner._rows(packing, [groebner._reducer(left, packing.key)])
+        expected = groebner._rows(packing, [groebner._reducer(left, max(left, key=packing.key))])
         calls = spy_calls(monkeypatch, "_reduce")
         rows = reduced_rows([row], order)
         leads = minimal_leads([row], order)
