@@ -120,23 +120,22 @@ def verify_entry(entry: CatalogueEntry) -> dict:
     """Re-derive the rank, the span fact and every other fact the entry stores;
     raises ConifyError unless the derived facts equal the stored ones."""
     doc = entry.document()
-    wd = doc.weight_data()
-    vector = ReebVector(doc.weights)
+    wd = doc.weight_data
+    vector = ReebVector(wd.weights)
     facts: dict = {"rank": rational_rank(vector), "one_in_span": one_in_span(vector)}
     if "bracket_weight" in entry.facts:
         table = doc.poisson_table()
-        if table is None or not jacobi_holds(table) or not preserves_ideal(table, doc.ideal()):
+        if table is None or not jacobi_holds(table) or not preserves_ideal(table, doc.ideal):
             raise ConifyError(f"{entry.name}: needs a bracket that satisfies the Jacobi identity"
                               " and preserves the ideal")
         facts["bracket_weight"] = str(bracket_weight(table, wd))
     if "form_weight" in entry.facts:
-        form = doc.form_table()
-        facts["form_weight"] = None if form is None else str(form_weight(form, wd))
+        facts["form_weight"] = None if doc.form is None else str(form_weight(doc.form, wd))
     if "hilbert" in entry.facts:
-        values = hilbert_function(doc.ideal(), wd, max(map(int, entry.facts["hilbert"])))
+        values = hilbert_function(doc.ideal, wd, max(map(int, entry.facts["hilbert"])))
         facts["hilbert"] = {str(k): v for k, v in sorted(values.items())}
     if "central_fiber" in entry.facts:
-        tc = build_test_configuration(doc.ideal(), wd.integer_weights())
+        tc = build_test_configuration(doc.ideal, wd.integer_weights())
         facts["central_fiber"] = [str(g) for g in central_fiber(tc).generators]
         facts["flat"] = flatness_witness(tc)
     if facts != entry.facts:

@@ -2,14 +2,16 @@
 
 Every successful run prints one JSON object with a top-level
 `"schema": "conify/1"` key, keys sorted, exact scalars rendered as strings.
-Exit codes: 0 success, 1 usage error, 2 domain error. The parser holds the one
-list of subcommands (`subcommands`); it is built on the first `main` call and reused.
+Exit codes: 0 success, 1 usage error, 2 domain error, and 141 (as on SIGPIPE)
+when stdout closes before the output is written. The parser holds the one list
+of subcommands (`subcommands`); it is built on the first `main` call and reused.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import catalogue
@@ -168,8 +170,8 @@ def _read_document(path: str) -> InputDocument:
 def _family_payload(doc: InputDocument):
     """The degeneration family; irrational weights take the certified
     weight vector of `stable_initial_ideal`."""
-    ideal, (g, s) = doc.ideal(), _grades(doc.weights)
-    return stable_initial_ideal(ideal, g) if s is None else build_test_configuration(ideal, g)
+    g, s = _grades(doc.weight_data.weights)
+    return stable_initial_ideal(doc.ideal, g) if s is None else build_test_configuration(doc.ideal, g)
 
 
 # -- dispatch ---------------------------------------------------------------------
@@ -184,7 +186,7 @@ def run(args) -> dict:
     vector = _vector(args) if hasattr(args, "field") else None
 
     if command == "initial-ideal":
-        fiber = weighted_initial_ideal(doc.ideal(), doc.weight_data())
+        fiber = weighted_initial_ideal(doc.ideal, doc.weight_data)
         return {"central_fiber": [str(g) for g in fiber.generators]}
 
     if command in ("testconfig", "fiber", "flatness"):
@@ -202,8 +204,7 @@ def run(args) -> dict:
         return {"flat": flatness_witness(tc)}
 
     if command == "hilbert":
-        wd = doc.weight_data()
-        values = hilbert_function(doc.ideal(), wd, args.degree_cap)
+        values = hilbert_function(doc.ideal, doc.weight_data, args.degree_cap)
         return {"dimensions": {str(k): v for k, v in values.items()}}
 
     if command == "rank":
@@ -236,19 +237,18 @@ def run(args) -> dict:
         return payload
 
     if command == "poisson-check":
-        wd = doc.weight_data()
+        wd = doc.weight_data
         table = doc.poisson_table()
         if table is None:
             raise ConifyError("input document has no bracket block")
         payload: dict = {
             "jacobi_holds": jacobi_holds(table),
-            "preserves_ideal": preserves_ideal(table, doc.ideal()),
+            "preserves_ideal": preserves_ideal(table, doc.ideal),
         }
         weight = bracket_weight(table, wd)
         payload["bracket_weight"] = None if weight is None else str(weight)
-        form = doc.form_table()
-        if form is not None:
-            fw = form_weight(form, wd)
+        if doc.form is not None:
+            fw = form_weight(doc.form, wd)
             payload["form_weight"] = None if fw is None else str(fw)
         if wd.t_weight is not None:
             payload["scaleup"] = check_scaleup(table, wd)
@@ -309,7 +309,12 @@ def main(argv=None) -> int:
     except (ConifyError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(render(payload, getattr(args, "pretty", False)))
+    try:
+        print(render(payload, getattr(args, "pretty", False)))
+        sys.stdout.flush()
+    except BrokenPipeError:    # the reader left: quiet the exit-time flush, exit as on SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 0
 
 

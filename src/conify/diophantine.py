@@ -24,7 +24,7 @@ from itertools import combinations, product
 from math import lcm
 from typing import Sequence
 
-from .errors import ArityError, ContainmentError, OutsideConeError, SearchExhaustedError
+from .errors import ArityError, CertificateError, ContainmentError, OutsideConeError, SearchExhaustedError
 from .exactnum import ExactScalar, _from_dict, _parts, combo_sign  # noqa: F401  combo_sign stays public here
 
 # -- rational linear algebra -------------------------------------------------------
@@ -189,7 +189,7 @@ def _verify_hull(v: ReebVector, hull: AffineHull):
         for i in range(hull.s):
             acc = [u + hull.a[i][j] * w for u, w in zip(acc, rows[hull.reorder[i]])]
         if acc != target:
-            raise ArithmeticError("affine hull relation failed verification")
+            raise CertificateError("affine hull relation failed verification")
 
 
 # -- approximants ---------------------------------------------------------------------
@@ -219,10 +219,10 @@ class ApproximantReport:
 
 
 def default_N(v: ReebVector) -> int:
-    """ceil(4n / min w_i), the baseline approximation threshold."""
+    """max(2, ceil(4n / min w_i)), the baseline approximation threshold."""
     if v.n is None:
         raise ValueError("ambient dimension n is not set on the weight vector")
-    return (ExactScalar.of(4 * v.n) / v.min_entry()).ceil()
+    return max(2, (ExactScalar.of(4 * v.n) / v.min_entry()).ceil())
 
 
 def _within(w: ExactScalar, D: int, wt: int, N: int) -> bool:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
-from .exactnum import ExactScalar, check_radicand, parse_scalars
+from .exactnum import check_radicand, parse_scalars
 from .groebner import IdealPresentation
 from .poisson import FormTable, PoissonTable
 from .polyring import Polynomial, WeightData, parse_polynomial
@@ -38,29 +38,18 @@ _KEYWORDS = _DECLARATIONS | {"ideal", "bracket", "form"}
 
 @dataclass(frozen=True)
 class InputDocument:
-    ring: tuple[str, ...]
-    weights: tuple[ExactScalar, ...]
-    t_weight: Fraction | None
-    form_weight: Fraction | None
-    ideal_polys: tuple[Polynomial, ...]
+    """A parsed document: its ideal, weights, bracket entries and 2-form, each built once."""
+
+    ideal: IdealPresentation
+    weight_data: WeightData
     brackets: dict[tuple[int, int], Polynomial]
-    form_coeffs: dict[tuple[int, int], Polynomial]
-
-    def weight_data(self) -> WeightData:
-        return WeightData(self.weights, t_weight=self.t_weight, form_weight=self.form_weight)
-
-    def ideal(self) -> IdealPresentation:
-        return IdealPresentation(self.ring, self.ideal_polys)
+    form: FormTable | None
 
     def poisson_table(self) -> PoissonTable | None:
+        """The bracket table on the document's quotient; each call computes its basis."""
         if not self.brackets:
             return None
-        return PoissonTable(self.ring, dict(self.brackets), ideal=self.ideal())
-
-    def form_table(self) -> FormTable | None:
-        if not self.form_coeffs:
-            return None
-        return FormTable(self.ring, dict(self.form_coeffs))
+        return PoissonTable(self.ideal.ring, self.brackets, ideal=self.ideal)
 
 
 def parse_input(text: str) -> InputDocument:
@@ -146,8 +135,9 @@ def parse_input(text: str) -> InputDocument:
     for entry, w in zip(entries, weights):
         if w.sign() <= 0:
             raise ParseError(f"weight {entry!r} is not positive", wline)
-    return InputDocument(ring, weights, t_weight, form_weight,
-                         tuple(ideal_polys), brackets, form_coeffs)
+    return InputDocument(IdealPresentation(ring, tuple(ideal_polys)),
+                         WeightData(weights, t_weight=t_weight, form_weight=form_weight),
+                         brackets, FormTable(ring, form_coeffs) if form_coeffs else None)
 
 
 def _parse_positive_fraction(text: str, lineno: int, what: str) -> Fraction:

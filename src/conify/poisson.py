@@ -24,6 +24,22 @@ from .groebner import GroebnerBasis, IdealPresentation, _integral, _reduced, nor
 from .polyring import Monomial, Polynomial, WeightData, _partial, _product, _shared_weight
 
 
+def _pair_entries(ring: tuple[str, ...], entries: dict[tuple[int, int], Polynomial], what: str,
+                  basis: GroebnerBasis | None = None) -> dict[tuple[int, int], Polynomial]:
+    """The nonzero entries (reduced mod basis, if given) of a table keyed (i, j) with
+    i < j; `what` names an entry, as in "form coefficient", in the refusals."""
+    clean = {}
+    for (i, j), p in entries.items():
+        if not 0 <= i < j < len(ring):
+            raise ArityError(f"bad {what.split()[0]} index pair ({i}, {j})")
+        if p.ring != ring:
+            raise ArityError(f"{what} lives in the wrong ring")
+        p = p if basis is None else normal_form(p, basis)
+        if not p.is_zero():
+            clean[(i, j)] = p
+    return clean
+
+
 @dataclass(frozen=True)
 class PoissonTable:
     """Antisymmetric coordinate bracket table on a polynomial ring."""
@@ -31,26 +47,15 @@ class PoissonTable:
     ring: tuple[str, ...]
     table: dict[tuple[int, int], Polynomial]      # keys (i, j) with i < j
     ideal: IdealPresentation | None = None
-    _basis: GroebnerBasis | None = field(init=False, compare=False, repr=False, default=None)
+    basis: GroebnerBasis | None = field(init=False, compare=False, repr=False, default=None)  # of ideal
 
     def __post_init__(self):
         object.__setattr__(self, "ring", tuple(self.ring))
         if self.ideal is not None and self.ideal.ring != self.ring:
             raise ArityError("quotient ideal lives in the wrong ring")
-        basis = None
         if self.ideal is not None and self.ideal.generators:
-            basis = reduced_basis(self.ideal)
-        object.__setattr__(self, "_basis", basis)
-        clean = {}
-        for (i, j), p in self.table.items():
-            if not 0 <= i < j < len(self.ring):
-                raise ArityError(f"bad bracket index pair ({i}, {j})")
-            if p.ring != self.ring:
-                raise ArityError("bracket polynomial lives in the wrong ring")
-            p = p if basis is None else normal_form(p, basis)
-            if not p.is_zero():
-                clean[(i, j)] = p
-        object.__setattr__(self, "table", clean)
+            object.__setattr__(self, "basis", reduced_basis(self.ideal))
+        object.__setattr__(self, "table", _pair_entries(self.ring, self.table, "bracket polynomial", self.basis))
 
     @cached_property
     def rows(self) -> tuple[int, list[dict[int, dict[Monomial, int]]]]:
@@ -83,23 +88,18 @@ class PoissonTable:
                 _product(self._coordinate(l, dg, {}), df, out)
         return _reduced(self.ring, out, a * b * self.rows[0], None)
 
-    def quotient_basis(self) -> GroebnerBasis | None:
-        """The grevlex reduced basis of the quotient ideal, computed once."""
-        return self._basis
-
 
 def jacobi_defect(table: PoissonTable) -> dict[tuple[int, int, int], Polynomial]:
     """The Jacobi cyclic sum for every variable triple, reduced mod the ideal:
     D^2 times it is the sum of the integer coordinate brackets D * {z_a, D * p_bc}."""
     d, rows = table.rows
-    basis = table.quotient_basis()
     out = {}
     for i, j, k in combinations(range(len(table.ring)), 3):
         total: dict[Monomial, int] = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             if c in rows[b]:
                 table._coordinate(a, {v: _partial(rows[b][c], v) for v in rows[a]}, total)
-        out[(i, j, k)] = _reduced(table.ring, total, d * d, basis)
+        out[(i, j, k)] = _reduced(table.ring, total, d * d, table.basis)
     return out
 
 
@@ -113,7 +113,7 @@ def preserves_ideal(table: PoissonTable, ideal: IdealPresentation) -> bool:
         raise ArityError("ideal ring differs from bracket ring")
     if not ideal.generators:
         return True
-    basis = table.quotient_basis() if ideal == table.ideal else reduced_basis(ideal)
+    basis = table.basis if ideal == table.ideal else reduced_basis(ideal)
     n = len(table.ring)
     for gi in (_integral(g.terms)[0] for g in ideal.generators):
         dg = {k: _partial(gi, k) for k in range(n)}
@@ -148,15 +148,7 @@ class FormTable:
 
     def __post_init__(self):
         object.__setattr__(self, "ring", tuple(self.ring))
-        clean = {}
-        for (a, b), p in self.coefficients.items():
-            if not 0 <= a < b < len(self.ring):
-                raise ArityError(f"bad form index pair ({a}, {b})")
-            if p.ring != self.ring:
-                raise ArityError("form coefficient lives in the wrong ring")
-            if not p.is_zero():
-                clean[(a, b)] = p
-        object.__setattr__(self, "coefficients", clean)
+        object.__setattr__(self, "coefficients", _pair_entries(self.ring, self.coefficients, "form coefficient"))
 
 
 def form_weight(form: FormTable, wd: WeightData) -> ExactScalar | None:

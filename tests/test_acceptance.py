@@ -112,7 +112,7 @@ def test_criterion_2_flatness_and_hilbert():
     for tc in families:
         assert flatness_witness(tc)
     quadric = catalogue.ENTRIES["a1"].document()
-    values = hilbert_function(quadric.ideal(), quadric.weight_data(), 8)
+    values = hilbert_function(quadric.ideal, quadric.weight_data, 8)
     assert values == {0: 1, 2: 3, 4: 5, 6: 7, 8: 9}
     _report("2 flatness and graded dimensions",
             f"20 families flat, quadric dims 1,3,5,7,9 in {time.monotonic()-start:.2f}s")
@@ -186,14 +186,14 @@ def test_criterion_6_poisson_catalogue():
         doc = catalogue.ENTRIES[name].document()
         table = doc.poisson_table()
         assert jacobi_holds(table)
-        assert preserves_ideal(table, doc.ideal())
-        assert bracket_weight(table, doc.weight_data()) == ExactScalar.of(-2)
+        assert preserves_ideal(table, doc.ideal)
+        assert bracket_weight(table, doc.weight_data) == ExactScalar.of(-2)
     for name in ("c2", "ogrady_weights"):
         doc = catalogue.ENTRIES[name].document()
-        assert form_weight(doc.form_table(), doc.weight_data()) == ExactScalar.of(2)
+        assert form_weight(doc.form, doc.weight_data) == ExactScalar.of(2)
     for name in catalogue.names():
         doc = catalogue.ENTRIES[name].document()
-        assert one_in_span(ReebVector(doc.weights))
+        assert one_in_span(ReebVector(doc.weight_data.weights))
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
     _report("6 poisson catalogue",

@@ -82,5 +82,5 @@ def test_verify_entry_returns_a_fresh_dict():
 
 
 def test_a1_deformed_degenerates_to_a1():
-    a1 = [str(g) for g in reduced_basis(ENTRIES["a1"].document().ideal())]
+    a1 = [str(g) for g in reduced_basis(ENTRIES["a1"].document().ideal)]
     assert ENTRIES["a1_deformed"].facts["central_fiber"] == a1 == ["x*y - z^2"]

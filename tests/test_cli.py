@@ -3,10 +3,14 @@
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 import tomllib
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -16,10 +20,10 @@ from conify.cli import build_parser, main
 from conify.diophantine import ReebVector, dirichlet_approximant
 from conify.errors import ParseError
 from conify.exactnum import parse_scalars
-from conify.groebner import reduced_basis
+from conify.groebner import IdealPresentation, reduced_basis
 from conify.inputdoc import parse_input
-from conify.poisson import check_scaleup
-from conify.polyring import parse_polynomial
+from conify.poisson import FormTable, check_scaleup
+from conify.polyring import WeightData, parse_polynomial
 
 A1_DEFORMED = """\
 field rational
@@ -40,15 +44,34 @@ def run_cli(*argv):
 class TestParseInput:
     def test_full_document(self):
         doc = parse_input(catalogue.A1_TEXT)
-        assert doc.ring == ("x", "y", "z")
-        assert [str(w) for w in doc.weights] == ["2", "2", "2"]
-        assert len(doc.ideal_polys) == 1
+        assert doc.ideal.ring == ("x", "y", "z")
+        assert [str(w) for w in doc.weight_data.weights] == ["2", "2", "2"]
+        assert len(doc.ideal.generators) == 1
         assert len(doc.brackets) == 3
+
+    def test_document_holds_its_objects(self):
+        doc = parse_input(catalogue.C2_TEXT)
+        assert [f.name for f in fields(doc)] == ["ideal", "weight_data", "brackets", "form"]
+        assert doc.ideal == IdealPresentation(("u", "v"), ())
+        assert doc.weight_data == WeightData((1, 1), t_weight=1, form_weight=2)
+        assert doc.form == FormTable(("u", "v"), {(0, 1): parse_polynomial("1", ("u", "v"))})
+        assert parse_input(catalogue.A1_TEXT).form is None
+
+    @pytest.mark.parametrize("argv", [["poisson-check", "--input", "a1.txt"], ["demo", "a1"]])
+    def test_one_ideal_per_run(self, argv, tmp_path, monkeypatch):
+        # the bracket table, the ideal check and the Hilbert function share the parsed ideal
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a1.txt").write_text(catalogue.A1_TEXT)
+        built = []
+        real = IdealPresentation.__post_init__
+        monkeypatch.setattr(IdealPresentation, "__post_init__", lambda self: built.append(self) or real(self))
+        code, _, err = run_cli(*argv)
+        assert (code, err, len(built)) == (0, "", 1)
 
     def test_quadratic_field_weights(self):
         doc = parse_input("field quad 2\nring x y\nweights s 2-s\nideal\nx - y\n")
-        assert str(doc.weights[0]) == "sqrt(2)"
-        assert str(doc.weights[1]) == "2-sqrt(2)"
+        assert str(doc.weight_data.weights[0]) == "sqrt(2)"
+        assert str(doc.weight_data.weights[1]) == "2-sqrt(2)"
 
     def test_missing_ring(self):
         with pytest.raises(ParseError, match="ring required"):
@@ -84,11 +107,11 @@ class TestParseInput:
     def test_weights_mix_radicands(self):
         # with no field line, s stands for the first sqrt(k) of the list
         doc = parse_input("ring x y\nweights sqrt(2) 1+s\n")
-        assert [str(w) for w in doc.weights] == ["sqrt(2)", "1+sqrt(2)"]
+        assert [str(w) for w in doc.weight_data.weights] == ["sqrt(2)", "1+sqrt(2)"]
         doc = parse_input("ring x y\nweights sqrt(2) sqrt(3)\n")
-        assert [str(w) for w in doc.weights] == ["sqrt(2)", "sqrt(3)"]
+        assert [str(w) for w in doc.weight_data.weights] == ["sqrt(2)", "sqrt(3)"]
         doc = parse_input("field quad 2\nweights 1 sqrt(3)+s\nring x y\n")
-        assert [str(w) for w in doc.weights] == ["1", "sqrt(2)+sqrt(3)"]
+        assert [str(w) for w in doc.weight_data.weights] == ["1", "sqrt(2)+sqrt(3)"]
         with pytest.raises(ParseError, match=r"no quadratic field.*\(line 2\)"):
             parse_input("ring x y\nweights s+sqrt(2) 1\n")
 
@@ -106,7 +129,7 @@ class TestParseInput:
 
     def test_comments_and_blank_lines(self):
         doc = parse_input("# header\nring x\n\nweights 1  # inline\n")
-        assert doc.ring == ("x",)
+        assert doc.ideal.ring == ("x",)
 
 
 def _on_line_3(text):
@@ -285,6 +308,28 @@ class TestExitCodes:
         # checked before N, n or the resolution derive anything, rational weights included
         assert run_cli(*argv, "--weights", weights) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("command, stdout", [
+        ("approximate", '{"approximant":{"D":1,"N":2,"errors_as_strings":["-1+sqrt(2)"],"nice":true,'
+                        '"w_tilde":[6]},"schema":"conify/1"}\n'),
+        ("cone", '{"certificate":[[0,"9 - 6*sqrt(2)"],[1,"-8 + 6*sqrt(2)"]],"contains_input":true,'
+                 '"generators":[["19/3"],["13/2"]],"schema":"conify/1","simplicial":true}\n'),
+    ])
+    def test_default_threshold_is_at_least_two(self, command, stdout):
+        # ceil(4n / min w) = 1 here: both subcommands run at N = 2
+        assert run_cli(command, "--weights", "5+sqrt(2)", "--n", "1") == (0, stdout, "")
+
+    def test_closed_stdout_exits_as_on_sigpipe(self, tmp_path):
+        # a reader that stops after 20 bytes of a large output: no traceback, exit 128 + SIGPIPE
+        path = tmp_path / "a1.txt"
+        path.write_text(catalogue.A1_TEXT)
+        argv = [sys.executable, "-m", "conify.cli", "hilbert", "--input", str(path), "--degree-cap", "100000"]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.read(20) == b'{"dimensions":{"0":1'
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=60), err) == (141, b"")
+
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_invariants_cap_below_one_is_two(self, cap):
         code, out, err = run_cli("invariants", "--weights", "1,2", "--tweight", "3", "--cap", cap)
@@ -434,7 +479,7 @@ class TestSubcommands:
         # (sqrt5/2, sqrt5) has one Dirichlet approximant at N = 16, 32 and 64;
         # its central fiber is certified against in_xi(I), not against a
         # second approximant
-        vector = ReebVector(parse_input(text).weights)
+        vector = ReebVector(parse_input(text).weight_data.weights)
         assert len({dirichlet_approximant(vector, N, 10**6).approximation()
                     for N in (16, 32, 64)}) == 1
         path = tmp_path / "coincide.txt"
@@ -523,7 +568,7 @@ class TestSubcommands:
         path.write_text(document)
         assert run_cli("poisson-check", "--input", str(path)) == (0, stdout, "")
         doc = parse_input(document)
-        assert check_scaleup(doc.poisson_table(), doc.weight_data()) == json.loads(stdout)["scaleup"]
+        assert check_scaleup(doc.poisson_table(), doc.weight_data) == json.loads(stdout)["scaleup"]
 
     def test_poisson_check_on_a_ring_with_a_t(self, tmp_path):
         # poisson-check builds no family, so a ring variable named t is fine
@@ -701,7 +746,7 @@ class TestFibersFromTheFlats:
         code, out, err = run_cli("fiber", "--input", str(path), "--at", "1")
         assert time.monotonic() - start < 5.0
         assert code == 0, err
-        basis = reduced_basis(parse_input(IRRATIONAL_FAMILY).ideal())
+        basis = reduced_basis(parse_input(IRRATIONAL_FAMILY).ideal)
         assert json.loads(out) == {"at": "1", "fiber": [str(g) for g in basis], "schema": "conify/1"}
         # the CI pins this stdout, trailing newline dropped, by its sha256
         assert hashlib.sha256(out.rstrip("\n").encode()).hexdigest() == (

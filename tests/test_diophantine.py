@@ -317,9 +317,11 @@ class TestDefaultN:
     def test_rational(self):
         assert default_N(vec(2, 2, 2, n=2)) == 4
         assert default_N(vec(1, n=1)) == 4
+        assert default_N(vec(9, 10, n=2)) == 2     # ceil(8 / 9) = 1, floored at 2
 
     def test_irrational_ceiling(self):
         assert default_N(vec(R2, 2 - R2, n=2)) == 14
+        assert default_N(vec(5 + R2, n=1)) == 2    # ceil(4 / (5 + sqrt 2)) = 1, floored at 2
 
     def test_requires_dimension(self):
         with pytest.raises(ValueError):

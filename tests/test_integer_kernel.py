@@ -396,7 +396,7 @@ SEEDED4 = rational_ideals(6, seed=2718, ring=XYZW)
 EDGES = [IdealPresentation(XYZ, tuple(parse_polynomial(g, XYZ) for g in gens))
          for gens in ((), ("3/2*x^2*y - z^3 + 2/5*y",), ("x*y - 1/2", "2/3*x"))]
 OGRADY = ENTRIES["ogrady_weights"].document()
-FOURTEEN = sparse_ideals(6, seed=1414, ring=OGRADY.ring)
+FOURTEEN = sparse_ideals(6, seed=1414, ring=OGRADY.ideal.ring)
 KINDS = ["grevlex", "weighted", "irrational", "elimination"]
 
 
@@ -645,14 +645,14 @@ def test_reduced_bases_agree_on_criterion_1_ideals(index):
 
 @pytest.mark.parametrize("kind", KINDS + ["catalogue"])
 def test_fourteen_variables_agree_with_the_tuple_kernel(kind):
-    order = TermOrder(14, weights=OGRADY.weights) if kind == "catalogue" else orders(14)[kind]
+    order = TermOrder(14, weights=OGRADY.weight_data.weights) if kind == "catalogue" else orders(14)[kind]
     rng = random.Random(kind)
     for ideal in FOURTEEN:
         gens = list(ideal.generators)
         assert packed_minimal_basis(gens, order) == tuple_buchberger(gens, order)
         basis = reduced_basis(ideal, order)
         assert basis.elements == tuple_reduced_basis(ideal, order)
-        for f in sparse_ideals(1, rng.random(), OGRADY.ring)[0].generators:
+        for f in sparse_ideals(1, rng.random(), OGRADY.ideal.ring)[0].generators:
             assert normal_form(f, basis) == tuple_normal_form(f, basis)
         for steps in range(3):
             assert budget_message(reduced_basis, ideal, order, steps) == budget_message(

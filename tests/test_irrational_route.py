@@ -53,8 +53,8 @@ def two_sample_outputs(text, N=16, cap=10**6):
     box around the weights, and their central fibers must agree.  The fiber
     and flatness printed are those of the first approximant's family."""
     doc = parse_input(text)
-    ideal = doc.ideal()
-    vector = ReebVector(doc.weights)
+    ideal = doc.ideal
+    vector = ReebVector(doc.weight_data.weights)
     first = second = dirichlet_approximant(vector, N, cap)
     while second.approximation() == first.approximation():
         N *= 2
@@ -137,9 +137,9 @@ def differential(docs, tmp_path):
             outputs[command] = out
         doc = parse_input(text)
         weights = tuple(int(w) for w in json.loads(outputs.pop("testconfig"))["weights"])
-        assert in_rational_span(weights, doc.weights), text
-        fiber = weighted_initial_ideal(doc.ideal(), doc.weight_data())
-        assert in_span_homogeneous(fiber, doc.weights), text
+        assert in_rational_span(weights, doc.weight_data.weights), text
+        fiber = weighted_initial_ideal(doc.ideal, doc.weight_data)
+        assert in_span_homogeneous(fiber, doc.weight_data.weights), text
         try:
             expected = two_sample_outputs(text)
         except TwoSamplesDisagree:
@@ -211,6 +211,6 @@ class TestTwoSampleDifferential:
 
     def test_two_radicand_documents(self, tmp_path):
         docs = near_tie_documents(seed=11, count=40, radicands=((2, 3), (3, 5)))
-        assert all(len({w.terms[0][0] for w in parse_input(text).weights}) == 2 for text in docs)
+        assert all(len({w.terms[0][0] for w in parse_input(text).weight_data.weights}) == 2 for text in docs)
         agreed, disagreed = differential(docs, tmp_path)
         assert agreed >= 30, (agreed, disagreed)

@@ -20,7 +20,7 @@ from conify.diophantine import (
     nice_approximant,
     verify_perturbation_bound,
 )
-from conify.errors import ArityError, ConifyError, ContainmentError, InhomogeneousError
+from conify.errors import ArityError, CertificateError, ConifyError, ContainmentError, InhomogeneousError
 from conify.exactnum import ExactScalar, parse_scalars
 from conify.groebner import (
     IdealPresentation,
@@ -143,7 +143,7 @@ LIBRARY_ERRORS = [
     ("pullback-tau", lambda: scaling_pullback_check((1,), (1.0,), 0.0), ValueError, "tau must be positive"),
     ("hull-shifted-constant",
      lambda: _verify_hull(HULL_VECTOR, replace(h := affine_hull(HULL_VECTOR), a0=tuple(c + 1 for c in h.a0))),
-     ArithmeticError, "affine hull relation failed verification"),
+     CertificateError, "affine hull relation failed verification"),
     ("cli-unknown-subcommand", lambda: cli.run(argparse.Namespace(command="nosuch")), ConifyError,
      "unknown subcommand 'nosuch'"),
     ("cone-no-containing-subset",

@@ -103,10 +103,10 @@ class TestPreservesIdeal:
 
     def test_quotient_basis_is_computed_once(self):
         table, quadric = quadric_table()
-        assert table.quotient_basis() is table.quotient_basis()
-        assert table.quotient_basis() == reduced_basis(quadric)
+        assert table.basis is table.basis
+        assert table.basis == reduced_basis(quadric)
         assert table == PoissonTable(XYZ, table.table, ideal=quadric)
-        assert PoissonTable(XYZ, {}).quotient_basis() is None
+        assert PoissonTable(XYZ, {}).basis is None
         # an ideal other than the table's own gets its own basis
         assert not preserves_ideal(table, IdealPresentation(XYZ, (P("x*y - z^3"),)))
 
@@ -536,7 +536,7 @@ def fraction_bracket(table: PoissonTable, f: Polynomial, g: Polynomial) -> Polyn
 
 def fraction_jacobi_defect(table: PoissonTable) -> dict:
     ring = table.ring
-    basis = table.quotient_basis()
+    basis = table.basis
     coords = [Polynomial.variable(ring, name) for name in ring]
     zero = Polynomial.zero(ring)
     out = {}
